@@ -18,14 +18,13 @@ from . import power, protocol, roadplan, sim
 from .pathloss import SingularFitError, fit_exponent, load_samples_csv
 from .presets import (
     DEFAULT_PATH_LOSS_PRESET,
-    DriveScenario,
     Mount,
     default_scanner,
     path_loss_preset,
     read_preset_ini,
+    scenario_for_mount,
     write_preset_ini,
 )
-from .rendezvous import ScannerConfig
 
 EXIT_OK = 0
 EXIT_MODEL = 1
@@ -88,8 +87,10 @@ def cmd_calibrate(args, config, out) -> int:
         sim.load_target_matrix(Mount.BONNET, args.targets_bonnet),
     )
     result = sim.calibrate(targets=targets, rf_preset=fit.model)
-    model = result.path_loss(fit.model)
-    write_preset_ini(args.out, model, result.scanner())
+    calibrated = scenario_for_mount(
+        Mount.BONNET, fit.model, result.scanner(), result.bonnet_attenuation_db
+    )
+    write_preset_ini(args.out, calibrated.path_loss, calibrated.scanner)
 
     lines = ["# calibration report"]
     lines.append(f"exponent: {fit.model.exponent:.6f}")
@@ -149,15 +150,16 @@ def cmd_matrix(args, config, out) -> int:
 def cmd_plan(args, config, out) -> int:
     with open(args.road) as fh:
         road = roadplan.road_from_geojson(fh.read())
-    model, scanner = _resolve_preset(_setting(config, "plan", "preset", args.preset))
-    scenario = DriveScenario(path_loss=model, scanner=scanner)
+    preset = _setting(config, "plan", "preset", args.preset) or DEFAULT_PATH_LOSS_PRESET
+    model, scanner = _resolve_preset(preset)
     plan = roadplan.plan_deployment(
         road,
         budget=args.budget,
-        beacon_preset=args.preset or DEFAULT_PATH_LOSS_PRESET,
+        # A calibration INI is labelled by its file name, never its directory.
+        beacon_preset=os.path.basename(preset),
         max_spacing_m=args.spacing,
         reliability_target=args.reliability,
-        scenario=scenario,
+        scenario=scenario_for_mount(Mount.WHEEL_ARCH, model, scanner),
     )
     geojson = roadplan.plan_to_geojson(plan)
     _write(args.out, json.dumps(geojson, sort_keys=True, indent=2) + "\n", out)
@@ -186,7 +188,7 @@ def cmd_guide(args, config, out) -> int:
         rows = power.published_guide()
     else:
         model, scanner = _resolve_preset(_setting(config, "guide", "preset", args.preset))
-        scenario = DriveScenario(path_loss=model, scanner=scanner)
+        scenario = scenario_for_mount(Mount.WHEEL_ARCH, model, scanner)
         speeds = (
             [float(x) for x in args.speeds.split(",")]
             if args.speeds
@@ -229,27 +231,6 @@ def _read_segment_lines(source: str) -> list[str]:
         return [line.strip() for line in fh if line.strip()]
 
 
-def _group_segments(lines: list[str]):
-    """Group raw segments by (receiver, total); the wire format carries no
-    batch reference, so two same-sized payloads from one receiver in a
-    single dump cannot be told apart."""
-    groups: dict[tuple[str, int], list[str]] = {}
-    bad: list[str] = []
-    for line in lines:
-        parts = line.split("|", 3)
-        if len(parts) != 4 or parts[0] != protocol.VERSION_TAG:
-            bad.append(line)
-            continue
-        counter = parts[2].split("/")
-        try:
-            total = int(counter[1])
-        except (IndexError, ValueError):
-            bad.append(line)
-            continue
-        groups.setdefault((parts[1], total), []).append(line)
-    return groups, bad
-
-
 def cmd_ingest(args, config, out) -> int:
     lines = _read_segment_lines(args.segments)
     if not lines:
@@ -259,7 +240,7 @@ def cmd_ingest(args, config, out) -> int:
     store = protocol.DetectionStore.load(args.store)
     received_at = args.received_at if args.received_at is not None else int(time.time())
 
-    groups, bad = _group_segments(lines)
+    groups, bad = protocol.group_segments(lines)
     report = [f"# ingest  received_at={received_at}"]
     added_total = 0
     for (receiver, total), segs in sorted(groups.items()):

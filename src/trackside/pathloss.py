@@ -37,7 +37,6 @@ class Material(enum.Enum):
     WATER_LITRE = "water_litre"
     PLASTIC_BAG = "plastic_bag"
     BONNET = "bonnet"
-    VEHICLE_BODY = "vehicle_body"
 
 
 _MATERIAL_ALIASES = {
@@ -65,8 +64,7 @@ EXPONENT_BT5 = 1.5501147221827891  # solves -70 - 10*n*log10(41) = -95
 # against the 66.3 m clear anchor at the BT4 exponent.  Water was measured
 # inside a thin bag at 33 m; the bag's own share comes from the
 # extrapolated 37 m bag-free range.  The bonnet value is the calibrated
-# result of the drive-by matrix fit (see sim.calibrate); the vehicle body
-# is assumed bonnet-like until measured.
+# result of the drive-by matrix fit (see sim.calibrate).
 BONNET_ATTENUATION_DB = 2.5
 DEFAULT_ATTENUATION_DB: Mapping[Material, float] = {
     Material.NONE: 0.0,
@@ -75,7 +73,6 @@ DEFAULT_ATTENUATION_DB: Mapping[Material, float] = {
     Material.WATER_LITRE: 5.42,
     Material.PLASTIC_BAG: 0.89,
     Material.BONNET: BONNET_ATTENUATION_DB,
-    Material.VEHICLE_BODY: BONNET_ATTENUATION_DB,
 }
 
 WATER_RANGE_MEASURED_M = 33.0  # inside the bag, as measured

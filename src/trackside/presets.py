@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import configparser
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from . import pathloss
 from .pathloss import Material, PathLossModel
@@ -56,19 +56,6 @@ def default_scanner() -> ScannerConfig:
     )
 
 
-def materials_for_mount(mount: Mount, far_side: bool = False) -> frozenset[Material]:
-    """Obstructions between beacon and receiver for a mount choice.
-
-    ``far_side`` adds the vehicle body for a wheel-arch receiver on the
-    side away from the beacon (speculative, default off).
-    """
-    if mount is Mount.BONNET:
-        return frozenset({Material.BONNET})
-    if far_side:
-        return frozenset({Material.VEHICLE_BODY})
-    return frozenset()
-
-
 @dataclass(frozen=True)
 class DriveScenario:
     """Everything needed to score one drive-by: radio model plus timing."""
@@ -107,14 +94,23 @@ class DriveScenario:
 
 def scenario_for_mount(
     mount: Mount = Mount.WHEEL_ARCH,
-    rf_preset: str = DEFAULT_PATH_LOSS_PRESET,
+    rf_preset: str | PathLossModel = DEFAULT_PATH_LOSS_PRESET,
     scanner: ScannerConfig | None = None,
-    far_side: bool = False,
+    bonnet_attenuation_db: float | None = None,
 ) -> DriveScenario:
+    """The drive-by scenario for a receiver mount.
+
+    ``rf_preset`` is a preset name or a model; ``bonnet_attenuation_db``
+    replaces the model's bonnet loss (the calibration's free parameter).
+    """
+    model = rf_preset if isinstance(rf_preset, PathLossModel) else path_loss_preset(rf_preset)
+    if bonnet_attenuation_db is not None:
+        table = {**model.attenuation_db, Material.BONNET: bonnet_attenuation_db}
+        model = replace(model, attenuation_db=table)
     return DriveScenario(
-        path_loss=path_loss_preset(rf_preset),
+        path_loss=model,
         scanner=scanner if scanner is not None else default_scanner(),
-        materials=materials_for_mount(mount, far_side=far_side),
+        materials=frozenset({Material.BONNET}) if mount is Mount.BONNET else frozenset(),
     )
 
 
@@ -143,7 +139,11 @@ def read_preset_ini(path) -> tuple[PathLossModel, ScannerConfig]:
     with open(path) as fh:
         config.read_file(fh)
     attenuation = {
-        Material(name): float(value) for name, value in config["attenuation_db"].items()
+        Material(name): float(value)
+        for name, value in config["attenuation_db"].items()
+        # Older presets list an unmeasured vehicle-body loss that no longer
+        # exists as a material; it never affected any result.
+        if name != "vehicle_body"
     }
     model = PathLossModel(
         rssi_ref_dbm=config.getfloat("pathloss", "rssi_ref_dbm"),

@@ -269,6 +269,45 @@ def encode_sms(
     return payloads
 
 
+def _parse_segment(raw: str) -> tuple[str, int, int, str]:
+    """Split one segment text into (receiver_id, index, total, body),
+    validating the header; raises ValueError on any header fault."""
+    parts = raw.strip().split("|", 3)
+    if len(parts) != 4:
+        raise WireFormatError(f"segment {raw!r} does not have 4 '|' fields")
+    tag, receiver_id, counter, body = parts
+    if tag != VERSION_TAG:
+        raise WireFormatError(f"unsupported version tag {tag!r}")
+    validate_receiver_id(receiver_id)
+    m = re.match(r"^(\d+)/(\d+)$", counter)
+    if not m:
+        raise WireFormatError(f"bad segment counter {counter!r}")
+    index, total = int(m.group(1)), int(m.group(2))
+    if not 1 <= index <= total:
+        raise WireFormatError(f"segment index {index} outside 1..{total}")
+    return receiver_id, index, total, body
+
+
+def group_segments(
+    lines: Iterable[str],
+) -> tuple[dict[tuple[str, int], list[str]], list[str]]:
+    """Group raw segments of a gateway dump by (receiver, total) for
+    decode_sms; lines whose header does not parse come back separately.
+
+    The wire format carries no batch reference, so two same-sized payloads
+    from one receiver in a single dump cannot be told apart."""
+    groups: dict[tuple[str, int], list[str]] = {}
+    bad: list[str] = []
+    for line in lines:
+        try:
+            receiver_id, _, total, _ = _parse_segment(line)
+        except ValueError:
+            bad.append(line)
+            continue
+        groups.setdefault((receiver_id, total), []).append(line)
+    return groups, bad
+
+
 @dataclass(frozen=True)
 class DecodeResult:
     receiver_id: str
@@ -297,19 +336,7 @@ def decode_sms(segments: Iterable[str]) -> DecodeResult:
     any_seen = False
     for raw in segments:
         any_seen = True
-        parts = raw.strip().split("|", 3)
-        if len(parts) != 4:
-            raise WireFormatError(f"segment {raw!r} does not have 4 '|' fields")
-        tag, rid, counter, body = parts
-        if tag != VERSION_TAG:
-            raise WireFormatError(f"unsupported version tag {tag!r}")
-        validate_receiver_id(rid)
-        m = re.match(r"^(\d+)/(\d+)$", counter)
-        if not m:
-            raise WireFormatError(f"bad segment counter {counter!r}")
-        index, seg_total = int(m.group(1)), int(m.group(2))
-        if not 1 <= index <= seg_total:
-            raise WireFormatError(f"segment index {index} outside 1..{seg_total}")
+        rid, index, seg_total, body = _parse_segment(raw)
         if receiver_id is None:
             receiver_id, total = rid, seg_total
         elif rid != receiver_id or seg_total != total:

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from . import power
@@ -48,40 +49,45 @@ class Road:
 
     polyline: tuple[tuple[float, float], ...]
     surface_vmax_mph: float = DEFAULT_SURFACE_VMAX_MPH
+    _arcs: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         points = tuple((float(lat), float(lon)) for lat, lon in self.polyline)
         if len(points) < 2:
             raise ValueError("road needs at least two vertices")
+        arcs = [0.0]
         for prev, cur in zip(points, points[1:]):
-            if haversine_m(prev, cur) == 0.0:
+            step = haversine_m(prev, cur)
+            if step == 0.0:
                 raise ValueError("road has a zero-length segment")
+            arcs.append(arcs[-1] + step)
         if self.surface_vmax_mph <= 0:
             raise ValueError("surface speed cap must be positive")
         object.__setattr__(self, "polyline", points)
+        object.__setattr__(self, "_arcs", tuple(arcs))
 
     def arc_lengths(self) -> tuple[float, ...]:
         """Cumulative arc length at each vertex, starting at 0."""
-        out = [0.0]
-        for prev, cur in zip(self.polyline, self.polyline[1:]):
-            out.append(out[-1] + haversine_m(prev, cur))
-        return tuple(out)
+        return self._arcs
 
     @property
     def length_m(self) -> float:
-        return self.arc_lengths()[-1]
+        return self._arcs[-1]
+
+    def _locate(self, arc_m: float) -> tuple[int, float]:
+        """(i, t): an arc position, clamped to the road, lies the fraction
+        t of the way from vertex i to vertex i + 1."""
+        arcs = self._arcs
+        arc_m = min(max(arc_m, 0.0), arcs[-1])
+        i = max(bisect_left(arcs, arc_m), 1) - 1
+        seg = arcs[i + 1] - arcs[i]
+        return i, (arc_m - arcs[i]) / seg if seg > 0 else 0.0
 
     def point_at(self, arc_m: float) -> tuple[float, float]:
         """Linear interpolation along the polyline at an arc position."""
-        arcs = self.arc_lengths()
-        arc_m = min(max(arc_m, 0.0), arcs[-1])
-        for i in range(len(arcs) - 1):
-            if arc_m <= arcs[i + 1]:
-                seg = arcs[i + 1] - arcs[i]
-                t = (arc_m - arcs[i]) / seg if seg > 0 else 0.0
-                (lat1, lon1), (lat2, lon2) = self.polyline[i], self.polyline[i + 1]
-                return (lat1 + t * (lat2 - lat1), lon1 + t * (lon2 - lon1))
-        return self.polyline[-1]
+        i, t = self._locate(arc_m)
+        (lat1, lon1), (lat2, lon2) = self.polyline[i], self.polyline[i + 1]
+        return (lat1 + t * (lat2 - lat1), lon1 + t * (lon2 - lon1))
 
     def project(self, point: tuple[float, float]) -> tuple[float, float]:
         """(arc_m, offset_m) of the closest polyline position to ``point``.
@@ -292,13 +298,8 @@ def select_sites(
 
 
 def _speed_at(road: Road, speeds: Sequence[float], arc_m: float) -> float:
-    arcs = road.arc_lengths()
-    for i in range(len(arcs) - 1):
-        if arc_m <= arcs[i + 1]:
-            seg = arcs[i + 1] - arcs[i]
-            t = (arc_m - arcs[i]) / seg if seg > 0 else 0.0
-            return speeds[i] + t * (speeds[i + 1] - speeds[i])
-    return speeds[-1]
+    i, t = road._locate(arc_m)
+    return speeds[i] + t * (speeds[i + 1] - speeds[i])
 
 
 def plan_deployment(
@@ -336,16 +337,8 @@ def plan_deployment(
                 interval, days = rows[0].interval_ms, rows[0].battery_days
         p = scenario.pass_probability(site.local_vmax_mph, interval)
         priced.append(
-            BeaconSite(
-                beacon_id=site.beacon_id,
-                position=site.position,
-                arc_m=site.arc_m,
-                offset_m=site.offset_m,
-                beacon_preset=beacon_preset,
-                interval_ms=interval,
-                predicted_battery_days=days,
-                local_vmax_mph=site.local_vmax_mph,
-                detection_probability=p,
+            replace(
+                site, interval_ms=interval, predicted_battery_days=days, detection_probability=p
             )
         )
     gaps = _coverage_gaps(road.length_m, [s.arc_m for s in priced], max_spacing_m)

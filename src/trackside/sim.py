@@ -14,19 +14,12 @@ from __future__ import annotations
 import csv
 import enum
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
-from .pathloss import Material, PathLossModel
-from .presets import (
-    DEFAULT_PATH_LOSS_PRESET,
-    DriveScenario,
-    Mount,
-    default_scanner,
-    materials_for_mount,
-    path_loss_preset,
-)
+from .pathloss import PathLossModel
+from .presets import DEFAULT_PATH_LOSS_PRESET, Mount, scenario_for_mount
 from .rendezvous import ScannerConfig, detection_probability_oracle
 
 __all__ = [
@@ -162,31 +155,6 @@ class MatrixResult:
         return "\n".join(lines) + "\n"
 
 
-def _resolve_model(rf_preset: str | PathLossModel) -> PathLossModel:
-    if isinstance(rf_preset, PathLossModel):
-        return rf_preset
-    return path_loss_preset(rf_preset)
-
-
-def _scenario(
-    mount: Mount,
-    rf_preset: str | PathLossModel,
-    scanner: ScannerConfig | None,
-    bonnet_attenuation_db: float | None = None,
-    far_side: bool = False,
-) -> DriveScenario:
-    model = _resolve_model(rf_preset)
-    if bonnet_attenuation_db is not None:
-        table = dict(model.attenuation_db)
-        table[Material.BONNET] = bonnet_attenuation_db
-        model = replace(model, attenuation_db=table)
-    return DriveScenario(
-        path_loss=model,
-        scanner=scanner if scanner is not None else default_scanner(),
-        materials=materials_for_mount(mount, far_side=far_side),
-    )
-
-
 def simulate_pass(
     seed: int | Sequence[int],
     speed_mph: float,
@@ -194,13 +162,12 @@ def simulate_pass(
     mount: Mount = Mount.WHEEL_ARCH,
     rf_preset: str | PathLossModel = DEFAULT_PATH_LOSS_PRESET,
     scanner: ScannerConfig | None = None,
-    far_side: bool = False,
 ) -> bool:
     """One simulated drive-by: detection range -> in-range time -> one
     phase-sampled trial.  Deterministic in the seed."""
     if speed_mph <= 0:
         raise ValueError("speed must be positive")
-    scenario = _scenario(mount, rf_preset, scanner, far_side=far_side)
+    scenario = scenario_for_mount(mount, rf_preset, scanner)
     t_in = scenario.in_range_time_s(speed_mph)
     if t_in == 0.0:
         return False
@@ -214,10 +181,9 @@ def run_matrix(
     spec: TrialMatrixSpec,
     rf_preset: str | PathLossModel = DEFAULT_PATH_LOSS_PRESET,
     scanner: ScannerConfig | None = None,
-    far_side: bool = False,
 ) -> MatrixResult:
     """Simulate every (speed, interval) cell of the spec."""
-    scenario = _scenario(spec.mount, rf_preset, scanner, far_side=far_side)
+    scenario = scenario_for_mount(spec.mount, rf_preset, scanner)
     cells = []
     for row, speed in enumerate(spec.speeds_mph):
         t_in = scenario.in_range_time_s(speed)
@@ -232,7 +198,6 @@ def run_matrix(
                     mount=spec.mount,
                     rf_preset=rf_preset,
                     scanner=scanner,
-                    far_side=far_side,
                 )
                 detections += int(detected)
             expected = (
@@ -323,13 +288,6 @@ class CalibrationResult:
     def scanner(self) -> ScannerConfig:
         return ScannerConfig(scan_window_ms=self.scan_window_ms)
 
-    def path_loss(self, rf_preset: str | PathLossModel = DEFAULT_PATH_LOSS_PRESET) -> PathLossModel:
-        model = _resolve_model(rf_preset)
-        table = dict(model.attenuation_db)
-        table[Material.BONNET] = self.bonnet_attenuation_db
-        table[Material.VEHICLE_BODY] = self.bonnet_attenuation_db
-        return replace(model, attenuation_db=table)
-
 
 def _mismatch_report(
     targets: Iterable[TargetMatrix],
@@ -342,7 +300,7 @@ def _mismatch_report(
     reports = []
     total = 0
     for target in targets:
-        scenario = _scenario(target.mount, rf_preset, scanner, bonnet_attenuation_db)
+        scenario = scenario_for_mount(target.mount, rf_preset, scanner, bonnet_attenuation_db)
         for speed in target.speeds_mph:
             for interval in target.intervals_ms:
                 p = scenario.pass_probability(speed, interval)

@@ -5,8 +5,32 @@ import math
 import pytest
 
 from trackside.cli import main
+from trackside.presets import read_preset_ini, write_preset_ini
 
 M_PER_DEG = math.pi * 6371000.0 / 180.0
+
+# `calibrate` output for the two field anchors, in the format of releases
+# that still listed a (never used) vehicle-body loss.
+OLDER_PRESET_INI = """\
+[pathloss]
+rssi_ref_dbm = -70.0
+exponent = 1.7883456975917413
+reliability_threshold_dbm = -95.0
+
+[attenuation_db]
+bonnet = 2.5
+cardboard_case = 1.17
+none = 0.0
+plastic_bag = 0.89
+plastic_case = 3.01
+vehicle_body = 2.5
+water_litre = 5.42
+
+[scanner]
+scan_window_ms = 1170.0
+scan_cycle_ms = 2500.0
+
+"""
 
 
 def run(argv):
@@ -111,6 +135,27 @@ class TestCalibrate:
         assert (preset.read_bytes(), report.read_bytes()) == first
 
 
+class TestPresetIni:
+    def test_older_preset_with_vehicle_body_loads(self, tmp_path):
+        older = tmp_path / "older.ini"
+        older.write_text(OLDER_PRESET_INI)
+        current = tmp_path / "current.ini"
+        write_preset_ini(current, *read_preset_ini(older))
+        assert current.read_text() == OLDER_PRESET_INI.replace("vehicle_body = 2.5\n", "")
+        outputs = []
+        for preset in (older, current):
+            code, text = run(["guide", "--reliability", "0.95", "--preset", str(preset)])
+            assert code == 0
+            outputs.append(text)
+        assert outputs[0] == outputs[1]
+
+    def test_unknown_material_rejected(self, tmp_path):
+        preset = tmp_path / "bad.ini"
+        preset.write_text(OLDER_PRESET_INI.replace("vehicle_body", "chassis"))
+        with pytest.raises(ValueError, match="chassis"):
+            read_preset_ini(preset)
+
+
 class TestMatrix:
     def test_deterministic_rerun(self, tmp_path):
         args = [
@@ -171,6 +216,31 @@ class TestPlan:
         assert run(args + ["--out", str(out_b), "--summary", str(sum_b)])[0] == 0
         assert out_a.read_bytes() == out_b.read_bytes()
         assert sum_a.read_bytes() == sum_b.read_bytes()
+
+    def test_config_preset_labels_sites(self, road_geojson, tmp_path):
+        config = tmp_path / "run.ini"
+        config.write_text("[plan]\npreset = otsb-bt5\n")
+        via_config, via_flag = tmp_path / "config.geojson", tmp_path / "flag.geojson"
+        args = ["plan", "--road", str(road_geojson), "--budget", "2", "--reliability", "0.95"]
+        assert run(["--config", str(config)] + args + ["--out", str(via_config)])[0] == 0
+        assert run(args + ["--preset", "otsb-bt5", "--out", str(via_flag)])[0] == 0
+        assert via_config.read_bytes() == via_flag.read_bytes()
+        features = json.loads(via_config.read_text())["features"]
+        assert {f["properties"]["beacon_preset"] for f in features} == {"otsb-bt5"}
+
+    def test_ini_preset_labelled_by_file_name(self, road_geojson, tmp_path):
+        preset = tmp_path / "field" / "camp.ini"
+        preset.parent.mkdir()
+        preset.write_text(OLDER_PRESET_INI)
+        out = tmp_path / "plan.geojson"
+        code, _ = run(
+            ["plan", "--road", str(road_geojson), "--budget", "2",
+             "--preset", str(preset), "--out", str(out)]
+        )
+        assert code == 0
+        assert str(tmp_path) not in out.read_text()
+        features = json.loads(out.read_text())["features"]
+        assert {f["properties"]["beacon_preset"] for f in features} == {"camp.ini"}
 
     def test_unknown_preset_is_config_error(self, road_geojson, tmp_path):
         code, _ = run(
@@ -246,6 +316,22 @@ class TestProtocolPipeline:
         )
         assert code == 1
         assert "unparseable" in report
+
+
+    def test_ingest_bad_counter_skips_only_its_line(self, registry_csv, tmp_path):
+        segments = tmp_path / "segments.txt"
+        segments.write_text("T1|RX1|1/1|B-01:2:10\nT1|RX2|x/1|B-01:1:5\n")
+        store = tmp_path / "s.ndjson"
+        code, report = run(
+            ["ingest", "--segments", str(segments), "--registry", str(registry_csv),
+             "--store", str(store), "--received-at", "1"]
+        )
+        assert code == 1
+        assert "unparseable segment skipped: T1|RX2|x/1|B-01:1:5" in report
+        events = [json.loads(line) for line in store.read_text().splitlines()]
+        assert [(e["receiver_id"], e["beacon_id"], e["count"]) for e in events] == [
+            ("RX1", "B-01", 2)
+        ]
 
 
 class TestConfigFile:

@@ -20,6 +20,7 @@ from trackside.protocol import (
     WireFormatError,
     decode_sms,
     encode_sms,
+    group_segments,
     load_registry,
     merge_detections,
     receiver_step,
@@ -302,6 +303,17 @@ class TestCodec:
     def test_bad_counter_rejected(self):
         with pytest.raises(WireFormatError):
             decode_sms(["T1|RX1|0/1|B-01:1:10"])
+
+    def test_group_segments_sets_aside_every_header_decode_rejects(self):
+        good = ["T1|RX1|2/2|B-02:1:5", "T1|RX2|1/1|B-03:1:7", "T1|RX1|1/2|B-01:1:3"]
+        bad = ["T1|RX2|x/1|B-01:1:5", "T1|RX2|1/x|B-01:1:5", "T1|RX3|0/1|B-01:1:5",
+               "T1|rx1|1/1|B-01:1:5", "T9|RX1|1/1|B-01:1:5", "garbage"]
+        groups, rejected = group_segments(good + bad)
+        assert groups == {("RX1", 2): [good[0], good[2]], ("RX2", 1): [good[1]]}
+        assert rejected == bad
+        for line in bad:
+            with pytest.raises(ValueError):
+                decode_sms([line])
 
     def test_empty_input_rejected(self):
         with pytest.raises(WireFormatError):

@@ -9,6 +9,7 @@ from trackside.rendezvous import detection_probability_oracle, mph_to_ms
 from trackside.roadplan import (
     DEFAULT_MAX_SPACING_M,
     Road,
+    _speed_at,
     haversine_m,
     plan_deployment,
     plan_to_geojson,
@@ -55,6 +56,32 @@ class TestGeometry:
         assert road.length_m == pytest.approx(1000.0, rel=1e-6)
         lat, lon = road.point_at(500.0)
         assert haversine_m((lat, lon), road.polyline[0]) == pytest.approx(500.0, rel=1e-6)
+
+    def test_cached_arcs_and_locate_match_linear_scan(self):
+        road = road_from_meters([(0, 0), (90, 0), (100, 2), (90, 4), (0, 4), (0, 50)])
+        arcs = [0.0]
+        for prev, cur in zip(road.polyline, road.polyline[1:]):
+            arcs.append(arcs[-1] + haversine_m(prev, cur))
+        assert road.arc_lengths() == tuple(arcs)
+        speeds = speed_profile(road)
+
+        def scan(values, arc_m, lerp):
+            # Reference: the linear scan the bisect-based locate replaced.
+            for i in range(len(arcs) - 1):
+                if arc_m <= arcs[i + 1]:
+                    t = (arc_m - arcs[i]) / (arcs[i + 1] - arcs[i])
+                    return lerp(values[i], values[i + 1], t)
+            return values[-1]
+
+        def lerp_point(a, b, t):
+            return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+
+        probes = [0.0, *arcs, arcs[-1] / 3.0, 95.0, 190.0, 250.0]
+        for arc_m in probes + [0.5 * (a + b) for a, b in zip(arcs, arcs[1:])]:
+            assert road.point_at(arc_m) == scan(road.polyline, arc_m, lerp_point)
+            assert _speed_at(road, speeds, arc_m) == scan(
+                speeds, arc_m, lambda a, b, t: a + t * (b - a)
+            )
 
     def test_projection_roundtrip(self):
         road = straight_road(1000.0)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trackside.pathloss import Material, PathLossModel
+from trackside.pathloss import PathLossModel
 from trackside.presets import (
     CALIBRATED_SCAN_WINDOW_MS,
     Mount,
@@ -49,11 +49,6 @@ class TestSimulatePass:
     def test_bad_speed_rejected(self):
         with pytest.raises(ValueError):
             simulate_pass(1, 0.0, 700)
-
-    def test_far_side_shrinks_range(self):
-        near = scenario_for_mount(Mount.WHEEL_ARCH)
-        far = scenario_for_mount(Mount.WHEEL_ARCH, far_side=True)
-        assert far.detection_range_m() < near.detection_range_m()
 
 
 class TestBands:
@@ -181,20 +176,7 @@ def synthetic_targets(window_ms: float, bonnet_db: float):
         (Mount.BONNET, tuple(range(700, 1501, 100))),
     ):
         scanner = ScannerConfig(scan_window_ms=window_ms)
-        scenario = scenario_for_mount(mount, scanner=scanner)
-        model = scenario.path_loss
-        table = dict(model.attenuation_db)
-        table[Material.BONNET] = bonnet_db
-        scenario = type(scenario)(
-            path_loss=type(model)(
-                rssi_ref_dbm=model.rssi_ref_dbm,
-                exponent=model.exponent,
-                reliability_threshold_dbm=model.reliability_threshold_dbm,
-                attenuation_db=table,
-            ),
-            scanner=scanner,
-            materials=scenario.materials,
-        )
+        scenario = scenario_for_mount(mount, scanner=scanner, bonnet_attenuation_db=bonnet_db)
         speeds = tuple(float(s) for s in range(5, 46, 5))
         labels = {}
         for speed in speeds:
