@@ -58,8 +58,15 @@ def _resolve_preset(value: str | None):
     """A preset name, or a calibration INI written by `calibrate`."""
     name = value or DEFAULT_PATH_LOSS_PRESET
     if os.path.exists(name):
-        model, scanner = read_preset_ini(name)
-        return model, scanner
+        try:
+            return read_preset_ini(name)
+        except KeyError as exc:
+            raise ConfigError(
+                f"calibration preset {name!r} has no [{exc.args[0]}] section"
+            ) from None
+        except (OSError, ValueError, configparser.Error) as exc:
+            detail = str(exc).splitlines()[0]
+            raise ConfigError(f"calibration preset {name!r} is invalid: {detail}") from None
     return path_loss_preset(name), default_scanner()
 
 

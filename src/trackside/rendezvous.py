@@ -114,18 +114,26 @@ def _arc_length_ms(adv: AdvertiserConfig, scan: ScannerConfig) -> float:
     return min(scan.scan_window_ms + adv.event_duration_ms, scan.scan_cycle_ms)
 
 
-def _coverage_exact(k: int, interval: float, cycle: float, arc: float) -> float:
-    """Union measure of k same-length arcs spaced ``interval`` apart, / cycle."""
+def _coverage_exact(
+    k: int, interval: float, cycle: float, arc: float | np.ndarray
+) -> float | np.ndarray:
+    """Union measure of k same-length arcs spaced ``interval`` apart, / cycle.
+
+    ``arc`` is one arc length or a 1-D array of them: the arc starts are
+    sorted once and each length takes sum(min(gap, arc)) over the same
+    gaps, added left to right, so an array gives exactly the values of
+    one call per length.
+    """
+    arcs = np.asarray(arc, dtype=float)
     if k <= 0:
-        return 0.0
-    if arc >= cycle:
-        return 1.0
-    positions = sorted((i * interval) % cycle for i in range(k))
-    covered = 0.0
-    for i, p in enumerate(positions):
-        nxt = positions[i + 1] if i + 1 < k else positions[0] + cycle
-        covered += min(nxt - p, arc)
-    return min(covered / cycle, 1.0)
+        covered = np.zeros(arcs.shape)
+    else:
+        starts = sorted((i * interval) % cycle for i in range(k))
+        gaps = [b - a for a, b in zip(starts, starts[1:] + [starts[0] + cycle])]
+        # cumsum adds in order; np.sum's pairwise sum would round differently.
+        summed = np.minimum.outer(gaps, arcs).cumsum(axis=0)[-1]
+        covered = np.where(arcs >= cycle, 1.0, np.minimum(summed / cycle, 1.0))
+    return float(covered) if covered.ndim == 0 else covered
 
 
 def _coverage_jittered(
@@ -156,10 +164,6 @@ def detection_probability(
         raise ValueError("in-range time cannot be negative")
     if t_in_s == 0:
         return 0.0
-    span_ms = t_in_s * 1000.0
-    events = span_ms / adv.interval_ms
-    n = int(events)
-    frac = events - n
     arc = _arc_length_ms(adv, scan)
 
     def coverage(k: int) -> float:
@@ -169,6 +173,16 @@ def detection_probability(
             )
         return _coverage_exact(k, adv.interval_ms, scan.scan_cycle_ms, arc)
 
+    return _expected_coverage(t_in_s * 1000.0, adv.interval_ms, coverage)
+
+
+def _expected_coverage(span_ms: float, interval: float, coverage):
+    """floor(span/interval) event starts fit in range, plus one more with
+    probability equal to the fractional remainder; ``coverage(k)`` is the
+    chance k events are heard (a float, or an array over scan windows)."""
+    events = span_ms / interval
+    n = int(events)
+    frac = events - n
     if frac == 0.0:
         return coverage(n)
     return (1.0 - frac) * coverage(n) + frac * coverage(n + 1)

@@ -327,14 +327,17 @@ def plan_deployment(
         lateral_accel_ms2=lateral_accel_ms2,
     )
     priced = []
+    # Sites on one straight share a speed; each speed is searched once.
+    guide_rows: dict[float, power.GuideRow] = {}
     for site in sites:
         interval, days = site.interval_ms, site.predicted_battery_days
         if reliability_target is not None:
-            rows = power.derive_guide(
-                reliability_target, [site.local_vmax_mph], scenario
-            )
-            if rows[0].feasible:
-                interval, days = rows[0].interval_ms, rows[0].battery_days
+            speed = site.local_vmax_mph
+            if speed not in guide_rows:
+                guide_rows[speed] = power.derive_guide(reliability_target, [speed], scenario)[0]
+            row = guide_rows[speed]
+            if row.feasible:
+                interval, days = row.interval_ms, row.battery_days
         p = scenario.pass_probability(site.local_vmax_mph, interval)
         priced.append(
             replace(

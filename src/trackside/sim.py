@@ -18,9 +18,17 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .pathloss import PathLossModel
-from .presets import DEFAULT_PATH_LOSS_PRESET, Mount, scenario_for_mount
-from .rendezvous import ScannerConfig, detection_probability_oracle
+from .presets import DEFAULT_PATH_LOSS_PRESET, DriveScenario, Mount, scenario_for_mount
+from .rendezvous import (
+    ScannerConfig,
+    _arc_length_ms,
+    _coverage_exact,
+    _expected_coverage,
+    detection_probability_oracle,
+)
 
 __all__ = [
     "Mount",
@@ -56,18 +64,17 @@ class CellLabel(enum.Enum):
 _LABEL_BAND = {CellLabel.Y: 3, CellLabel.P66: 2, CellLabel.P33: 1, CellLabel.N: 0}
 
 
-def band_of_probability(p: float, thresholds: Sequence[float] = BAND_THRESHOLDS) -> int:
-    """Band index 3..0 (Y..N) for an expected probability."""
-    if not 0.0 <= p <= 1.0:
+def band_of_probability(
+    p: float | np.ndarray, thresholds: Sequence[float] = BAND_THRESHOLDS
+) -> int | np.ndarray:
+    """Band index 3..0 (Y..N) for an expected probability, or an int array
+    of band indices for an array of probabilities."""
+    p = np.asarray(p)
+    if not np.all((0.0 <= p) & (p <= 1.0)):
         raise ValueError("probability outside [0, 1]")
     y, p66, p33 = thresholds
-    if p >= y:
-        return 3
-    if p >= p66:
-        return 2
-    if p >= p33:
-        return 1
-    return 0
+    bands = np.select([p >= y, p >= p66, p >= p33], [3, 2, 1], 0)
+    return int(bands) if bands.ndim == 0 else bands
 
 
 def band_of_label(label: CellLabel) -> int:
@@ -189,17 +196,18 @@ def run_matrix(
         t_in = scenario.in_range_time_s(speed)
         for col, interval in enumerate(spec.intervals_ms):
             cell_index = row * len(spec.intervals_ms) + col
+            adv = scenario.advertiser(interval)
+            # Each trial is simulate_pass((seed, cell_index, trial), ...) with
+            # the cell's in-range time and advertiser computed once.
             detections = 0
-            for trial in range(spec.trials_per_cell):
-                detected = simulate_pass(
-                    (spec.seed, cell_index, trial),
-                    speed,
-                    interval,
-                    mount=spec.mount,
-                    rf_preset=rf_preset,
-                    scanner=scanner,
+            if t_in > 0:
+                detections = sum(
+                    detection_probability_oracle(
+                        adv, scenario.scanner, t_in, trials=1,
+                        seed=(spec.seed, cell_index, trial),
+                    ) >= 0.5
+                    for trial in range(spec.trials_per_cell)
                 )
-                detections += int(detected)
             expected = (
                 scenario.pass_probability(speed, interval) if t_in > 0 else 0.0
             )
@@ -321,6 +329,65 @@ def _mismatch_report(
     return total, tuple(reports)
 
 
+def _target_mismatch(
+    target: TargetMatrix,
+    scenario: DriveScenario,
+    scanners: Sequence[ScannerConfig],
+    thresholds: Sequence[float],
+) -> np.ndarray:
+    """Band mismatch of one target under ``scenario``, one entry per scanner.
+
+    Equal, scanner by scanner, to the target's share of ``_mismatch_report``:
+    the scanners share one scan cycle, and the hearable arc depends on the
+    advertiser only through the event duration, which every interval of
+    a scenario shares.  (Scenarios carry no jitter, so coverage is exact.)
+    """
+    cycle = scanners[0].scan_cycle_ms
+    first = scenario.advertiser(target.intervals_ms[0])
+    arcs = np.array([_arc_length_ms(first, s) for s in scanners])
+    probabilities, bands_target = [], []
+    for speed in target.speeds_mph:
+        span_ms = scenario.in_range_time_s(speed) * 1000.0
+        for interval in target.intervals_ms:
+            adv = scenario.advertiser(interval)
+            probabilities.append(_expected_coverage(
+                span_ms,
+                adv.interval_ms,
+                lambda k: _coverage_exact(k, adv.interval_ms, cycle, arcs),
+            ))
+            bands_target.append(band_of_label(target.label(speed, interval)))
+    bands = band_of_probability(np.array(probabilities), thresholds)
+    return np.abs(bands - np.array(bands_target)[:, None]).sum(axis=0)
+
+
+def _objective_grid(
+    targets: Iterable[TargetMatrix],
+    windows: Sequence[float],
+    bonnets: Sequence[float],
+    rf_preset: str | PathLossModel,
+    thresholds: Sequence[float],
+) -> np.ndarray:
+    """The ``_mismatch_report`` objective at every grid point, as an int
+    array: entry [i, j] is the objective at (windows[i], bonnets[j]).
+
+    Each cell sorts its arc gaps once and scores every window at once.
+    Cells that see the same detection range under two bonnet losses, as
+    every wheel-arch cell does, are scored once and shared."""
+    scanners = [ScannerConfig(scan_window_ms=w) for w in windows]
+    total = np.zeros((len(windows), len(bonnets)), dtype=int)
+    for target in targets:
+        by_range: dict[float, np.ndarray] = {}
+        for j, bonnet in enumerate(bonnets):
+            scenario = scenario_for_mount(target.mount, rf_preset, bonnet_attenuation_db=bonnet)
+            detection_range = scenario.detection_range_m()
+            if detection_range not in by_range:
+                by_range[detection_range] = _target_mismatch(
+                    target, scenario, scanners, thresholds
+                )
+            total[:, j] += by_range[detection_range]
+    return total
+
+
 def calibrate(
     targets: Sequence[TargetMatrix] | None = None,
     scan_window_grid_ms: Sequence[float] | None = None,
@@ -347,16 +414,13 @@ def calibrate(
         raise ValueError("calibration search grid must be nonempty")
 
     def argmin(windows, bonnets, seed=None):
-        best = seed
-        for window in sorted(windows):
-            for bonnet in sorted(bonnets):
-                objective, _ = _mismatch_report(
-                    targets, window, bonnet, rf_preset, thresholds
-                )
-                key = (objective, window, bonnet)
-                if best is None or key < best:
-                    best = key
-        return best
+        windows, bonnets = sorted(windows), sorted(bonnets)
+        grid = _objective_grid(targets, windows, bonnets, rf_preset, thresholds)
+        # The first minimum in row-major order is the smallest
+        # (objective, window, bonnet) key.
+        i, j = np.unravel_index(np.argmin(grid), grid.shape)
+        best = (int(grid[i, j]), windows[i], bonnets[j])
+        return best if seed is None else min(seed, best)
 
     best = argmin(scan_window_grid_ms, bonnet_grid_db)
     if refine:

@@ -155,6 +155,29 @@ class TestPresetIni:
         with pytest.raises(ValueError, match="chassis"):
             read_preset_ini(preset)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            OLDER_PRESET_INI.replace("vehicle_body", "chassis"),
+            "chassis = 1.0\n",
+            OLDER_PRESET_INI.replace("[attenuation_db]", "[losses]"),
+        ],
+        ids=["unknown-material", "no-section-header", "no-attenuation-section"],
+    )
+    def test_bad_preset_is_config_error(self, tmp_path, capsys, text):
+        preset = tmp_path / "bad.ini"
+        preset.write_text(text)
+        code, _ = run(["guide", "--reliability", "0.95", "--preset", str(preset)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(preset) in err
+        assert err.count("\n") == 1
+
+    def test_unreadable_preset_is_config_error(self, tmp_path, capsys):
+        code, _ = run(["guide", "--reliability", "0.95", "--preset", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: calibration preset")
+
 
 class TestMatrix:
     def test_deterministic_rerun(self, tmp_path):

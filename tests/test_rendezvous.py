@@ -1,12 +1,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from trackside.rendezvous import (
     AdvertiserConfig,
     PassGeometry,
     ScannerConfig,
+    _coverage_exact,
+    _expected_coverage,
     detection_probability,
     detection_probability_independent,
     detection_probability_oracle,
@@ -51,6 +54,58 @@ class TestInRangeTime:
 
     def test_mph_conversion(self):
         assert mph_to_ms(45.0) == pytest.approx(20.1168)
+
+
+def loop_coverage(k, interval, cycle, arc):
+    """Reference union measure: one arc length, sorted starts, gaps summed
+    left to right in plain Python floats."""
+    if k <= 0:
+        return 0.0
+    if arc >= cycle:
+        return 1.0
+    positions = sorted((i * interval) % cycle for i in range(k))
+    covered = 0.0
+    for i, p in enumerate(positions):
+        nxt = positions[i + 1] if i + 1 < k else positions[0] + cycle
+        covered += min(nxt - p, arc)
+    return min(covered / cycle, 1.0)
+
+
+class TestCoverageKernel:
+    def test_array_of_arcs_equals_one_call_per_arc(self):
+        rnd = random.Random(4)
+        for case in range(300):
+            k = 0 if case % 10 == 0 else rnd.randrange(1, 40)
+            interval = rnd.choice([rnd.uniform(100, 3000), float(rnd.randrange(100, 3001, 100))])
+            cycle = rnd.choice([2500.0, rnd.uniform(500, 4000)])
+            gaps = np.diff(sorted((i * interval) % cycle for i in range(max(k, 1))))
+            arcs = [rnd.uniform(1.0, cycle) for _ in range(6)]
+            arcs += [cycle, cycle * 1.1]  # at and past the whole cycle
+            # Arcs straddling a gap between two arc starts.
+            arcs += [g + d for g in gaps[:3] for d in (-1e-9, 0.0, 1e-9) if g + d > 0]
+            expected = [loop_coverage(k, interval, cycle, a) for a in arcs]
+            assert [_coverage_exact(k, interval, cycle, a) for a in arcs] == expected
+            assert _coverage_exact(k, interval, cycle, np.array(arcs)).tolist() == expected
+
+    def test_scalar_arc_returns_float(self):
+        assert type(_coverage_exact(5, 700.0, 2500.0, 1173.0)) is float
+        assert type(_coverage_exact(0, 700.0, 2500.0, 1173.0)) is float
+
+    def test_window_axis_agrees_with_oracle(self):
+        # The calibration scores a whole axis of scan windows at once; each
+        # entry is the scalar probability and agrees with the oracle.
+        windows = [150.0, 600.0, 1170.0, 1800.0, 2400.0]
+        arcs = np.array(windows) + 3.0
+        for i, (interval, t) in enumerate(((700.0, 2.5), (1200.0, 4.1), (1600.0, 9.0))):
+            axis = _expected_coverage(
+                t * 1000.0, interval, lambda k: _coverage_exact(k, interval, 2500.0, arcs)
+            )
+            for j, window in enumerate(windows):
+                adv = AdvertiserConfig(interval_ms=interval)
+                scan = ScannerConfig(scan_window_ms=window)
+                assert axis[j] == detection_probability(adv, scan, t)
+                mc = detection_probability_oracle(adv, scan, t, trials=20000, seed=(i, j))
+                assert abs(axis[j] - mc) < 0.02
 
 
 class TestDetectionProbability:

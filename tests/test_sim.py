@@ -1,7 +1,11 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from trackside import sim
 from trackside.pathloss import PathLossModel
 from trackside.presets import (
     CALIBRATED_SCAN_WINDOW_MS,
@@ -16,6 +20,8 @@ from trackside.sim import (
     TargetMatrix,
     TrialMatrixSpec,
     _label_from_counts,
+    _mismatch_report,
+    _objective_grid,
     band_of_label,
     band_of_probability,
     calibrate,
@@ -68,6 +74,16 @@ class TestBands:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             band_of_probability(1.5)
+        for bad in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError):
+                band_of_probability(np.array([0.5, bad]))
+
+    def test_array_matches_scalar(self):
+        y, p66, p33 = BAND_THRESHOLDS
+        ps = [0.0, p33 - 1e-12, p33, p66, y - 1e-12, y, 1.0]
+        assert band_of_probability(np.array(ps)).tolist() == [
+            band_of_probability(p) for p in ps
+        ]
 
     def test_label_bands(self):
         assert [band_of_label(l) for l in BAND_LABELS] == [0, 1, 2, 3]
@@ -212,6 +228,21 @@ class TestCalibrate:
                 other, _ = _mismatch_report(targets, w, b, "hm10-bt4", BAND_THRESHOLDS)
                 assert result.objective <= other
 
+    def test_tie_breaks_toward_smaller_window_then_bonnet(self):
+        targets = synthetic_targets(800.0, 1.5)
+        windows = [850.0, 775.0, 800.0, 825.0, 750.0]
+        bonnets = [1.75, 1.25, 1.5, 1.0]
+        scalar = [
+            (_mismatch_report(targets, w, b, "hm10-bt4", BAND_THRESHOLDS)[0], w, b)
+            for w in windows
+            for b in bonnets
+        ]
+        assert sum(key[0] == 0 for key in scalar) >= 2
+        result = calibrate(targets, windows, bonnets, refine=False)
+        assert (result.objective, result.scan_window_ms, result.bonnet_attenuation_db) == min(
+            scalar
+        )
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             calibrate(scan_window_grid_ms=[], bonnet_grid_db=[1.0])
@@ -221,6 +252,11 @@ class TestCalibrate:
         result = calibrate()
         assert result.scan_window_ms == CALIBRATED_SCAN_WINDOW_MS
         assert result.bonnet_attenuation_db == 2.5
+
+    def test_bad_probability_rejected(self, monkeypatch):
+        monkeypatch.setattr(sim, "_coverage_exact", lambda k, i, c, arcs: np.full(arcs.shape, 1.5))
+        with pytest.raises(ValueError, match="outside"):
+            calibrate(scan_window_grid_ms=[1000.0], bonnet_grid_db=[1.0])
 
     def test_bonnet_shift_at_45mph(self):
         # Concealing the receiver behaves like dialling the interval down
@@ -268,3 +304,33 @@ class TestPublishedMatrixExamples:
         scenario = scenario_for_mount(Mount.WHEEL_ARCH)
         for speed in range(5, 46, 5):
             assert scenario.pass_probability(float(speed), 1000) >= 0.95
+
+
+class TestObjectiveGrid:
+    """The array objective against the scalar per-point report."""
+
+    @pytest.fixture(scope="class")
+    def targets(self):
+        return (load_target_matrix(Mount.WHEEL_ARCH), load_target_matrix(Mount.BONNET))
+
+    def assert_matches_report(self, targets, windows, bonnets, points):
+        grid = _objective_grid(targets, windows, bonnets, "hm10-bt4", BAND_THRESHOLDS)
+        assert grid.shape == (len(windows), len(bonnets))
+        for i, j in points:
+            objective, _ = _mismatch_report(
+                targets, windows[i], bonnets[j], "hm10-bt4", BAND_THRESHOLDS
+            )
+            assert grid[i, j] == objective
+
+    def test_random_points_of_the_coarse_grid(self, targets):
+        windows = [float(w) for w in range(100, 2501, 25)]
+        bonnets = [round(0.25 * i, 2) for i in range(0, 41)]
+        rnd = random.Random(40)
+        points = [(rnd.randrange(len(windows)), rnd.randrange(len(bonnets))) for _ in range(40)]
+        self.assert_matches_report(targets, windows, bonnets, points)
+
+    def test_whole_refinement_grid(self, targets):
+        windows = [1175.0 + 5.0 * i for i in range(-6, 7)]
+        bonnets = [round(2.75 + 0.05 * i, 2) for i in range(-6, 7)]
+        points = [(i, j) for i in range(13) for j in range(13)]
+        self.assert_matches_report(targets, windows, bonnets, points)
