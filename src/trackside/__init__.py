@@ -11,7 +11,7 @@ from .pathloss import (
     fit_exponent,
     predict_rssi,
 )
-from .power import BatteryModel, battery_life, derive_guide, recommend_interval
+from .power import battery_life, derive_guide, recommend_interval
 from .presets import DriveScenario, Mount, path_loss_preset, scenario_for_mount
 from .rendezvous import (
     AdvertiserConfig,
@@ -29,7 +29,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdvertiserConfig",
-    "BatteryModel",
     "DeploymentPlan",
     "DriveScenario",
     "Material",

@@ -32,17 +32,31 @@ EXIT_USAGE = 2
 
 
 class ConfigError(Exception):
-    pass
+    """A usage or config error: exit 2 with one ``error:`` line."""
+
+
+def _invalid_file(kind: str, path: str, exc: Exception) -> ConfigError:
+    detail = str(exc).splitlines()[0]
+    return ConfigError(f"{kind} {path!r} is invalid: {detail}")
 
 
 def _load_config(path: str | None) -> configparser.ConfigParser:
     config = configparser.ConfigParser()
     if path:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file {path!r} does not exist")
-        config.read(path)
+        try:
+            with open(path) as fh:
+                config.read_file(fh)
+        except (OSError, ValueError, configparser.Error) as exc:
+            raise _invalid_file("config file", path, exc) from None
     return config
 
+
+def _number(token: str, convert, what: str):
+    """``convert(token)``, or a usage error naming ``what`` and the token."""
+    try:
+        return convert(token)
+    except ValueError:
+        raise ConfigError(f"{what}: {token!r} is not a valid {convert.__name__}") from None
 
 def _setting(config, section: str, key: str, override, fallback=None):
     if override is not None:
@@ -65,8 +79,7 @@ def _resolve_preset(value: str | None):
                 f"calibration preset {name!r} has no [{exc.args[0]}] section"
             ) from None
         except (OSError, ValueError, configparser.Error) as exc:
-            detail = str(exc).splitlines()[0]
-            raise ConfigError(f"calibration preset {name!r} is invalid: {detail}") from None
+            raise _invalid_file("calibration preset", name, exc) from None
     return path_loss_preset(name), default_scanner()
 
 
@@ -124,7 +137,7 @@ def cmd_matrix(args, config, out) -> int:
     model, scanner = _resolve_preset(_setting(config, "matrix", "preset", args.preset))
     mount = Mount(args.mount)
     if args.intervals:
-        intervals = [int(x) for x in args.intervals.split(",")]
+        intervals = [_number(x, int, "--intervals") for x in args.intervals.split(",")]
     else:
         intervals = (
             list(range(1000, 1601, 100))
@@ -132,12 +145,12 @@ def cmd_matrix(args, config, out) -> int:
             else list(range(700, 1501, 100))
         )
     speeds = (
-        [float(x) for x in args.speeds.split(",")]
+        [_number(x, float, "--speeds") for x in args.speeds.split(",")]
         if args.speeds
         else [float(s) for s in range(5, 46, 5)]
     )
     seed_raw = _setting(config, "matrix", "seed", args.seed)
-    seed = int(seed_raw) if seed_raw is not None else sim.DEFAULT_SEED
+    seed = _number(seed_raw, int, "seed") if seed_raw is not None else sim.DEFAULT_SEED
     spec = sim.TrialMatrixSpec(
         speeds_mph=tuple(speeds),
         intervals_ms=tuple(intervals),
@@ -197,7 +210,7 @@ def cmd_guide(args, config, out) -> int:
         model, scanner = _resolve_preset(_setting(config, "guide", "preset", args.preset))
         scenario = scenario_for_mount(Mount.WHEEL_ARCH, model, scanner)
         speeds = (
-            [float(x) for x in args.speeds.split(",")]
+            [_number(x, float, "--speeds") for x in args.speeds.split(",")]
             if args.speeds
             else [float(s) for s in range(5, 46, 5)]
         )
@@ -286,9 +299,11 @@ def cmd_encode(args, config, out) -> int:
         if len(fields) != 3:
             print(f"error: record {token!r} must be BEACON:COUNT:FIRST_SEEN", file=sys.stderr)
             return EXIT_USAGE
-        records.append(
-            protocol.DetectionRecord(fields[0], int(fields[2]), int(fields[1]))
-        )
+        beacon, count, first_seen = fields
+        what = f"record {token!r}"
+        records.append(protocol.DetectionRecord(
+            beacon, count=_number(count, int, what), first_seen_s=_number(first_seen, int, what)
+        ))
     for payload in protocol.encode_sms(args.receiver, records):
         out.write(payload.text + "\n")
     return EXIT_OK

@@ -185,15 +185,11 @@ def attenuation_from_ranges(
     return 10.0 * exponent * math.log10(range_clear_m / range_obstructed_m)
 
 
-def fit_exponent(
-    samples: Sequence[RssiSample],
-    rssi_ref_dbm: float = RSSI_REF_DBM,
-    reliability_threshold_dbm: float = RELIABILITY_THRESHOLD_DBM,
-    attenuation_db: Mapping[Material, float] | None = None,
-) -> FitResult:
+def fit_exponent(samples: Sequence[RssiSample]) -> FitResult:
     """Least-squares path-loss exponent from RSSI samples.
 
-    With the 1 m reference fixed, the model is linear in the exponent:
+    With the 1 m reference (RSSI_REF_DBM) and the attenuations
+    (DEFAULT_ATTENUATION_DB) fixed, the model is linear in the exponent:
     rssi_ref - rssi - attenuation = n * 10*log10(d).  Minimising squared
     dBm residuals gives n = sum(x*y) / sum(x*x).
     """
@@ -203,12 +199,11 @@ def fit_exponent(
     if len(distances) < 2:
         raise SingularFitError("all samples at one distance: exponent unconstrained")
 
-    table = dict(attenuation_db) if attenuation_db is not None else dict(DEFAULT_ATTENUATION_DB)
     xs, ys = [], []
     for s in samples:
-        att = sum(table.get(m, 0.0) for m in s.materials)
+        att = sum(DEFAULT_ATTENUATION_DB.get(m, 0.0) for m in s.materials)
         xs.append(10.0 * math.log10(s.distance_m))
-        ys.append(rssi_ref_dbm - s.rssi_dbm - att)
+        ys.append(RSSI_REF_DBM - s.rssi_dbm - att)
     sxx = sum(x * x for x in xs)
     if sxx == 0.0:
         raise SingularFitError("samples carry no distance information beyond 1 m")
@@ -219,13 +214,7 @@ def fit_exponent(
     sigma2 = sum(r * r for r in residuals) / dof if dof > 0 else 0.0
     stderr = math.sqrt(sigma2 / sxx)
 
-    model = PathLossModel(
-        rssi_ref_dbm=rssi_ref_dbm,
-        exponent=n_hat,
-        reliability_threshold_dbm=reliability_threshold_dbm,
-        attenuation_db=table,
-    )
-    return FitResult(model=model, residuals_db=residuals, stderr=stderr)
+    return FitResult(model=PathLossModel(exponent=n_hat), residuals_db=residuals, stderr=stderr)
 
 
 def parse_materials(token: str) -> frozenset[Material]:

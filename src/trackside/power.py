@@ -1,8 +1,8 @@
 """Beacon battery life versus broadcast interval, and the speed guide.
 
 Every published guide row fits days = 0.1875 * interval_ms exactly, so the
-battery model is that single linear coefficient; no capacity or per-event
-charge model is attempted.
+battery model is that single linear coefficient, DAYS_PER_MS; no capacity
+or per-event charge model is attempted.
 """
 
 from __future__ import annotations
@@ -14,6 +14,11 @@ if TYPE_CHECKING:
     from .presets import DriveScenario
 
 DAYS_PER_MS = 0.1875
+
+# derive_guide's search grid: broadcast intervals in 100 ms steps up to
+# 10.2 s, tried longest first.
+GUIDE_INTERVAL_STEP_MS = 100
+GUIDE_MAX_INTERVAL_MS = 10200
 
 # Deployment guide: max road speed (mph) -> broadcast interval (ms).
 # Speeds between rows round up to the next listed speed (conservative
@@ -37,15 +42,6 @@ class SpeedEnvelopeError(ValueError):
 
 
 @dataclass(frozen=True)
-class BatteryModel:
-    days_per_ms: float = DAYS_PER_MS
-
-    def __post_init__(self) -> None:
-        if self.days_per_ms <= 0:
-            raise ValueError("days_per_ms must be positive")
-
-
-@dataclass(frozen=True)
 class GuideRow:
     max_speed_mph: float
     interval_ms: int
@@ -53,16 +49,14 @@ class GuideRow:
     feasible: bool = True
 
 
-def battery_life(model: BatteryModel, interval_ms: float) -> float:
+def battery_life(interval_ms: float) -> float:
     """Estimated battery life in days; linear in the broadcast interval."""
     if interval_ms <= 0:
         raise ValueError("interval must be positive")
-    return model.days_per_ms * interval_ms
+    return DAYS_PER_MS * interval_ms
 
 
-def recommend_interval(
-    max_speed_mph: float, model: BatteryModel = BatteryModel()
-) -> tuple[int, float]:
+def recommend_interval(max_speed_mph: float) -> tuple[int, float]:
     """Guide row (interval_ms, battery_days) for the given max road speed."""
     if max_speed_mph <= 0:
         raise ValueError("speed must be positive")
@@ -73,13 +67,13 @@ def recommend_interval(
         )
     bucket = min(s for s in GUIDE_INTERVALS_MS if s >= max_speed_mph)
     interval = GUIDE_INTERVALS_MS[bucket]
-    return interval, battery_life(model, interval)
+    return interval, battery_life(interval)
 
 
-def published_guide(model: BatteryModel = BatteryModel()) -> list[GuideRow]:
+def published_guide() -> list[GuideRow]:
     """The shipped nine-row guide, verbatim."""
     return [
-        GuideRow(speed, interval, battery_life(model, interval))
+        GuideRow(speed, interval, battery_life(interval))
         for speed, interval in sorted(GUIDE_INTERVALS_MS.items())
     ]
 
@@ -88,30 +82,27 @@ def derive_guide(
     reliability_target: float,
     speeds_mph: Sequence[float],
     scenario: "DriveScenario",
-    model: BatteryModel = BatteryModel(),
-    interval_step_ms: int = 100,
-    max_interval_ms: int = 10200,
 ) -> list[GuideRow]:
     """Regenerate the guide from the calibrated model instead of the table.
 
-    For each speed, picks the largest interval on the given granularity
+    For each speed, picks the largest interval on the guide's search grid
     whose single-pass detection probability meets the target.  A speed
     with no feasible interval yields a row flagged infeasible.
     """
     if not 0.0 <= reliability_target <= 1.0:
         raise ValueError("reliability target must lie in [0, 1]")
     rows = []
-    ceiling = max_interval_ms
+    ceiling = GUIDE_MAX_INTERVAL_MS
     for speed in sorted(speeds_mph):
         best = None
-        for interval in range(ceiling, interval_step_ms - 1, -interval_step_ms):
+        for interval in range(ceiling, GUIDE_INTERVAL_STEP_MS - 1, -GUIDE_INTERVAL_STEP_MS):
             if scenario.pass_probability(speed, interval) >= reliability_target:
                 best = interval
                 break
         if best is None:
             rows.append(GuideRow(speed, 0, 0.0, feasible=False))
         else:
-            rows.append(GuideRow(speed, best, battery_life(model, best)))
+            rows.append(GuideRow(speed, best, battery_life(best)))
             # A faster vehicle never supports a longer interval.
             ceiling = best
     return rows

@@ -58,14 +58,13 @@ def default_scanner() -> ScannerConfig:
 
 @dataclass(frozen=True)
 class DriveScenario:
-    """Everything needed to score one drive-by: radio model plus timing."""
+    """Everything needed to score one drive-by: radio model plus timing.
+    The beacon sits DEFAULT_LATERAL_OFFSET_M off the road and advertises
+    DEFAULT_EVENT_DURATION_MS events without jitter."""
 
     path_loss: PathLossModel
     scanner: ScannerConfig
     materials: frozenset[Material] = frozenset()
-    lateral_offset_m: float = DEFAULT_LATERAL_OFFSET_M
-    event_duration_ms: float = DEFAULT_EVENT_DURATION_MS
-    jitter_ms: float = 0.0
 
     def detection_range_m(self) -> float:
         return pathloss.detection_range(self.path_loss, materials=self.materials)
@@ -73,16 +72,14 @@ class DriveScenario:
     def in_range_time_s(self, speed_mph: float) -> float:
         geometry = PassGeometry(
             speed_ms=mph_to_ms(speed_mph),
-            lateral_offset_m=self.lateral_offset_m,
+            lateral_offset_m=DEFAULT_LATERAL_OFFSET_M,
             detection_range_m=self.detection_range_m(),
         )
         return in_range_time(geometry)
 
     def advertiser(self, interval_ms: float) -> AdvertiserConfig:
         return AdvertiserConfig(
-            interval_ms=interval_ms,
-            event_duration_ms=self.event_duration_ms,
-            jitter_ms=self.jitter_ms,
+            interval_ms=interval_ms, event_duration_ms=DEFAULT_EVENT_DURATION_MS
         )
 
     def pass_probability(self, speed_mph: float, interval_ms: float) -> float:

@@ -22,8 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import gsm7
 
-WIRE_VERSION = 1
-VERSION_TAG = f"T{WIRE_VERSION}"
+VERSION_TAG = "T1"
 DEFAULT_DEDUP_WINDOW_S = 300.0
 
 _BEACON_ID_RE = re.compile(r"^[A-Z0-9-]{1,12}$")
@@ -72,7 +71,6 @@ class DetectionRecord:
 
 class Mode:
     SCANNING = "scanning"
-    REPORTING = "reporting"
     IDLE = "idle"
 
 
@@ -198,7 +196,6 @@ class SmsPayload:
     records: tuple[DetectionRecord, ...]
     segment_index: int
     segment_total: int
-    version: int = WIRE_VERSION
 
     @property
     def text(self) -> str:

@@ -169,7 +169,6 @@ class BeaconSite:
     beacon_id: str
     position: tuple[float, float]
     arc_m: float
-    offset_m: float
     beacon_preset: str
     interval_ms: int
     predicted_battery_days: float
@@ -233,7 +232,6 @@ def select_sites(
     count_budget: int = 1,
     beacon_preset: str = DEFAULT_PATH_LOSS_PRESET,
     lateral_accel_ms2: float = DEFAULT_LATERAL_ACCEL_MS2,
-    offset_m: float = 2.0,
 ) -> list[BeaconSite]:
     """Greedy siting: slowest local minima first, then gap filling.
 
@@ -287,7 +285,6 @@ def select_sites(
                 beacon_id=f"B-{rank:02d}",
                 position=road.point_at(chosen[i]),
                 arc_m=chosen[i],
-                offset_m=offset_m,
                 beacon_preset=beacon_preset,
                 interval_ms=interval,
                 predicted_battery_days=days,

@@ -64,15 +64,13 @@ class CellLabel(enum.Enum):
 _LABEL_BAND = {CellLabel.Y: 3, CellLabel.P66: 2, CellLabel.P33: 1, CellLabel.N: 0}
 
 
-def band_of_probability(
-    p: float | np.ndarray, thresholds: Sequence[float] = BAND_THRESHOLDS
-) -> int | np.ndarray:
+def band_of_probability(p: float | np.ndarray) -> int | np.ndarray:
     """Band index 3..0 (Y..N) for an expected probability, or an int array
     of band indices for an array of probabilities."""
     p = np.asarray(p)
     if not np.all((0.0 <= p) & (p <= 1.0)):
         raise ValueError("probability outside [0, 1]")
-    y, p66, p33 = thresholds
+    y, p66, p33 = BAND_THRESHOLDS
     bands = np.select([p >= y, p >= p66, p >= p33], [3, 2, 1], 0)
     return int(bands) if bands.ndim == 0 else bands
 
@@ -302,7 +300,6 @@ def _mismatch_report(
     scan_window_ms: float,
     bonnet_attenuation_db: float,
     rf_preset: str | PathLossModel,
-    thresholds: Sequence[float],
 ) -> tuple[int, tuple[CellReport, ...]]:
     scanner = ScannerConfig(scan_window_ms=scan_window_ms)
     reports = []
@@ -312,7 +309,7 @@ def _mismatch_report(
         for speed in target.speeds_mph:
             for interval in target.intervals_ms:
                 p = scenario.pass_probability(speed, interval)
-                band_e = band_of_probability(p, thresholds)
+                band_e = band_of_probability(p)
                 band_t = band_of_label(target.label(speed, interval))
                 total += abs(band_e - band_t)
                 reports.append(
@@ -333,14 +330,14 @@ def _target_mismatch(
     target: TargetMatrix,
     scenario: DriveScenario,
     scanners: Sequence[ScannerConfig],
-    thresholds: Sequence[float],
 ) -> np.ndarray:
     """Band mismatch of one target under ``scenario``, one entry per scanner.
 
     Equal, scanner by scanner, to the target's share of ``_mismatch_report``:
-    the scanners share one scan cycle, and the hearable arc depends on the
-    advertiser only through the event duration, which every interval of
-    a scenario shares.  (Scenarios carry no jitter, so coverage is exact.)
+    the scanners share one scan cycle, a scenario's advertiser has no
+    jitter, so its coverage is exact, and the hearable arc depends on the
+    advertiser only through the event duration, which is the same for
+    every interval.
     """
     cycle = scanners[0].scan_cycle_ms
     first = scenario.advertiser(target.intervals_ms[0])
@@ -356,7 +353,7 @@ def _target_mismatch(
                 lambda k: _coverage_exact(k, adv.interval_ms, cycle, arcs),
             ))
             bands_target.append(band_of_label(target.label(speed, interval)))
-    bands = band_of_probability(np.array(probabilities), thresholds)
+    bands = band_of_probability(np.array(probabilities))
     return np.abs(bands - np.array(bands_target)[:, None]).sum(axis=0)
 
 
@@ -365,7 +362,6 @@ def _objective_grid(
     windows: Sequence[float],
     bonnets: Sequence[float],
     rf_preset: str | PathLossModel,
-    thresholds: Sequence[float],
 ) -> np.ndarray:
     """The ``_mismatch_report`` objective at every grid point, as an int
     array: entry [i, j] is the objective at (windows[i], bonnets[j]).
@@ -381,9 +377,7 @@ def _objective_grid(
             scenario = scenario_for_mount(target.mount, rf_preset, bonnet_attenuation_db=bonnet)
             detection_range = scenario.detection_range_m()
             if detection_range not in by_range:
-                by_range[detection_range] = _target_mismatch(
-                    target, scenario, scanners, thresholds
-                )
+                by_range[detection_range] = _target_mismatch(target, scenario, scanners)
             total[:, j] += by_range[detection_range]
     return total
 
@@ -393,7 +387,6 @@ def calibrate(
     scan_window_grid_ms: Sequence[float] | None = None,
     bonnet_grid_db: Sequence[float] | None = None,
     rf_preset: str | PathLossModel = DEFAULT_PATH_LOSS_PRESET,
-    thresholds: Sequence[float] = BAND_THRESHOLDS,
     refine: bool = True,
 ) -> CalibrationResult:
     """Grid-search (scan_window, bonnet_attenuation) minimising the total
@@ -415,7 +408,7 @@ def calibrate(
 
     def argmin(windows, bonnets, seed=None):
         windows, bonnets = sorted(windows), sorted(bonnets)
-        grid = _objective_grid(targets, windows, bonnets, rf_preset, thresholds)
+        grid = _objective_grid(targets, windows, bonnets, rf_preset)
         # The first minimum in row-major order is the smallest
         # (objective, window, bonnet) key.
         i, j = np.unravel_index(np.argmin(grid), grid.shape)
@@ -432,7 +425,7 @@ def calibrate(
         best = argmin(sorted(set(windows)), sorted(set(bonnets)), seed=best)
 
     objective, window, bonnet = best
-    _, reports = _mismatch_report(targets, window, bonnet, rf_preset, thresholds)
+    _, reports = _mismatch_report(targets, window, bonnet, rf_preset)
     return CalibrationResult(
         scan_window_ms=window,
         bonnet_attenuation_db=bonnet,

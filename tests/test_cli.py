@@ -93,10 +93,19 @@ class TestGuide:
         out_csv = tmp_path / "guide.csv"
         code, _ = run(["guide", "--reliability", "0.95", "--out-csv", str(out_csv)])
         assert code == 0
-        rows = out_csv.read_text().strip().splitlines()[1:]
-        assert len(rows) == 9
-        intervals = [int(r.split(",")[1]) for r in rows]
-        assert all(a >= b for a, b in zip(intervals, intervals[1:]))
+        # Pins the interval search grid and the battery coefficient.
+        assert out_csv.read_text() == (
+            "max_speed_mph,interval_ms,battery_days\n"
+            "5,8900,1668.75\n"
+            "10,4100,768.75\n"
+            "15,2000,375.00\n"
+            "20,1800,337.50\n"
+            "25,1600,300.00\n"
+            "30,1400,262.50\n"
+            "35,1300,243.75\n"
+            "40,1200,225.00\n"
+            "45,900,168.75\n"
+        )
 
 
 class TestCalibrate:
@@ -370,3 +379,38 @@ class TestConfigFile:
     def test_missing_config_rejected(self):
         code, _ = run(["--config", "/nonexistent.ini", "guide"])
         assert code == 2
+
+    @pytest.mark.parametrize("name,text", [("run.ini", "seed = 3\n"), ("conf.d", None)])
+    def test_invalid_config_is_config_error(self, tmp_path, capsys, name, text):
+        config = tmp_path / name
+        if text is None:
+            config.mkdir()
+        else:
+            config.write_text(text)
+        code, out = run(["--config", str(config), "guide"])
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {str(config)!r} is invalid")
+        assert len(err.splitlines()) == 1
+
+    def test_non_integer_seed_rejected(self, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text("[matrix]\nseed = abc\n")
+        code, out = run(
+            ["--config", str(config), "matrix", "--speeds", "20", "--intervals", "900"]
+        )
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: seed: 'abc' is not a valid int\n"
+
+
+@pytest.mark.parametrize("argv,what,bad,kind", [
+    (["matrix", "--intervals", "1000,abc"], "--intervals", "abc", "int"),
+    (["matrix", "--speeds", "20,x"], "--speeds", "x", "float"),
+    (["guide", "--reliability", "0.95", "--speeds", "10,fast"], "--speeds", "fast", "float"),
+    (["encode", "--receiver", "RX1", "B-01:x:10"], "record 'B-01:x:10'", "x", "int"),
+    (["encode", "--receiver", "RX1", "B-01:1:soon"], "record 'B-01:1:soon'", "soon", "int"),
+])
+def test_malformed_number_is_usage_error(capsys, argv, what, bad, kind):
+    code, out = run(argv)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {what}: {bad!r} is not a valid {kind}\n"

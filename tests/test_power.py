@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from trackside.pathloss import PathLossModel
 from trackside.power import (
-    BatteryModel,
     SpeedEnvelopeError,
     battery_life,
     derive_guide,
@@ -11,8 +11,6 @@ from trackside.power import (
     recommend_interval,
 )
 from trackside.presets import DriveScenario, default_scanner, path_loss_preset
-
-MODEL = BatteryModel()
 
 PUBLISHED = [
     (5, 1400, 262.5),
@@ -30,20 +28,16 @@ PUBLISHED = [
 class TestBatteryLife:
     @pytest.mark.parametrize("interval,days", [(700, 131.25), (1400, 262.5), (1000, 187.5)])
     def test_published_values(self, interval, days):
-        assert battery_life(MODEL, interval) == days
+        assert battery_life(interval) == days
 
     @given(st.floats(1, 5000), st.floats(1, 5000))
     def test_exactly_linear(self, a, b):
-        total = battery_life(MODEL, a + b)
-        assert total == pytest.approx(battery_life(MODEL, a) + battery_life(MODEL, b))
+        total = battery_life(a + b)
+        assert total == pytest.approx(battery_life(a) + battery_life(b))
 
     def test_nonpositive_interval_rejected(self):
         with pytest.raises(ValueError):
-            battery_life(MODEL, 0)
-
-    def test_model_validation(self):
-        with pytest.raises(ValueError):
-            BatteryModel(days_per_ms=0.0)
+            battery_life(0)
 
 
 class TestRecommendInterval:
@@ -95,14 +89,15 @@ class TestDeriveGuide:
 
     def test_battery_consistent(self, scenario):
         for row in derive_guide(0.9, [10, 30, 45], scenario):
-            assert row.battery_days == battery_life(MODEL, row.interval_ms)
+            assert row.battery_days == battery_life(row.interval_ms)
 
     def test_infeasible_rows_flagged(self, scenario):
-        # A pass that never enters range cannot meet any positive target.
+        # A pass that never enters range cannot meet any positive target:
+        # a threshold a hair under the reference gives a ~1.07 m range,
+        # less than the 2 m lateral offset.
         blind = DriveScenario(
-            path_loss=scenario.path_loss,
+            path_loss=PathLossModel(reliability_threshold_dbm=-70.5),
             scanner=scenario.scanner,
-            lateral_offset_m=1000.0,
         )
         rows = derive_guide(0.5, [30], blind)
         assert not rows[0].feasible

@@ -225,7 +225,7 @@ class TestCalibrate:
 
         for w in grid_w:
             for b in grid_b:
-                other, _ = _mismatch_report(targets, w, b, "hm10-bt4", BAND_THRESHOLDS)
+                other, _ = _mismatch_report(targets, w, b, "hm10-bt4")
                 assert result.objective <= other
 
     def test_tie_breaks_toward_smaller_window_then_bonnet(self):
@@ -233,7 +233,7 @@ class TestCalibrate:
         windows = [850.0, 775.0, 800.0, 825.0, 750.0]
         bonnets = [1.75, 1.25, 1.5, 1.0]
         scalar = [
-            (_mismatch_report(targets, w, b, "hm10-bt4", BAND_THRESHOLDS)[0], w, b)
+            (_mismatch_report(targets, w, b, "hm10-bt4")[0], w, b)
             for w in windows
             for b in bonnets
         ]
@@ -314,12 +314,10 @@ class TestObjectiveGrid:
         return (load_target_matrix(Mount.WHEEL_ARCH), load_target_matrix(Mount.BONNET))
 
     def assert_matches_report(self, targets, windows, bonnets, points):
-        grid = _objective_grid(targets, windows, bonnets, "hm10-bt4", BAND_THRESHOLDS)
+        grid = _objective_grid(targets, windows, bonnets, "hm10-bt4")
         assert grid.shape == (len(windows), len(bonnets))
         for i, j in points:
-            objective, _ = _mismatch_report(
-                targets, windows[i], bonnets[j], "hm10-bt4", BAND_THRESHOLDS
-            )
+            objective, _ = _mismatch_report(targets, windows[i], bonnets[j], "hm10-bt4")
             assert grid[i, j] == objective
 
     def test_random_points_of_the_coarse_grid(self, targets):
