@@ -58,6 +58,23 @@ def _number(token: str, convert, what: str):
     except ValueError:
         raise ConfigError(f"{what}: {token!r} is not a valid {convert.__name__}") from None
 
+
+def _checked(build, what: str, *args, **kwargs):
+    """``build(*args, **kwargs)`` on command-line values; a ``ValueError``
+    it raises is a usage error naming ``what``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+
+
+def _reliability(value: float | None) -> float | None:
+    """A reliability target from the command line: a share in [0, 1]."""
+    if value is not None and not 0.0 <= value <= 1.0:
+        raise ConfigError(f"--reliability: {value!r} is outside [0, 1]")
+    return value
+
+
 def _setting(config, section: str, key: str, override, fallback=None):
     if override is not None:
         return override
@@ -151,7 +168,8 @@ def cmd_matrix(args, config, out) -> int:
     )
     seed_raw = _setting(config, "matrix", "seed", args.seed)
     seed = _number(seed_raw, int, "seed") if seed_raw is not None else sim.DEFAULT_SEED
-    spec = sim.TrialMatrixSpec(
+    spec = _checked(
+        sim.TrialMatrixSpec, "matrix",
         speeds_mph=tuple(speeds),
         intervals_ms=tuple(intervals),
         trials_per_cell=args.trials,
@@ -178,7 +196,7 @@ def cmd_plan(args, config, out) -> int:
         # A calibration INI is labelled by its file name, never its directory.
         beacon_preset=os.path.basename(preset),
         max_spacing_m=args.spacing,
-        reliability_target=args.reliability,
+        reliability_target=_reliability(args.reliability),
         scenario=scenario_for_mount(Mount.WHEEL_ARCH, model, scanner),
     )
     geojson = roadplan.plan_to_geojson(plan)
@@ -214,7 +232,7 @@ def cmd_guide(args, config, out) -> int:
             if args.speeds
             else [float(s) for s in range(5, 46, 5)]
         )
-        rows = power.derive_guide(args.reliability, speeds, scenario)
+        rows = power.derive_guide(_reliability(args.reliability), speeds, scenario)
 
     csv_lines = ["max_speed_mph,interval_ms,battery_days"]
     for row in rows:
@@ -293,6 +311,7 @@ def cmd_ingest(args, config, out) -> int:
 
 
 def cmd_encode(args, config, out) -> int:
+    _checked(protocol.validate_receiver_id, "--receiver", args.receiver)
     records = []
     for token in args.records:
         fields = token.split(":")
@@ -301,8 +320,9 @@ def cmd_encode(args, config, out) -> int:
             return EXIT_USAGE
         beacon, count, first_seen = fields
         what = f"record {token!r}"
-        records.append(protocol.DetectionRecord(
-            beacon, count=_number(count, int, what), first_seen_s=_number(first_seen, int, what)
+        records.append(_checked(
+            protocol.DetectionRecord, what,
+            beacon, count=_number(count, int, what), first_seen_s=_number(first_seen, int, what),
         ))
     for payload in protocol.encode_sms(args.receiver, records):
         out.write(payload.text + "\n")
@@ -415,7 +435,10 @@ def main(argv=None, out=None) -> int:
     except (ConfigError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (protocol.WireFormatError, ValueError) as exc:
+    except ValueError as exc:
+        # Command-line values are checked where they are parsed and fail as
+        # ConfigError above; what is left is a model, feasibility, wire-format
+        # or input-file failure.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
 

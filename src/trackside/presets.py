@@ -5,6 +5,7 @@ from __future__ import annotations
 import configparser
 import enum
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from . import pathloss
 from .pathloss import Material, PathLossModel
@@ -66,8 +67,13 @@ class DriveScenario:
     scanner: ScannerConfig
     materials: frozenset[Material] = frozenset()
 
-    def detection_range_m(self) -> float:
+    @cached_property
+    def _detection_range_m(self) -> float:
         return pathloss.detection_range(self.path_loss, materials=self.materials)
+
+    def detection_range_m(self) -> float:
+        """Computed once per scenario: every speed and probe shares it."""
+        return self._detection_range_m
 
     def in_range_time_s(self, speed_mph: float) -> float:
         geometry = PassGeometry(

@@ -38,6 +38,8 @@ MIN_INTERVAL_MS = 100.0
 MAX_INTERVAL_MS = 10240.0
 MAX_JITTER_MS = 10.0
 DEFAULT_SCAN_CYCLE_MS = 2500.0
+# Trials decided per array pass, which bounds memory however many are run.
+ORACLE_CHUNK = 20000
 
 
 def mph_to_ms(mph: float) -> float:
@@ -114,24 +116,39 @@ def _arc_length_ms(adv: AdvertiserConfig, scan: ScannerConfig) -> float:
     return min(scan.scan_window_ms + adv.event_duration_ms, scan.scan_cycle_ms)
 
 
+def _arc_gaps(k: int, interval: float, cycle: float) -> list[float]:
+    """Gaps between the k sorted arc starts, around the circle."""
+    starts = sorted((i * interval) % cycle for i in range(k))
+    return [b - a for a, b in zip(starts, starts[1:] + [starts[0] + cycle])]
+
+
 def _coverage_exact(
     k: int, interval: float, cycle: float, arc: float | np.ndarray
 ) -> float | np.ndarray:
     """Union measure of k same-length arcs spaced ``interval`` apart, / cycle.
 
-    ``arc`` is one arc length or a 1-D array of them: the arc starts are
-    sorted once and each length takes sum(min(gap, arc)) over the same
-    gaps, added left to right, so an array gives exactly the values of
-    one call per length.
+    ``arc`` is one arc length (a float) or a 1-D array of them: the arc
+    starts are sorted once and each length takes sum(min(gap, arc)) over
+    the same gaps, added left to right from zero, so an array gives
+    exactly the values of one call per length.
     """
+    if isinstance(arc, float):
+        # One arc: the same left-to-right sum in plain Python, without the
+        # per-call cost of numpy.
+        if k <= 0:
+            return 0.0
+        if arc >= cycle:
+            return 1.0
+        covered = 0.0
+        for gap in _arc_gaps(k, interval, cycle):
+            covered += min(gap, arc)
+        return float(min(covered / cycle, 1.0))
     arcs = np.asarray(arc, dtype=float)
     if k <= 0:
         covered = np.zeros(arcs.shape)
     else:
-        starts = sorted((i * interval) % cycle for i in range(k))
-        gaps = [b - a for a, b in zip(starts, starts[1:] + [starts[0] + cycle])]
         # cumsum adds in order; np.sum's pairwise sum would round differently.
-        summed = np.minimum.outer(gaps, arcs).cumsum(axis=0)[-1]
+        summed = np.minimum.outer(_arc_gaps(k, interval, cycle), arcs).cumsum(axis=0)[-1]
         covered = np.where(arcs >= cycle, 1.0, np.minimum(summed / cycle, 1.0))
     return float(covered) if covered.ndim == 0 else covered
 
@@ -214,7 +231,7 @@ def detection_probability_oracle(
     t_in_s: float,
     trials: int,
     seed: int | tuple,
-    _chunk: int = 20000,
+    _chunk: int = ORACLE_CHUNK,
 ) -> float:
     """Brute-force reference: sample uniform advertiser and scanner phases,
     roll per-event jitter, and check any event against any scan window.
@@ -234,8 +251,6 @@ def detection_probability_oracle(
     span = t_in_s * 1000.0
     interval = adv.interval_ms
     cycle = scan.scan_cycle_ms
-    window = scan.scan_window_ms
-    duration = adv.event_duration_ms
     k_max = int((span + adv.jitter_ms) // interval) + 1
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -254,8 +269,22 @@ def detection_probability_oracle(
         starts = phase_adv[lo:hi, None] + offsets[None, :]
         if jitter is not None:
             starts = starts + jitter[lo:hi]
-        in_range = starts < span
-        rel = np.mod(starts - phase_scan[lo:hi, None], cycle)
-        heard = (rel < window) | (rel > cycle - duration)
-        hits += int(np.any(in_range & heard, axis=1).sum())
+        hits += int(_any_heard(starts, phase_scan[lo:hi], span, adv, scan).sum())
     return hits / trials
+
+
+def _any_heard(
+    starts: np.ndarray,
+    phase_scan: np.ndarray,
+    span: float,
+    adv: AdvertiserConfig,
+    scan: ScannerConfig,
+) -> np.ndarray:
+    """One bool per trial (row of ``starts``, event starts in ms): whether
+    an event starting before ``span`` overlaps a listening window of a
+    scanner whose cycle begins at that trial's ``phase_scan``."""
+    cycle = scan.scan_cycle_ms
+    in_range = starts < span
+    rel = np.mod(starts - phase_scan[:, None], cycle)
+    heard = (rel < scan.scan_window_ms) | (rel > cycle - adv.event_duration_ms)
+    return np.any(in_range & heard, axis=1)

@@ -5,8 +5,14 @@ trials (shipped under data/), and calibrates the two parameters the trials
 leave free: the scanner's effective listening window and the extra
 attenuation of a bonnet-concealed receiver.
 
-Per-trial randomness derives from (seed, cell_index, trial_index), so a
-matrix run is byte-identical however trials are scheduled.
+Per-trial randomness derives from (seed, cell_index, trial_index): trial t
+of a cell is ``simulate_pass((seed, cell_index, t), ...)``, whose generator
+is ``Generator(PCG64(SeedSequence((seed, cell_index, t))))``.  A matrix run
+is byte-identical however trials are scheduled.  ``run_matrix`` does not
+build those generators one by one: ``_trial_uniforms`` evaluates numpy's
+SeedSequence hash and PCG64 in uint64 arrays for a block of trials at once,
+bit for bit, and the block is decided with the oracle's own arithmetic.
+Seeds are non-negative integers, as SeedSequence requires.
 """
 
 from __future__ import annotations
@@ -23,10 +29,14 @@ import numpy as np
 from .pathloss import PathLossModel
 from .presets import DEFAULT_PATH_LOSS_PRESET, DriveScenario, Mount, scenario_for_mount
 from .rendezvous import (
+    ORACLE_CHUNK,
+    AdvertiserConfig,
     ScannerConfig,
+    _any_heard,
     _arc_length_ms,
     _coverage_exact,
     _expected_coverage,
+    detection_probability,
     detection_probability_oracle,
 )
 
@@ -102,6 +112,8 @@ class TrialMatrixSpec:
             raise ValueError("speeds and intervals must be nonempty")
         if self.trials_per_cell < 1:
             raise ValueError("need at least one trial per cell")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} is negative; seeds are non-negative integers")
 
 
 @dataclass(frozen=True)
@@ -182,6 +194,153 @@ def simulate_pass(
     return hit >= 0.5
 
 
+# numpy.random.SeedSequence's hash: a pool of four 32-bit words and its
+# multipliers (NumPy NEP 19 and numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
+_MASK32 = 0xFFFFFFFF
+_LO32, _U11, _U16, _U32 = np.uint64(_MASK32), np.uint64(11), np.uint64(16), np.uint64(32)
+# PCG64's 128-bit LCG multiplier as (high, low) 64-bit halves (O'Neill 2014).
+_PCG_MULT = (np.uint64(2549297995355413924), np.uint64(4865540595714422341))
+
+
+def _uint32_words(n: int) -> list[int]:
+    """SeedSequence's little-endian 32-bit words of a non-negative int."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_multipliers(init: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """The (xor, multiply) constants of ``count`` successive hashmix calls."""
+    out = []
+    for _ in range(count):
+        nxt = (init * mult) & _MASK32
+        out.append((init, nxt))
+        init = nxt
+    return out
+
+
+def _hashmix(value: np.ndarray, consts: tuple[int, int]) -> np.ndarray:
+    value = ((value ^ np.uint64(consts[0])) * np.uint64(consts[1])) & _LO32
+    return value ^ (value >> _U16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _LO32
+    return result ^ (result >> _U16)
+
+
+def _seed_words(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """``SeedSequence(entropy).generate_state(4, np.uint64)`` elementwise,
+    for entropy given as a list of arrays of 32-bit words."""
+    n = _POOL_SIZE
+    extra = max(len(entropy) - n, 0)
+    consts = iter(_hash_multipliers(_INIT_A, _MULT_A, n * n + extra * n))
+    zero = np.zeros_like(entropy[0])
+    pool = [_hashmix(entropy[i] if i < len(entropy) else zero, next(consts)) for i in range(n)]
+    for src in range(n):
+        for dst in range(n):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(consts)))
+    for word in entropy[n:]:
+        for dst in range(n):
+            pool[dst] = _mix(pool[dst], _hashmix(word, next(consts)))
+    consts = _hash_multipliers(_INIT_B, _MULT_B, 8)
+    state = [_hashmix(pool[i % n], c) for i, c in enumerate(consts)]
+    return [state[i] | (state[i + 1] << _U32) for i in range(0, 8, 2)]
+
+
+def _mul_hi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit product a * b, from 32-bit halves."""
+    a0, a1, b0, b1 = a & _LO32, a >> _U32, b & _LO32, b >> _U32
+    cross0, cross1 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> _U32) + (cross0 & _LO32) + (cross1 & _LO32)
+    return a1 * b1 + (cross0 >> _U32) + (cross1 >> _U32) + (mid >> _U32)
+
+
+def _pcg_step(state, inc):
+    """One PCG64 LCG step, state * multiplier + inc mod 2**128, on
+    (high, low) pairs of uint64 arrays."""
+    (hi, lo), (m_hi, m_lo) = state, _PCG_MULT
+    lo_next = lo * m_lo + inc[1]
+    carry = (lo_next < inc[1]).astype(np.uint64)
+    return _mul_hi(lo, m_lo) + lo * m_hi + hi * m_lo + inc[0] + carry, lo_next
+
+
+def _pcg_double(state) -> np.ndarray:
+    """PCG64's XSL-RR output of ``state`` as a double in [0, 1)."""
+    hi, lo = state
+    x, rot = hi ^ lo, hi >> np.uint64(58)
+    word = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    return (word >> _U11) * (1.0 / 9007199254740992.0)
+
+
+def _first_doubles(entropy: list[np.ndarray]) -> np.ndarray:
+    """The first two doubles of ``Generator(PCG64(SeedSequence(entropy)))``,
+    elementwise, as a (2, n) array."""
+    s_hi, s_lo, i_hi, i_lo = _seed_words(entropy)
+    # pcg64_set_seed: inc = (initseq << 1) | 1; state = inc + initstate,
+    # then one step.  Each draw steps, then outputs.
+    one = np.uint64(1)
+    inc = ((i_hi << one) | (i_lo >> np.uint64(63)), (i_lo << one) | one)
+    lo = inc[1] + s_lo
+    state = _pcg_step((inc[0] + s_hi + (lo < s_lo).astype(np.uint64), lo), inc)
+    first = _pcg_step(state, inc)
+    return np.stack([_pcg_double(first), _pcg_double(_pcg_step(first, inc))])
+
+
+def _trial_uniforms(seed: int, cell_index: int, trials) -> np.ndarray:
+    """For each trial index t in ``trials``, the two doubles that
+    ``Generator(PCG64(SeedSequence((seed, cell_index, t))))`` draws first,
+    as a (2, len(trials)) array: the per-trial stream of ``simulate_pass``,
+    computed for a whole block of trials at once."""
+    trials = np.asarray(trials, dtype=np.uint64)
+    prefix = _uint32_words(seed) + _uint32_words(cell_index)
+    out = np.empty((2, trials.size))
+    # SeedSequence takes a trial index of 2**32 or more as two words.
+    wide = trials > _LO32
+    for part, n_words in ((~wide, 1), (wide, 2)):
+        t = trials[part]
+        if t.size:
+            fixed = [np.full(t.shape, w, dtype=np.uint64) for w in prefix]
+            out[:, part] = _first_doubles(fixed + [t & _LO32, t >> _U32][:n_words])
+    return out
+
+
+# Trial x event entries per block: each float array of a block stays at
+# 2 MB, so memory is flat in the trial count, the speed and the interval.
+_BLOCK_EVENTS = 1 << 18
+
+
+def _cell_detections(
+    seed: int, cell_index: int, trials: int, adv: AdvertiserConfig,
+    scanner: ScannerConfig, t_in_s: float,
+) -> int:
+    """How many of the cell's trials detect the beacon: trial t is
+    ``simulate_pass((seed, cell_index, t), ...)``, decided in blocks."""
+    if t_in_s == 0:
+        return 0
+    span = t_in_s * 1000.0
+    # The oracle's arithmetic for a jitter-free advertiser.  Its phases are
+    # Generator.uniform(0, x) draws, 0.0 + x * u, which is x * u exactly.
+    offsets = np.arange(int(span // adv.interval_ms) + 1) * adv.interval_ms
+    block = max(1, min(ORACLE_CHUNK, _BLOCK_EVENTS // len(offsets)))
+    detections = 0
+    for lo in range(0, trials, block):
+        u_adv, u_scan = _trial_uniforms(seed, cell_index, np.arange(lo, min(lo + block, trials)))
+        starts = (adv.interval_ms * u_adv)[:, None] + offsets[None, :]
+        heard = _any_heard(starts, scanner.scan_cycle_ms * u_scan, span, adv, scanner)
+        detections += int(heard.sum())
+    return detections
+
+
 def run_matrix(
     spec: TrialMatrixSpec,
     rf_preset: str | PathLossModel = DEFAULT_PATH_LOSS_PRESET,
@@ -195,20 +354,10 @@ def run_matrix(
         for col, interval in enumerate(spec.intervals_ms):
             cell_index = row * len(spec.intervals_ms) + col
             adv = scenario.advertiser(interval)
-            # Each trial is simulate_pass((seed, cell_index, trial), ...) with
-            # the cell's in-range time and advertiser computed once.
-            detections = 0
-            if t_in > 0:
-                detections = sum(
-                    detection_probability_oracle(
-                        adv, scenario.scanner, t_in, trials=1,
-                        seed=(spec.seed, cell_index, trial),
-                    ) >= 0.5
-                    for trial in range(spec.trials_per_cell)
-                )
-            expected = (
-                scenario.pass_probability(speed, interval) if t_in > 0 else 0.0
+            detections = _cell_detections(
+                spec.seed, cell_index, spec.trials_per_cell, adv, scenario.scanner, t_in
             )
+            expected = detection_probability(adv, scenario.scanner, t_in)
             cells.append(
                 CellResult(
                     speed_mph=speed,

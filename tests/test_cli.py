@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -414,3 +415,65 @@ def test_malformed_number_is_usage_error(capsys, argv, what, bad, kind):
     code, out = run(argv)
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == f"error: {what}: {bad!r} is not a valid {kind}\n"
+
+
+# sha256 of `matrix --trials 200 --out-csv` as the per-trial generator loop
+# wrote it, before run_matrix computed the trial stream in batch.
+MATRIX_200_SHA256 = {
+    ("wheelarch", 1): "47e688a19167c38a80627347420a42c080a84b644f7a687677b69f1a3a7a4e09",
+    ("wheelarch", 42): "7956e05d21f598d2ad5f04a13bb6df402a53962392074173948b2f0584df4b10",
+    ("wheelarch", 1729): "ab8f191d8a7df7dea9dc0b235619ed558374c80f59ff9ec7137ff9aa8e81abc2",
+    ("bonnet", 1): "758503a7af1d32d09c8feac7b9f0a958ec29dea44185c4c7ed51e25198aaffe8",
+    ("bonnet", 42): "e535c8227c47ae82ec8082ea151fe0218d0da9461a9cd5fece82394b7a1c54de",
+    ("bonnet", 1729): "9e6053104f99f3f1926aed922f8abb7a8cb01a22f7e273aad2ed34a648880d56",
+}
+
+
+@pytest.mark.parametrize("mount,seed", sorted(MATRIX_200_SHA256))
+def test_matrix_csv_pinned(tmp_path, mount, seed):
+    out_csv = tmp_path / "m.csv"
+    code, _ = run(["matrix", "--mount", mount, "--trials", "200", "--seed", str(seed),
+                   "--out-csv", str(out_csv)])
+    assert code == 0
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == MATRIX_200_SHA256[(mount, seed)]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["matrix", "--trials", "0"], "matrix: need at least one trial per cell"),
+    (["matrix", "--seed", "-1"], "matrix: seed -1 is negative"),
+    (["guide", "--reliability", "1.5"], "--reliability: 1.5 is outside [0, 1]"),
+    (["guide", "--reliability", "nan"], "--reliability: nan is outside [0, 1]"),
+    (["encode", "--receiver", "RX1", "B-01:0:10"],
+     "record 'B-01:0:10': count must be at least 1"),
+    (["encode", "--receiver", "RX1", "b01:1:10"], "record 'b01:1:10': beacon id 'b01'"),
+    (["encode", "--receiver", "rx1", "B-01:1:10"], "--receiver: receiver id 'rx1'"),
+])
+def test_out_of_range_value_is_usage_error(capsys, argv, message):
+    code, out = run(argv)
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert len(err.splitlines()) == 1
+
+
+def test_plan_reliability_out_of_range_is_usage_error(road_geojson, tmp_path, capsys):
+    code, _ = run(["plan", "--road", str(road_geojson), "--budget", "2",
+                   "--reliability", "-0.1", "--out", str(tmp_path / "p.geojson")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --reliability: -0.1 is outside [0, 1]\n"
+
+
+def test_model_failure_still_exits_one(tmp_path, capsys):
+    # A 60 mph road is outside the published guide's 45 mph envelope.
+    coords = [[i * 100.0 / M_PER_DEG, 0.0] for i in range(11)]
+    road = tmp_path / "fast.geojson"
+    road.write_text(json.dumps({
+        "type": "Feature",
+        "properties": {"surface_vmax_mph": 60},
+        "geometry": {"type": "LineString", "coordinates": coords},
+    }))
+    code, _ = run(["plan", "--road", str(road), "--budget", "2",
+                   "--out", str(tmp_path / "p.geojson")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "envelope" in err

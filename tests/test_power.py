@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from trackside import pathloss
 from trackside.pathloss import PathLossModel
 from trackside.power import (
     SpeedEnvelopeError,
@@ -105,3 +106,15 @@ class TestDeriveGuide:
     def test_bad_target_rejected(self, scenario):
         with pytest.raises(ValueError):
             derive_guide(1.5, [30], scenario)
+
+    def test_detection_range_computed_once_per_scenario(self, monkeypatch):
+        # Every probe of a guide search shares one detection range.
+        calls = []
+        real = pathloss.detection_range
+        monkeypatch.setattr(
+            pathloss, "detection_range", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        fresh = DriveScenario(path_loss=path_loss_preset("hm10-bt4"), scanner=default_scanner())
+        derive_guide(0.95, [5, 25, 45], fresh)
+        assert len(calls) == 1
+        assert fresh.detection_range_m() == real(fresh.path_loss, materials=fresh.materials)

@@ -90,6 +90,7 @@ class TestCoverageKernel:
     def test_scalar_arc_returns_float(self):
         assert type(_coverage_exact(5, 700.0, 2500.0, 1173.0)) is float
         assert type(_coverage_exact(0, 700.0, 2500.0, 1173.0)) is float
+        assert type(_coverage_exact(5, 700.0, 2500.0, np.float64(1173.0))) is float
 
     def test_window_axis_agrees_with_oracle(self):
         # The calibration scores a whole axis of scan windows at once; each

@@ -13,7 +13,7 @@ from trackside.presets import (
     default_scanner,
     scenario_for_mount,
 )
-from trackside.rendezvous import ScannerConfig
+from trackside.rendezvous import ScannerConfig, detection_probability_oracle
 from trackside.sim import (
     BAND_THRESHOLDS,
     CellLabel,
@@ -121,22 +121,68 @@ class TestRunMatrix:
 
     def test_schedule_independent_trials(self, small_spec):
         # Re-deriving each trial from (seed, cell_index, trial_index) in a
-        # scrambled order must reproduce the matrix exactly.
-        result = run_matrix(small_spec)
-        order = [(r, c, t) for t in range(3) for c in range(3) for r in range(3)]
-        counts = {}
-        for r, c, t in reversed(order):
-            cell_index = r * 3 + c
-            hit = simulate_pass(
-                (small_spec.seed, cell_index, t),
-                small_spec.speeds_mph[r],
-                small_spec.intervals_ms[c],
-                mount=small_spec.mount,
-            )
-            key = (small_spec.speeds_mph[r], small_spec.intervals_ms[c])
-            counts[key] = counts.get(key, 0) + int(hit)
-        for cell in result.cells:
-            assert counts[(cell.speed_mph, cell.interval_ms)] == cell.detections
+        # scrambled order must reproduce the matrix exactly: for the small
+        # spec, and for 200 trials of cells whose expected probability sits
+        # near each band edge (0.949, 0.394 and 0.105 among them).
+        edges = TrialMatrixSpec(
+            speeds_mph=(30.0, 60.0, 90.0),
+            intervals_ms=(1100, 1600, 4000),
+            trials_per_cell=200,
+            mount=Mount.BONNET,
+            seed=2024,
+        )
+        for spec in (small_spec, edges):
+            result = run_matrix(spec)
+            n_rows, n_cols = len(spec.speeds_mph), len(spec.intervals_ms)
+            order = [
+                (r, c, t)
+                for t in range(spec.trials_per_cell)
+                for c in range(n_cols)
+                for r in range(n_rows)
+            ]
+            random.Random(spec.seed).shuffle(order)
+            counts = {}
+            for r, c, t in order:
+                hit = simulate_pass(
+                    (spec.seed, r * n_cols + c, t),
+                    spec.speeds_mph[r],
+                    spec.intervals_ms[c],
+                    mount=spec.mount,
+                )
+                key = (spec.speeds_mph[r], spec.intervals_ms[c])
+                counts[key] = counts.get(key, 0) + int(hit)
+            for cell in result.cells:
+                assert counts[(cell.speed_mph, cell.interval_ms)] == cell.detections
+            if spec is edges:
+                assert {c.label for c in result.cells} >= {CellLabel.P66, CellLabel.P33}
+
+    def test_blocks_beyond_the_oracle_chunk(self, monkeypatch):
+        # More trials than one block: the counts equal one trials=1 oracle
+        # call per trial, with the oracle's real chunk and with tiny trial
+        # or entry limits that split a cell into many uneven blocks.
+        scenario = scenario_for_mount(Mount.WHEEL_ARCH)
+        t_in = scenario.in_range_time_s(45.0)
+        adv = scenario.advertiser(1300)
+        spec = TrialMatrixSpec(
+            speeds_mph=(45.0,), intervals_ms=(1300,),
+            trials_per_cell=sim.ORACLE_CHUNK + 3, seed=31,
+        )
+        hits = [
+            detection_probability_oracle(
+                adv, scenario.scanner, t_in, trials=1, seed=(31, 0, t)
+            ) >= 0.5
+            for t in range(spec.trials_per_cell)
+        ]
+        assert 0 < sum(hits) < len(hits)
+        assert run_matrix(spec).cells[0].detections == sum(hits)
+        for chunk, entries in ((7, sim._BLOCK_EVENTS), (sim.ORACLE_CHUNK, 10)):
+            monkeypatch.setattr(sim, "ORACLE_CHUNK", chunk)
+            monkeypatch.setattr(sim, "_BLOCK_EVENTS", entries)
+            for trials in (1, 7, 50):
+                small = TrialMatrixSpec(
+                    speeds_mph=(45.0,), intervals_ms=(1300,), trials_per_cell=trials, seed=31
+                )
+                assert run_matrix(small).cells[0].detections == sum(hits[:trials])
 
     def test_certain_cell_always_y(self):
         spec = TrialMatrixSpec(
@@ -146,6 +192,13 @@ class TestRunMatrix:
         cell = result.cells[0]
         assert cell.expected_probability == 1.0
         assert cell.label is CellLabel.Y
+
+    def test_never_in_range_matrix_is_all_n(self, small_spec):
+        # Range ~1.07 m, under the 2 m lateral offset: no pass is ever in range.
+        result = run_matrix(small_spec, rf_preset=PathLossModel(reliability_threshold_dbm=-70.5))
+        assert {(c.detections, c.label, c.expected_probability) for c in result.cells} == {
+            (0, CellLabel.N, 0.0)
+        }
 
     def test_expected_probability_nonincreasing_in_speed(self):
         spec = TrialMatrixSpec(
@@ -166,6 +219,48 @@ class TestRunMatrix:
             TrialMatrixSpec(speeds_mph=(), intervals_ms=(700,))
         with pytest.raises(ValueError):
             TrialMatrixSpec(speeds_mph=(20.0,), intervals_ms=(700,), trials_per_cell=0)
+        with pytest.raises(ValueError, match="negative"):
+            TrialMatrixSpec(speeds_mph=(20.0,), intervals_ms=(700,), seed=-1)
+
+    def test_expected_probability_is_pass_probability(self, small_spec):
+        scenario = scenario_for_mount(small_spec.mount)
+        for cell in run_matrix(small_spec).cells:
+            assert cell.expected_probability == scenario.pass_probability(
+                cell.speed_mph, cell.interval_ms
+            )
+
+
+class TestTrialStream:
+    """``_trial_uniforms`` against numpy's own SeedSequence -> PCG64 stream."""
+
+    SEEDS = [0, 1, 42, 1729, 2**32 - 1, 2**32, 2**64 + 5, 2**100]
+    INDICES = [0, 1, 2, 199, 2**31, 2**32 - 2, 2**32 - 1]
+
+    @staticmethod
+    def numpy_pair(seed, cell, trial):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, cell, trial))))
+        return (rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_bit_equal_to_numpy(self, seed):
+        # 2**64 + 5 and 2**100 give more entropy words than the pool holds;
+        # 2**32 and beyond as a cell or trial index take two words.
+        trials = self.INDICES + [2**32, 2**40 + 3]
+        for cell in self.INDICES + [2**32]:
+            u = sim._trial_uniforms(seed, cell, trials)
+            assert u.shape == (2, len(trials))
+            for j, t in enumerate(trials):
+                assert (u[0, j], u[1, j]) == self.numpy_pair(seed, cell, t)
+
+    def test_block_equals_per_trial_calls(self):
+        u = sim._trial_uniforms(7, 3, np.arange(500))
+        for t in (0, 1, 250, 499):
+            assert tuple(u[:, t]) == self.numpy_pair(7, 3, t)
+        assert sim._trial_uniforms(7, 3, np.arange(0)).shape == (2, 0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            sim._trial_uniforms(-1, 0, [0])
 
 
 class TestTargets:
