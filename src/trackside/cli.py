@@ -75,6 +75,13 @@ def _reliability(value: float | None) -> float | None:
     return value
 
 
+def _speeds(text: str | None) -> list[float]:
+    """``--speeds`` in mph; every 5 mph from 5 to 45 when it is omitted."""
+    if not text:
+        return [float(s) for s in range(5, 46, 5)]
+    return [_number(x, float, "--speeds") for x in text.split(",")]
+
+
 def _setting(config, section: str, key: str, override, fallback=None):
     if override is not None:
         return override
@@ -161,11 +168,7 @@ def cmd_matrix(args, config, out) -> int:
             if mount is Mount.WHEEL_ARCH
             else list(range(700, 1501, 100))
         )
-    speeds = (
-        [_number(x, float, "--speeds") for x in args.speeds.split(",")]
-        if args.speeds
-        else [float(s) for s in range(5, 46, 5)]
-    )
+    speeds = _speeds(args.speeds)
     seed_raw = _setting(config, "matrix", "seed", args.seed)
     seed = _number(seed_raw, int, "seed") if seed_raw is not None else sim.DEFAULT_SEED
     spec = _checked(
@@ -186,8 +189,11 @@ def cmd_matrix(args, config, out) -> int:
 
 
 def cmd_plan(args, config, out) -> int:
-    with open(args.road) as fh:
-        road = roadplan.road_from_geojson(fh.read())
+    try:
+        with open(args.road) as fh:
+            road = roadplan.road_from_geojson(fh.read())
+    except (OSError, ValueError) as exc:
+        raise _invalid_file("road file", args.road, exc) from None
     preset = _setting(config, "plan", "preset", args.preset) or DEFAULT_PATH_LOSS_PRESET
     model, scanner = _resolve_preset(preset)
     plan = roadplan.plan_deployment(
@@ -227,11 +233,7 @@ def cmd_guide(args, config, out) -> int:
     else:
         model, scanner = _resolve_preset(_setting(config, "guide", "preset", args.preset))
         scenario = scenario_for_mount(Mount.WHEEL_ARCH, model, scanner)
-        speeds = (
-            [_number(x, float, "--speeds") for x in args.speeds.split(",")]
-            if args.speeds
-            else [float(s) for s in range(5, 46, 5)]
-        )
+        speeds = _speeds(args.speeds)
         rows = power.derive_guide(_reliability(args.reliability), speeds, scenario)
 
     csv_lines = ["max_speed_mph,interval_ms,battery_days"]
@@ -274,7 +276,10 @@ def cmd_ingest(args, config, out) -> int:
     if not lines:
         print("error: no segments to ingest", file=sys.stderr)
         return EXIT_USAGE
-    registry = protocol.load_registry(args.registry)
+    try:
+        registry = protocol.load_registry(args.registry)
+    except (OSError, ValueError) as exc:
+        raise _invalid_file("registry", args.registry, exc) from None
     store = protocol.DetectionStore.load(args.store)
     received_at = args.received_at if args.received_at is not None else int(time.time())
 
@@ -436,9 +441,10 @@ def main(argv=None, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
-        # Command-line values are checked where they are parsed and fail as
-        # ConfigError above; what is left is a model, feasibility, wire-format
-        # or input-file failure.
+        # Command-line values and the config, preset, road and registry files
+        # are checked where they are read and fail as ConfigError above; what
+        # is left is a model, feasibility or wire-format failure, or a bad RSSI
+        # samples or store file.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
 

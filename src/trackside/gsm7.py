@@ -21,11 +21,6 @@ EXTENDED_CHARS = frozenset(GSM7_EXTENDED)
 SEGMENT_SEPTETS = 160
 
 
-def is_gsm7(text: str) -> bool:
-    """Whether every character is representable in the GSM-7 alphabet."""
-    return all(c in BASIC_CHARS or c in EXTENDED_CHARS for c in text)
-
-
 def septet_length(text: str) -> int:
     """Septets needed to encode ``text``; raises on unencodable characters."""
     total = 0

@@ -129,12 +129,6 @@ class FitResult:
     residuals_db: tuple[float, ...]
     stderr: float
 
-    @property
-    def rms_residual_db(self) -> float:
-        if not self.residuals_db:
-            return 0.0
-        return math.sqrt(sum(r * r for r in self.residuals_db) / len(self.residuals_db))
-
 
 def predict_rssi(
     model: PathLossModel, distance_m: float, materials: Iterable[Material] = ()
@@ -236,11 +230,6 @@ def parse_materials(token: str) -> frozenset[Material]:
             raise ValueError(f"unknown material {part!r}") from None
     out.discard(Material.NONE)
     return frozenset(out)
-
-
-def format_materials(materials: Iterable[Material]) -> str:
-    names = sorted(m.value for m in materials if m is not Material.NONE)
-    return "+".join(names) if names else "none"
 
 
 def load_samples_csv(path) -> list[RssiSample]:

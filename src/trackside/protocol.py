@@ -14,6 +14,7 @@ quarantined, never dropped.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import re
@@ -102,7 +103,6 @@ ReceiverEvent = Sighting | GsmUp | GsmDown | Tick
 @dataclass(frozen=True)
 class ReceiverState:
     receiver_id: str = "RX1"
-    mode: str = Mode.SCANNING
     buffer: tuple[DetectionRecord, ...] = ()
     gsm_available: bool = False
     clock_s: float = 0.0
@@ -112,6 +112,11 @@ class ReceiverState:
 
     def __post_init__(self) -> None:
         validate_receiver_id(self.receiver_id)
+
+    @property
+    def mode(self) -> str:
+        """Idle while GSM is up (the buffer flushes at once), else scanning."""
+        return Mode.IDLE if self.gsm_available else Mode.SCANNING
 
 
 @dataclass(frozen=True)
@@ -173,14 +178,11 @@ def receiver_step(state: ReceiverState, event: ReceiverEvent) -> StepResult:
         buffer = ()
         open_last = {}
 
-    mode = Mode.IDLE if gsm else Mode.SCANNING
-    new_state = ReceiverState(
-        receiver_id=state.receiver_id,
-        mode=mode,
+    new_state = replace(
+        state,
         buffer=buffer,
         gsm_available=gsm,
         clock_s=event.t_s,
-        dedup_window_s=state.dedup_window_s,
         open_last_seen=tuple(sorted(open_last.items())),
     )
     return StepResult(state=new_state, payloads=payloads)
@@ -387,25 +389,19 @@ class RegistryEntry:
     beacon_id: str
     lat: float
     lon: float
-    interval_ms: int | None = None
-    preset: str | None = None
 
 
 def load_registry(path) -> dict[str, RegistryEntry]:
-    """Beacon registry CSV: beacon_id,lat,lon,interval_ms,preset."""
-    import csv as _csv
-
+    """Beacon registry CSV with columns beacon_id,lat,lon.  Other columns,
+    such as a deployment sheet's interval_ms and preset, are ignored."""
     registry: dict[str, RegistryEntry] = {}
     with open(path, newline="") as fh:
-        for row in _csv.DictReader(fh):
+        reader = csv.DictReader(fh, restval="")
+        if not {"beacon_id", "lat", "lon"}.issubset(reader.fieldnames or ()):
+            raise ValueError("registry CSV needs columns beacon_id,lat,lon")
+        for row in reader:
             beacon_id = validate_beacon_id(row["beacon_id"].strip())
-            registry[beacon_id] = RegistryEntry(
-                beacon_id=beacon_id,
-                lat=float(row["lat"]),
-                lon=float(row["lon"]),
-                interval_ms=int(row["interval_ms"]) if row.get("interval_ms") else None,
-                preset=(row.get("preset") or None),
-            )
+            registry[beacon_id] = RegistryEntry(beacon_id, float(row["lat"]), float(row["lon"]))
     return registry
 
 

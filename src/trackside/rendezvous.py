@@ -95,7 +95,7 @@ class PassGeometry:
     detection_range_m: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.speed_ms <= 0:
+        if not self.speed_ms > 0:  # also rejects NaN
             raise ValueError("speed must be positive")
         if self.lateral_offset_m < 0:
             raise ValueError("lateral offset cannot be negative")
@@ -231,7 +231,6 @@ def detection_probability_oracle(
     t_in_s: float,
     trials: int,
     seed: int | tuple,
-    _chunk: int = ORACLE_CHUNK,
 ) -> float:
     """Brute-force reference: sample uniform advertiser and scanner phases,
     roll per-event jitter, and check any event against any scan window.
@@ -264,8 +263,8 @@ def detection_probability_oracle(
 
     hits = 0
     offsets = np.arange(k_max) * interval
-    for lo in range(0, trials, _chunk):
-        hi = min(lo + _chunk, trials)
+    for lo in range(0, trials, ORACLE_CHUNK):
+        hi = min(lo + ORACLE_CHUNK, trials)
         starts = phase_adv[lo:hi, None] + offsets[None, :]
         if jitter is not None:
             starts = starts + jitter[lo:hi]

@@ -89,39 +89,6 @@ class Road:
         (lat1, lon1), (lat2, lon2) = self.polyline[i], self.polyline[i + 1]
         return (lat1 + t * (lat2 - lat1), lon1 + t * (lon2 - lon1))
 
-    def project(self, point: tuple[float, float]) -> tuple[float, float]:
-        """(arc_m, offset_m) of the closest polyline position to ``point``.
-
-        Uses a local equirectangular projection per segment; good to far
-        better than a meter at road scales.
-        """
-        best_arc, best_off = 0.0, float("inf")
-        arcs = self.arc_lengths()
-        for i in range(len(self.polyline) - 1):
-            a, b = self.polyline[i], self.polyline[i + 1]
-            ref_lat = math.radians(a[0])
-            scale = math.cos(ref_lat)
-
-            def xy(p):
-                return (
-                    math.radians(p[1]) * scale * EARTH_RADIUS_M,
-                    math.radians(p[0]) * EARTH_RADIUS_M,
-                )
-
-            ax, ay = xy(a)
-            bx, by = xy(b)
-            px, py = xy(point)
-            dx, dy = bx - ax, by - ay
-            seg2 = dx * dx + dy * dy
-            t = 0.0 if seg2 == 0 else ((px - ax) * dx + (py - ay) * dy) / seg2
-            t = min(max(t, 0.0), 1.0)
-            cx, cy = ax + t * dx, ay + t * dy
-            off = math.hypot(px - cx, py - cy)
-            if off < best_off:
-                best_off = off
-                best_arc = arcs[i] + t * (arcs[i + 1] - arcs[i])
-        return best_arc, best_off
-
 
 def _circumradius_m(a, b, c) -> float:
     """Circumradius of three (lat, lon) points; inf when collinear."""
@@ -181,7 +148,6 @@ class DeploymentPlan:
     road: Road
     sites: tuple[BeaconSite, ...]
     coverage_gaps: tuple[tuple[float, float], ...] = ()
-    max_spacing_m: float = DEFAULT_MAX_SPACING_M
 
     @property
     def expected_detections_per_traverse(self) -> float:
@@ -231,7 +197,6 @@ def select_sites(
     max_spacing_m: float = DEFAULT_MAX_SPACING_M,
     count_budget: int = 1,
     beacon_preset: str = DEFAULT_PATH_LOSS_PRESET,
-    lateral_accel_ms2: float = DEFAULT_LATERAL_ACCEL_MS2,
 ) -> list[BeaconSite]:
     """Greedy siting: slowest local minima first, then gap filling.
 
@@ -244,7 +209,7 @@ def select_sites(
     if max_spacing_m <= 0:
         raise ValueError("max spacing must be positive")
 
-    speeds = speed_profile(road, lateral_accel_ms2)
+    speeds = speed_profile(road)
     arcs = road.arc_lengths()
     chosen: list[float] = []
     chosen_speed: list[float] = []
@@ -306,7 +271,6 @@ def plan_deployment(
     max_spacing_m: float = DEFAULT_MAX_SPACING_M,
     reliability_target: float | None = None,
     scenario: DriveScenario | None = None,
-    lateral_accel_ms2: float = DEFAULT_LATERAL_ACCEL_MS2,
 ) -> DeploymentPlan:
     """Assemble sites, intervals, battery life and pass probabilities.
 
@@ -317,11 +281,7 @@ def plan_deployment(
     if scenario is None:
         scenario = scenario_for_mount(Mount.WHEEL_ARCH, rf_preset=beacon_preset)
     sites = select_sites(
-        road,
-        max_spacing_m=max_spacing_m,
-        count_budget=budget,
-        beacon_preset=beacon_preset,
-        lateral_accel_ms2=lateral_accel_ms2,
+        road, max_spacing_m=max_spacing_m, count_budget=budget, beacon_preset=beacon_preset
     )
     priced = []
     # Sites on one straight share a speed; each speed is searched once.
@@ -342,16 +302,14 @@ def plan_deployment(
             )
         )
     gaps = _coverage_gaps(road.length_m, [s.arc_m for s in priced], max_spacing_m)
-    return DeploymentPlan(
-        road=road, sites=tuple(priced), coverage_gaps=gaps, max_spacing_m=max_spacing_m
-    )
+    return DeploymentPlan(road=road, sites=tuple(priced), coverage_gaps=gaps)
 
 
 def road_from_geojson(obj) -> Road:
     """Accepts a LineString geometry, Feature, or FeatureCollection."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    kind = obj.get("type")
+    kind = obj.get("type") if isinstance(obj, dict) else None
     if kind == "FeatureCollection":
         for feature in obj.get("features", []):
             if feature.get("geometry", {}).get("type") == "LineString":

@@ -31,6 +31,7 @@ from .presets import DEFAULT_PATH_LOSS_PRESET, DriveScenario, Mount, scenario_fo
 from .rendezvous import (
     ORACLE_CHUNK,
     AdvertiserConfig,
+    PassGeometry,
     ScannerConfig,
     _any_heard,
     _arc_length_ms,
@@ -38,6 +39,7 @@ from .rendezvous import (
     _expected_coverage,
     detection_probability,
     detection_probability_oracle,
+    mph_to_ms,
 )
 
 __all__ = [
@@ -110,6 +112,12 @@ class TrialMatrixSpec:
         object.__setattr__(self, "intervals_ms", tuple(self.intervals_ms))
         if not self.speeds_mph or not self.intervals_ms:
             raise ValueError("speeds and intervals must be nonempty")
+        # The radio model's own range checks, run here so that a bad value
+        # fails when the spec is built rather than partway through a run.
+        for interval in self.intervals_ms:
+            AdvertiserConfig(interval_ms=interval)
+        for speed in self.speeds_mph:
+            PassGeometry(speed_ms=mph_to_ms(speed))
         if self.trials_per_cell < 1:
             raise ValueError("need at least one trial per cell")
         if self.seed < 0:

@@ -64,6 +64,27 @@ def road_geojson(tmp_path):
 
 
 @pytest.fixture
+def winding_road_geojson(tmp_path):
+    # 2.4 km of 20 m steps near the equator with four bends of different
+    # sharpness: two slower than the cap, one at it, and a hairpin-like one.
+    lat = lon = heading = 0.0
+    coords = [[0.0, 0.0]]
+    for i in range(120):
+        if 12 <= i % 30 < 18:
+            heading += (0.35, -0.2, 0.1, -0.3)[i // 30]
+        lat += 20.0 * math.cos(heading) / M_PER_DEG
+        lon += 20.0 * math.sin(heading) / M_PER_DEG
+        coords.append([round(lon, 7), round(lat, 7)])
+    path = tmp_path / "winding.geojson"
+    path.write_text(json.dumps({
+        "type": "Feature",
+        "properties": {"surface_vmax_mph": 45},
+        "geometry": {"type": "LineString", "coordinates": coords},
+    }))
+    return path
+
+
+@pytest.fixture
 def registry_csv(tmp_path):
     path = tmp_path / "registry.csv"
     path.write_text(
@@ -282,6 +303,32 @@ class TestPlan:
         )
         assert code == 2
 
+    # sha256 of (GeoJSON, summary) for `plan --budget 8` on the winding road:
+    # minima sites, gap-filled sites and coverage gaps.
+    WINDING_PLAN_SHA256 = {
+        "guide": ("81c8b91f3a193476fba975d6b03bddbd9a203eaa79c634bd4f78a954de037e83",
+                  "7348ed26f0b37fb355faba7624e170a037440f82e206d9e4b8cf1d574638b05a"),
+        "0.95": ("dcbc438f61618dfc0903e1d8748de91e426aa0b841aa7a06621193a2cfab5a7c",
+                 "1fa9e1df810481548cc5f57e2e4fee50ec6994d3cb996e60ef2cf72a7103508f"),
+    }
+
+    @pytest.mark.parametrize("reliability", sorted(WINDING_PLAN_SHA256))
+    def test_winding_road_plan_pinned(self, winding_road_geojson, tmp_path, reliability):
+        out, summary = tmp_path / "plan.geojson", tmp_path / "plan.txt"
+        argv = ["plan", "--road", str(winding_road_geojson), "--budget", "8",
+                "--out", str(out), "--summary", str(summary)]
+        if reliability != "guide":
+            argv += ["--reliability", reliability]
+        assert run(argv) == (0, "")
+        digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, summary))
+        assert digests == self.WINDING_PLAN_SHA256[reliability]
+
+
+# sha256 of the store and `--geojson` file that ingesting the dump of
+# test_ingest_idempotent_and_export writes.
+INGEST_STORE_SHA256 = "1df0fbc49e7bf291f846998cd460dfaf725cad65d3b17385df855f31d5fd8adf"
+INGEST_GEOJSON_SHA256 = "f19d03293066c04e5a894ddecce91e8fb95966f8585d5b1418ff50c8c762ff5f"
+
 
 class TestProtocolPipeline:
     def test_encode_decode_roundtrip(self, tmp_path):
@@ -329,6 +376,8 @@ class TestProtocolPipeline:
         assert "(1 quarantined)" in report
         first_store = store.read_bytes()
         first_geo = geo.read_bytes()
+        assert hashlib.sha256(first_store).hexdigest() == INGEST_STORE_SHA256
+        assert hashlib.sha256(first_geo).hexdigest() == INGEST_GEOJSON_SHA256
 
         code, report = run(args)
         assert code == 0
@@ -447,6 +496,9 @@ def test_matrix_csv_pinned(tmp_path, mount, seed):
      "record 'B-01:0:10': count must be at least 1"),
     (["encode", "--receiver", "RX1", "b01:1:10"], "record 'b01:1:10': beacon id 'b01'"),
     (["encode", "--receiver", "rx1", "B-01:1:10"], "--receiver: receiver id 'rx1'"),
+    (["matrix", "--intervals", "50"], "matrix: interval 50 ms outside [100, 10240]"),
+    (["matrix", "--speeds", "0"], "matrix: speed must be positive"),
+    (["matrix", "--speeds", "nan"], "matrix: speed must be positive"),
 ])
 def test_out_of_range_value_is_usage_error(capsys, argv, message):
     code, out = run(argv)
@@ -461,6 +513,45 @@ def test_plan_reliability_out_of_range_is_usage_error(road_geojson, tmp_path, ca
                    "--reliability", "-0.1", "--out", str(tmp_path / "p.geojson")])
     assert code == 2
     assert capsys.readouterr().err == "error: --reliability: -0.1 is outside [0, 1]\n"
+
+
+@pytest.mark.parametrize("text,detail", [
+    ("", "Expecting value: line 1 column 1 (char 0)"),
+    ('{"type": "LineString", "coordinates": [[110.0, 1.0]]}',
+     "road needs at least two vertices"),
+    ("[]", "unsupported GeoJSON type None"),
+    (None, "[Errno 21] Is a directory"),
+])
+def test_bad_road_file_is_config_error(tmp_path, capsys, text, detail):
+    road = tmp_path / "road.geojson"
+    if text is None:
+        road.mkdir()
+    else:
+        road.write_text(text)
+    code, out = run(["plan", "--road", str(road), "--budget", "1",
+                     "--out", str(tmp_path / "p.geojson")])
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: road file {str(road)!r} is invalid: {detail}")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text,detail", [
+    ("beacon_id,lon\nB-01,118.03\n", "registry CSV needs columns beacon_id,lat,lon"),
+    ("beacon_id,lat,lon\nB-01,north,118.03\n", "could not convert string to float: 'north'"),
+    ("beacon_id,lat,lon\nB-01\n", "could not convert string to float: ''"),
+])
+def test_bad_registry_is_config_error(tmp_path, capsys, text, detail):
+    registry = tmp_path / "registry.csv"
+    registry.write_text(text)
+    segments = tmp_path / "segments.txt"
+    segments.write_text("T1|RX1|1/1|B-01:2:10\n")
+    store = tmp_path / "s.ndjson"
+    code, out = run(["ingest", "--segments", str(segments), "--registry", str(registry),
+                     "--store", str(store), "--received-at", "1"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: registry {str(registry)!r} is invalid: {detail}\n"
+    assert not store.exists()
 
 
 def test_model_failure_still_exits_one(tmp_path, capsys):

@@ -51,12 +51,11 @@ class TestGsm7:
         assert gsm7.septet_length("a|b") == 4
 
     def test_unencodable_rejected(self):
-        assert not gsm7.is_gsm7("中")
         with pytest.raises(ValueError):
             gsm7.septet_length("中")
 
     def test_extended_recognised(self):
-        assert gsm7.is_gsm7("{}[]|~^\\€")
+        assert gsm7.septet_length("{}[]|~^\\€") == 18
 
 
 class TestValidation:
@@ -325,8 +324,8 @@ class TestCodec:
 @pytest.fixture
 def registry():
     return {
-        "B-01": RegistryEntry("B-01", 5.41, 118.03, 700, "hm10-bt4"),
-        "B-02": RegistryEntry("B-02", 5.43, 118.10, 1000, "hm10-bt4"),
+        "B-01": RegistryEntry("B-01", 5.41, 118.03),
+        "B-02": RegistryEntry("B-02", 5.43, 118.10),
     }
 
 
@@ -394,6 +393,8 @@ class TestStore:
             "B-01,5.41,118.03,700,hm10-bt4\n"
             "B-02,5.43,118.10,,\n"
         )
-        registry = load_registry(path)
-        assert registry["B-01"].interval_ms == 700
-        assert registry["B-02"].interval_ms is None
+        # interval_ms and preset are accepted and ignored.
+        assert load_registry(path) == {
+            "B-01": RegistryEntry("B-01", 5.41, 118.03),
+            "B-02": RegistryEntry("B-02", 5.43, 118.10),
+        }

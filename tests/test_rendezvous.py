@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from trackside import rendezvous
 from trackside.rendezvous import (
     AdvertiserConfig,
     PassGeometry,
@@ -213,12 +214,14 @@ class TestOracle:
         b = detection_probability_oracle(adv, scan, 2.3, 5000, 42)
         assert a == b
 
-    def test_chunking_does_not_change_result(self):
+    def test_chunking_does_not_change_result(self, monkeypatch):
         adv = AdvertiserConfig(interval_ms=730.0, jitter_ms=6.0)
         scan = ScannerConfig(scan_window_ms=300.0, scan_cycle_ms=2100.0)
-        a = detection_probability_oracle(adv, scan, 2.3, 5000, 42, _chunk=100)
-        b = detection_probability_oracle(adv, scan, 2.3, 5000, 42, _chunk=4096)
-        assert a == b
+        results = []
+        for chunk in (100, 4096):
+            monkeypatch.setattr(rendezvous, "ORACLE_CHUNK", chunk)
+            results.append(detection_probability_oracle(adv, scan, 2.3, 5000, 42))
+        assert results[0] == results[1]
 
     def test_zero_trials_rejected(self):
         adv = AdvertiserConfig(interval_ms=500.0)

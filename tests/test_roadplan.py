@@ -83,12 +83,6 @@ class TestGeometry:
                 speeds, arc_m, lambda a, b, t: a + t * (b - a)
             )
 
-    def test_projection_roundtrip(self):
-        road = straight_road(1000.0)
-        arc, offset = road.project(road.point_at(333.3))
-        assert arc == pytest.approx(333.3, abs=1e-6)
-        assert offset < 1e-6
-
 
 class TestSpeedProfile:
     def test_straight_road_at_cap(self):
@@ -135,8 +129,7 @@ class TestSelectSites:
     def test_hairpin_budget_one_at_apex(self):
         road = hairpin_road()
         sites = select_sites(road, count_budget=1)
-        apex = (2.0 / M_PER_DEG, 100.0 / M_PER_DEG)  # (lat, lon) of (100, 2) m
-        apex_arc, _ = road.project(apex)
+        apex_arc = road.arc_lengths()[2]  # vertex (100, 2) m
         assert len(sites) == 1
         assert sites[0].arc_m == pytest.approx(apex_arc, abs=1.0)
         # apex speed is well under the cap, so the interval is longer
@@ -173,8 +166,7 @@ class TestPlanDeployment:
     def test_sites_on_polyline(self):
         plan = plan_deployment(hairpin_road(), budget=2)
         for site in plan.sites:
-            _, offset = plan.road.project(site.position)
-            assert offset < 1e-6
+            assert site.position == plan.road.point_at(site.arc_m)
 
     def test_guide_consistency(self):
         plan = plan_deployment(straight_road(1500.0), budget=3)
