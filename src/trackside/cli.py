@@ -116,7 +116,10 @@ def _write(path: str | None, text: str, out) -> None:
 
 
 def cmd_calibrate(args, config, out) -> int:
-    samples = load_samples_csv(args.rssi)
+    try:
+        samples = load_samples_csv(args.rssi)
+    except (OSError, ValueError) as exc:
+        raise _invalid_file("RSSI samples", args.rssi, exc) from None
     if not samples:
         print("error: RSSI CSV has no samples", file=sys.stderr)
         return EXIT_USAGE
@@ -441,10 +444,10 @@ def main(argv=None, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
-        # Command-line values and the config, preset, road and registry files
-        # are checked where they are read and fail as ConfigError above; what
-        # is left is a model, feasibility or wire-format failure, or a bad RSSI
-        # samples or store file.
+        # Command-line values and the config, preset, RSSI samples, road and
+        # registry files are checked where they are read and fail as
+        # ConfigError above; what is left is a model, feasibility or
+        # wire-format failure, or a bad store file.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
 

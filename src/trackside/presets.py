@@ -24,9 +24,6 @@ from .rendezvous import (
 # receiver loop.
 CALIBRATED_SCAN_WINDOW_MS = 1170.0
 
-DEFAULT_LATERAL_OFFSET_M = 2.0
-DEFAULT_EVENT_DURATION_MS = 3.0
-
 PATH_LOSS_PRESETS: dict[str, PathLossModel] = {
     # BT4 module: -95 dBm reached at 25 m.
     "hm10-bt4": PathLossModel(exponent=pathloss.EXPONENT_BT4),
@@ -60,8 +57,8 @@ def default_scanner() -> ScannerConfig:
 @dataclass(frozen=True)
 class DriveScenario:
     """Everything needed to score one drive-by: radio model plus timing.
-    The beacon sits DEFAULT_LATERAL_OFFSET_M off the road and advertises
-    DEFAULT_EVENT_DURATION_MS events without jitter."""
+    The beacon is the field unit, with the defaults of ``PassGeometry``
+    (2 m off the road) and ``AdvertiserConfig`` (3 ms events)."""
 
     path_loss: PathLossModel
     scanner: ScannerConfig
@@ -77,16 +74,12 @@ class DriveScenario:
 
     def in_range_time_s(self, speed_mph: float) -> float:
         geometry = PassGeometry(
-            speed_ms=mph_to_ms(speed_mph),
-            lateral_offset_m=DEFAULT_LATERAL_OFFSET_M,
-            detection_range_m=self.detection_range_m(),
+            speed_ms=mph_to_ms(speed_mph), detection_range_m=self.detection_range_m()
         )
         return in_range_time(geometry)
 
     def advertiser(self, interval_ms: float) -> AdvertiserConfig:
-        return AdvertiserConfig(
-            interval_ms=interval_ms, event_duration_ms=DEFAULT_EVENT_DURATION_MS
-        )
+        return AdvertiserConfig(interval_ms=interval_ms)
 
     def pass_probability(self, speed_mph: float, interval_ms: float) -> float:
         """Single-pass detection probability at this speed and interval."""

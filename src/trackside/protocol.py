@@ -79,7 +79,6 @@ class Mode:
 class Sighting:
     t_s: float
     beacon_id: str
-    rssi_dbm: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -202,10 +201,7 @@ class SmsPayload:
     @property
     def text(self) -> str:
         body = ";".join(_record_token(r) for r in self.records)
-        return (
-            f"{VERSION_TAG}|{self.receiver_id}"
-            f"|{self.segment_index}/{self.segment_total}|{body}"
-        )
+        return _header(self.receiver_id, self.segment_index, self.segment_total) + body
 
 
 def _record_token(record: DetectionRecord) -> str:

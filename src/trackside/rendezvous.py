@@ -14,8 +14,9 @@ fractional remainder, so
 
     P = (1 - frac) * coverage(N) + frac * coverage(N + 1)
 
-``detection_probability`` evaluates that union measure exactly (expected
-coverage on a grid when per-event jitter smears the arcs).  Note the
+The beacon is the field unit: 3 ms events with no random per-event delay
+(BLE advDelay), so event starts lie exactly ``interval`` apart and
+``detection_probability`` evaluates that union measure exactly.  Note the
 phase coupling between events makes P genuinely non-monotone in the
 interval near interval/cycle resonances; that is physics, not a bug.
 ``detection_probability_independent`` is the textbook approximation that
@@ -36,7 +37,6 @@ MPH_TO_MS = 0.44704
 
 MIN_INTERVAL_MS = 100.0
 MAX_INTERVAL_MS = 10240.0
-MAX_JITTER_MS = 10.0
 DEFAULT_SCAN_CYCLE_MS = 2500.0
 # Trials decided per array pass, which bounds memory however many are run.
 ORACLE_CHUNK = 20000
@@ -52,11 +52,10 @@ def ms_to_mph(ms: float) -> float:
 
 @dataclass(frozen=True)
 class AdvertiserConfig:
-    """Beacon-side timing."""
+    """Beacon-side timing; the field beacon's events last 3 ms."""
 
     interval_ms: float
     event_duration_ms: float = 3.0
-    jitter_ms: float = 0.0
 
     def __post_init__(self) -> None:
         if not MIN_INTERVAL_MS <= self.interval_ms <= MAX_INTERVAL_MS:
@@ -68,8 +67,6 @@ class AdvertiserConfig:
             raise ValueError("event duration must be positive")
         if self.interval_ms < self.event_duration_ms:
             raise ValueError("interval must cover one advertising event")
-        if not 0.0 <= self.jitter_ms <= MAX_JITTER_MS:
-            raise ValueError(f"jitter must lie in [0, {MAX_JITTER_MS:.0f}] ms")
 
 
 @dataclass(frozen=True)
@@ -88,7 +85,7 @@ class ScannerConfig:
 
 @dataclass(frozen=True)
 class PassGeometry:
-    """One straight drive past a roadside beacon."""
+    """One straight drive past a roadside beacon, 2 m off the road by default."""
 
     speed_ms: float
     lateral_offset_m: float = 2.0
@@ -153,26 +150,6 @@ def _coverage_exact(
     return float(covered) if covered.ndim == 0 else covered
 
 
-def _coverage_jittered(
-    k: int, interval: float, cycle: float, arc: float, jitter: float, bins: int = 10000
-) -> float:
-    """Expected union measure when each arc start is delayed by U[0, jitter]."""
-    if k <= 0:
-        return 0.0
-    if arc >= cycle:
-        return 1.0
-    if jitter <= cycle / bins:
-        # Smear narrower than a grid bin: centre-shift is within grid error.
-        return _coverage_exact(k, interval, cycle, arc)
-    x = (np.arange(bins) + 0.5) * (cycle / bins)
-    starts = np.mod(np.arange(k) * interval, cycle)
-    d = np.mod(x[None, :] - starts[:, None], cycle)
-    overlap = np.minimum(d, jitter) - np.maximum(d - arc, 0.0)
-    p_cover = np.clip(overlap, 0.0, None) / jitter
-    not_covered = np.prod(1.0 - p_cover, axis=0)
-    return float(1.0 - not_covered.mean())
-
-
 def detection_probability(
     adv: AdvertiserConfig, scan: ScannerConfig, t_in_s: float
 ) -> float:
@@ -182,15 +159,11 @@ def detection_probability(
     if t_in_s == 0:
         return 0.0
     arc = _arc_length_ms(adv, scan)
-
-    def coverage(k: int) -> float:
-        if adv.jitter_ms > 0:
-            return _coverage_jittered(
-                k, adv.interval_ms, scan.scan_cycle_ms, arc, adv.jitter_ms
-            )
-        return _coverage_exact(k, adv.interval_ms, scan.scan_cycle_ms, arc)
-
-    return _expected_coverage(t_in_s * 1000.0, adv.interval_ms, coverage)
+    return _expected_coverage(
+        t_in_s * 1000.0,
+        adv.interval_ms,
+        lambda k: _coverage_exact(k, adv.interval_ms, scan.scan_cycle_ms, arc),
+    )
 
 
 def _expected_coverage(span_ms: float, interval: float, coverage):
@@ -232,8 +205,8 @@ def detection_probability_oracle(
     trials: int,
     seed: int | tuple,
 ) -> float:
-    """Brute-force reference: sample uniform advertiser and scanner phases,
-    roll per-event jitter, and check any event against any scan window.
+    """Brute-force reference: sample uniform advertiser and scanner phases
+    and check any event against any scan window.
 
     Unbiased, deterministic in the seed, standard error <= 0.5/sqrt(trials).
     All randomness is drawn up front in a fixed order; chunking only
@@ -248,28 +221,23 @@ def detection_probability_oracle(
         return 0.0
 
     span = t_in_s * 1000.0
-    interval = adv.interval_ms
-    cycle = scan.scan_cycle_ms
-    k_max = int((span + adv.jitter_ms) // interval) + 1
-
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    phase_adv = rng.uniform(0.0, interval, size=trials)
-    phase_scan = rng.uniform(0.0, cycle, size=trials)
-    jitter = (
-        rng.uniform(0.0, adv.jitter_ms, size=(trials, k_max))
-        if adv.jitter_ms > 0
-        else None
-    )
+    phase_adv = rng.uniform(0.0, adv.interval_ms, size=trials)
+    phase_scan = rng.uniform(0.0, scan.scan_cycle_ms, size=trials)
 
     hits = 0
-    offsets = np.arange(k_max) * interval
+    offsets = _event_offsets(span, adv.interval_ms)
     for lo in range(0, trials, ORACLE_CHUNK):
         hi = min(lo + ORACLE_CHUNK, trials)
         starts = phase_adv[lo:hi, None] + offsets[None, :]
-        if jitter is not None:
-            starts = starts + jitter[lo:hi]
         hits += int(_any_heard(starts, phase_scan[lo:hi], span, adv, scan).sum())
     return hits / trials
+
+
+def _event_offsets(span: float, interval: float) -> np.ndarray:
+    """Offsets, from the first event's start, of every event that can start
+    within ``span`` ms of a pass, whatever the advertiser's phase."""
+    return np.arange(int(span // interval) + 1) * interval
 
 
 def _any_heard(

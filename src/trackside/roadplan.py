@@ -311,29 +311,52 @@ def road_from_geojson(obj) -> Road:
         obj = json.loads(obj)
     kind = obj.get("type") if isinstance(obj, dict) else None
     if kind == "FeatureCollection":
-        for feature in obj.get("features", []):
-            if feature.get("geometry", {}).get("type") == "LineString":
+        features = obj.get("features", [])
+        if not isinstance(features, list):
+            raise ValueError("features must be a list")
+        for feature in features:
+            if not isinstance(feature, dict):
+                raise ValueError("each feature must be a JSON object")
+            if _object(feature.get("geometry"), "geometry").get("type") == "LineString":
                 return road_from_geojson(feature)
         raise ValueError("no LineString feature in collection")
     if kind == "Feature":
-        vmax = (obj.get("properties") or {}).get(
+        vmax = _object(obj.get("properties"), "properties").get(
             "surface_vmax_mph", DEFAULT_SURFACE_VMAX_MPH
         )
-        geometry = obj.get("geometry") or {}
-        return _road_from_linestring(geometry, vmax)
+        return _road_from_linestring(_object(obj.get("geometry"), "geometry"), vmax)
     if kind == "LineString":
         return _road_from_linestring(obj, DEFAULT_SURFACE_VMAX_MPH)
     raise ValueError(f"unsupported GeoJSON type {kind!r}")
 
 
-def _road_from_linestring(geometry, vmax) -> Road:
+def _object(value, what: str) -> dict:
+    """A JSON object member, with null read as an empty object."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object or null")
+    return value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_position(value) -> bool:
+    return isinstance(value, list) and len(value) >= 2 and all(map(_is_number, value))
+
+
+def _road_from_linestring(geometry: dict, vmax) -> Road:
     if geometry.get("type") != "LineString":
         raise ValueError("road geometry must be a LineString")
     coords = geometry.get("coordinates") or []
-    # GeoJSON positions are [lon, lat].
-    return Road(
-        polyline=tuple((lat, lon) for lon, lat in coords), surface_vmax_mph=float(vmax)
-    )
+    if not isinstance(coords, list) or not all(_is_position(p) for p in coords):
+        raise ValueError("road coordinates must be positions of at least 2 numbers")
+    if not _is_number(vmax):
+        raise ValueError("surface_vmax_mph must be a number")
+    # GeoJSON positions are [lon, lat] with an optional altitude.
+    return Road(polyline=tuple((p[1], p[0]) for p in coords), surface_vmax_mph=float(vmax))
 
 
 def plan_to_geojson(plan: DeploymentPlan) -> dict:

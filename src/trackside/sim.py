@@ -36,6 +36,7 @@ from .rendezvous import (
     _any_heard,
     _arc_length_ms,
     _coverage_exact,
+    _event_offsets,
     _expected_coverage,
     detection_probability,
     detection_probability_oracle,
@@ -336,9 +337,9 @@ def _cell_detections(
     if t_in_s == 0:
         return 0
     span = t_in_s * 1000.0
-    # The oracle's arithmetic for a jitter-free advertiser.  Its phases are
+    # The oracle's arithmetic: the same event offsets, and its phases are
     # Generator.uniform(0, x) draws, 0.0 + x * u, which is x * u exactly.
-    offsets = np.arange(int(span // adv.interval_ms) + 1) * adv.interval_ms
+    offsets = _event_offsets(span, adv.interval_ms)
     block = max(1, min(ORACLE_CHUNK, _BLOCK_EVENTS // len(offsets)))
     detections = 0
     for lo in range(0, trials, block):
@@ -491,8 +492,7 @@ def _target_mismatch(
     """Band mismatch of one target under ``scenario``, one entry per scanner.
 
     Equal, scanner by scanner, to the target's share of ``_mismatch_report``:
-    the scanners share one scan cycle, a scenario's advertiser has no
-    jitter, so its coverage is exact, and the hearable arc depends on the
+    the scanners share one scan cycle, and the hearable arc depends on the
     advertiser only through the event duration, which is the same for
     every interval.
     """

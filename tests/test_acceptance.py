@@ -111,7 +111,6 @@ def test_acceptance_3_rendezvous_oracle_agreement():
         adv = AdvertiserConfig(
             interval_ms=rnd.uniform(150, 2200),
             event_duration_ms=rnd.uniform(1, 10),
-            jitter_ms=rnd.choice([0.0, rnd.uniform(0.1, 10.0)]),
         )
         cycle = rnd.uniform(900, 4000)
         scan = ScannerConfig(scan_window_ms=rnd.uniform(10, cycle), scan_cycle_ms=cycle)
@@ -304,7 +303,7 @@ def test_acceptance_8_receiver_replay_equivalence():
                 t_event = t
             roll = rnd.random()
             if roll < 0.7:
-                events.append(Sighting(t_event, rnd.choice(beacons), -80.0))
+                events.append(Sighting(t_event, rnd.choice(beacons)))
             elif roll < 0.8:
                 events.append(GsmUp(t_event))
             elif roll < 0.9:

@@ -28,16 +28,44 @@ tracer = _load_tracer()
 TRACED = [(module, attr) for module, attr, _ in tracer.SPANS + tracer.COUNTS]
 
 
+# Arguments that bench/tracer.py reads by position, as (module, function,
+# position, parameter); a method's position counts ``self`` or ``cls``.
+POSITIONAL = [
+    ("pathloss", "detection_range", 1, "threshold_dbm"),
+    ("pathloss", "detection_range", 2, "materials"),
+    ("rendezvous", "detection_probability_oracle", 3, "trials"),
+    ("protocol", "merge_detections", 1, "decoded"),
+    ("protocol", "DetectionStore.load", 1, "path"),
+    ("protocol", "DetectionStore.save", 1, "path"),
+]
+
+
+def _raw(module_name, attr):
+    """The function the tracer wraps, unbound."""
+    module = importlib.import_module(f"trackside.{module_name}")
+    if "." not in attr:
+        return getattr(module, attr, None)
+    cls_name, method = attr.split(".")
+    return vars(getattr(module, cls_name)).get(method)
+
+
+@pytest.mark.parametrize("module_name, attr, position, name", POSITIONAL)
+def test_traced_argument_position(module_name, attr, position, name):
+    raw = _raw(module_name, attr)
+    params = list(inspect.signature(getattr(raw, "__func__", raw)).parameters)
+    assert params[position:position + 1] == [name], (
+        f"{module_name}.{attr} takes {params}; the tracer reads {name!r} at {position}"
+    )
+
+
 @pytest.mark.parametrize("module_name, attr", TRACED)
 def test_traced_name_is_wrappable(module_name, attr):
-    module = importlib.import_module(f"trackside.{module_name}")
+    raw = _raw(module_name, attr)
     if "." in attr:
-        cls_name, method = attr.split(".")
-        raw = vars(getattr(module, cls_name)).get(method)
         assert inspect.isfunction(raw) or isinstance(raw, classmethod), (
             f"{module_name}.{attr} is {raw!r}, not a method or classmethod"
         )
     else:
-        assert inspect.isfunction(getattr(module, attr, None)), (
+        assert inspect.isfunction(raw), (
             f"{module_name}.{attr} is not a module-level function"
         )

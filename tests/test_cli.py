@@ -145,6 +145,44 @@ class TestCalibrate:
         code, _ = run(["calibrate", "--rssi", str(bad), "--out", str(tmp_path / "p.ini")])
         assert code == 1
 
+    @pytest.mark.parametrize("text,detail", [
+        ("d,r\n1,-70\n", "RSSI CSV needs header distance_m,rssi_dbm[,materials]"),
+        ("distance_m,rssi_dbm,materials\n1,abc,\n25,-95,\n",
+         "could not convert string to float: 'abc'"),
+        ("distance_m,rssi_dbm,materials\n1,-70,chassis\n25,-95,\n",
+         "unknown material 'chassis'"),
+    ])
+    def test_bad_samples_csv_is_config_error(self, tmp_path, capsys, text, detail):
+        rssi = tmp_path / "rssi.csv"
+        rssi.write_text(text)
+        preset = tmp_path / "p.ini"
+        code, out = run(["calibrate", "--rssi", str(rssi), "--out", str(preset)])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: RSSI samples {str(rssi)!r} is invalid: {detail}\n"
+        )
+        assert not preset.exists()
+
+    # sha256 of the report and preset that `calibrate` writes for the two
+    # field anchors, so that a change below it cannot move the calibration
+    # unnoticed.
+    ANCHORS_SHA256 = (
+        "a1053524af71b344e276765b66280192df6207d21fc3a1b862215af1aeae93d5",
+        "9fd0eda43466fe0fd0cbb36fd0f1e6b9e39e48b38961e3f1013e401aad50a8cc",
+    )
+
+    def test_anchor_calibration_pinned(self, anchors_csv, tmp_path, monkeypatch):
+        # Relative paths: the report names the preset it wrote.
+        monkeypatch.chdir(tmp_path)
+        code, _ = run(["calibrate", "--rssi", str(anchors_csv), "--out", "preset.ini",
+                       "--report", "report.txt"])
+        assert code == 0
+        digests = tuple(
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("report.txt", "preset.ini")
+        )
+        assert digests == self.ANCHORS_SHA256
+
     def test_two_anchor_preset_and_determinism(self, anchors_csv, tmp_path):
         preset = tmp_path / "preset.ini"
         report = tmp_path / "report.txt"
@@ -521,6 +559,16 @@ def test_plan_reliability_out_of_range_is_usage_error(road_geojson, tmp_path, ca
      "road needs at least two vertices"),
     ("[]", "unsupported GeoJSON type None"),
     (None, "[Errno 21] Is a directory"),
+    ('{"type": "Feature", "geometry": [1]}', "geometry must be a JSON object or null"),
+    ('{"type": "Feature", "properties": 5, "geometry": '
+     '{"type": "LineString", "coordinates": [[110.0, 1.0], [110.0, 1.1]]}}',
+     "properties must be a JSON object or null"),
+    ('{"type": "LineString", "coordinates": [null, [0, 1]]}',
+     "road coordinates must be positions of at least 2 numbers"),
+    ('{"type": "FeatureCollection", "features": [1]}', "each feature must be a JSON object"),
+    ('{"type": "Feature", "properties": {"surface_vmax_mph": null}, "geometry": '
+     '{"type": "LineString", "coordinates": [[110.0, 1.0], [110.0, 1.1]]}}',
+     "surface_vmax_mph must be a number"),
 ])
 def test_bad_road_file_is_config_error(tmp_path, capsys, text, detail):
     road = tmp_path / "road.geojson"

@@ -75,21 +75,21 @@ class TestValidation:
 class TestReceiverStep:
     def test_first_sighting_buffers(self):
         state = ReceiverState()
-        result = receiver_step(state, Sighting(10.0, "B-01", -80.0))
+        result = receiver_step(state, Sighting(10.0, "B-01"))
         assert result.state.buffer == (DetectionRecord("B-01", 10, 1),)
         assert result.payloads == ()
         assert result.state.mode == Mode.SCANNING
 
     def test_repeat_within_window_dedups(self):
         state = ReceiverState()
-        state = receiver_step(state, Sighting(10.0, "B-01", -80.0)).state
-        state = receiver_step(state, Sighting(12.0, "B-01", -82.0)).state
+        state = receiver_step(state, Sighting(10.0, "B-01")).state
+        state = receiver_step(state, Sighting(12.0, "B-01")).state
         assert state.buffer == (DetectionRecord("B-01", 10, 2),)
 
     def test_repeat_after_window_opens_new_record(self):
         state = ReceiverState(dedup_window_s=30.0)
-        state = receiver_step(state, Sighting(10.0, "B-01", -80.0)).state
-        state = receiver_step(state, Sighting(100.0, "B-01", -80.0)).state
+        state = receiver_step(state, Sighting(10.0, "B-01")).state
+        state = receiver_step(state, Sighting(100.0, "B-01")).state
         assert state.buffer == (
             DetectionRecord("B-01", 10, 1),
             DetectionRecord("B-01", 100, 1),
@@ -103,8 +103,8 @@ class TestReceiverStep:
 
     def test_gsm_up_flushes_buffer(self):
         state = ReceiverState()
-        state = receiver_step(state, Sighting(10.0, "B-01", -80.0)).state
-        state = receiver_step(state, Sighting(20.0, "B-02", -85.0)).state
+        state = receiver_step(state, Sighting(10.0, "B-01")).state
+        state = receiver_step(state, Sighting(20.0, "B-02")).state
         result = receiver_step(state, GsmUp(30.0))
         assert len(result.payloads) == 1
         assert result.payloads[0].records == (
@@ -116,7 +116,7 @@ class TestReceiverStep:
 
     def test_sighting_while_connected_flushes_immediately(self):
         state = receiver_step(ReceiverState(), GsmUp(1.0)).state
-        result = receiver_step(state, Sighting(2.0, "B-09", -70.0))
+        result = receiver_step(state, Sighting(2.0, "B-09"))
         assert len(result.payloads) == 1
         assert result.state.buffer == ()
 
@@ -128,19 +128,19 @@ class TestReceiverStep:
 
     def test_out_of_order_event_rejected(self):
         state = receiver_step(ReceiverState(), Tick(100.0)).state
-        result = receiver_step(state, Sighting(50.0, "B-01", -80.0))
+        result = receiver_step(state, Sighting(50.0, "B-01"))
         assert result.rejected is not None
         assert result.state == state
 
     def test_invalid_beacon_id_rejected(self):
-        result = receiver_step(ReceiverState(), Sighting(1.0, "bad id", -80.0))
+        result = receiver_step(ReceiverState(), Sighting(1.0, "bad id"))
         assert result.rejected is not None
         assert result.state.buffer == ()
 
     def test_buffer_sorted_by_first_seen(self):
         state = ReceiverState()
         for t, beacon in ((5.0, "B-03"), (9.0, "B-01"), (14.0, "B-02")):
-            state = receiver_step(state, Sighting(t, beacon, -80.0)).state
+            state = receiver_step(state, Sighting(t, beacon)).state
         seen = [r.first_seen_s for r in state.buffer]
         assert seen == sorted(seen)
 
@@ -193,7 +193,7 @@ def random_events(rnd, n):
             t_event = t
         roll = rnd.random()
         if roll < 0.7:
-            events.append(Sighting(t_event, rnd.choice(beacons), -rnd.uniform(60, 95)))
+            events.append(Sighting(t_event, rnd.choice(beacons)))
         elif roll < 0.8:
             events.append(GsmUp(t_event))
         elif roll < 0.9:

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,9 +22,7 @@ from trackside.rendezvous import (
 
 def random_config(rnd):
     adv = AdvertiserConfig(
-        interval_ms=rnd.uniform(150, 2200),
-        event_duration_ms=rnd.uniform(1, 10),
-        jitter_ms=rnd.choice([0.0, rnd.uniform(0.1, 10.0)]),
+        interval_ms=rnd.uniform(150, 2200), event_duration_ms=rnd.uniform(1, 10)
     )
     cycle = rnd.uniform(900, 4000)
     scan = ScannerConfig(scan_window_ms=rnd.uniform(10, cycle), scan_cycle_ms=cycle)
@@ -149,22 +148,14 @@ class TestDetectionProbability:
                 scan_cycle_ms=scan.scan_cycle_ms,
             )
             assert detection_probability(adv, wider, t) >= p - 1e-9
-            longer = AdvertiserConfig(
-                interval_ms=adv.interval_ms,
-                event_duration_ms=adv.event_duration_ms + 5.0,
-                jitter_ms=adv.jitter_ms,
-            )
+            longer = replace(adv, event_duration_ms=adv.event_duration_ms + 5.0)
             assert detection_probability(longer, scan, t) >= p - 1e-9
 
     def test_independent_monotone_in_interval(self):
         rnd = random.Random(13)
         for _ in range(40):
             adv, scan, t = random_config(rnd)
-            slower = AdvertiserConfig(
-                interval_ms=adv.interval_ms * 1.5,
-                event_duration_ms=adv.event_duration_ms,
-                jitter_ms=adv.jitter_ms,
-            )
+            slower = replace(adv, interval_ms=adv.interval_ms * 1.5)
             assert (
                 detection_probability_independent(slower, scan, t)
                 <= detection_probability_independent(adv, scan, t) + 1e-12
@@ -208,14 +199,14 @@ class TestOracle:
         assert detection_probability_oracle(adv, scan, 0.0, 100, 7) == 0.0
 
     def test_deterministic_in_seed(self):
-        adv = AdvertiserConfig(interval_ms=730.0, jitter_ms=6.0)
+        adv = AdvertiserConfig(interval_ms=730.0)
         scan = ScannerConfig(scan_window_ms=300.0, scan_cycle_ms=2100.0)
         a = detection_probability_oracle(adv, scan, 2.3, 5000, 42)
         b = detection_probability_oracle(adv, scan, 2.3, 5000, 42)
         assert a == b
 
     def test_chunking_does_not_change_result(self, monkeypatch):
-        adv = AdvertiserConfig(interval_ms=730.0, jitter_ms=6.0)
+        adv = AdvertiserConfig(interval_ms=730.0)
         scan = ScannerConfig(scan_window_ms=300.0, scan_cycle_ms=2100.0)
         results = []
         for chunk in (100, 4096):
@@ -247,12 +238,6 @@ class TestConfigValidation:
             AdvertiserConfig(interval_ms=50.0)
         with pytest.raises(ValueError):
             AdvertiserConfig(interval_ms=20000.0)
-
-    def test_jitter_bounds(self):
-        with pytest.raises(ValueError):
-            AdvertiserConfig(interval_ms=500.0, jitter_ms=11.0)
-        with pytest.raises(ValueError):
-            AdvertiserConfig(interval_ms=500.0, jitter_ms=-1.0)
 
     def test_event_duration(self):
         with pytest.raises(ValueError):
