@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 import time
@@ -232,11 +233,18 @@ def cmd_plan(args, config, out) -> int:
 
 def cmd_guide(args, config, out) -> int:
     if args.reliability is None:
+        if args.speeds is not None or args.preset is not None:
+            raise ConfigError(
+                "--speeds and --preset need --reliability: the published guide is fixed"
+            )
         rows = power.published_guide()
     else:
         model, scanner = _resolve_preset(_setting(config, "guide", "preset", args.preset))
         scenario = scenario_for_mount(Mount.WHEEL_ARCH, model, scanner)
         speeds = _speeds(args.speeds)
+        for speed in speeds:
+            if not 0.0 < speed < math.inf:
+                raise ConfigError(f"--speeds: {speed!r} is not a positive, finite speed")
         rows = power.derive_guide(_reliability(args.reliability), speeds, scenario)
 
     csv_lines = ["max_speed_mph,interval_ms,battery_days"]
@@ -354,6 +362,10 @@ def cmd_decode(args, config, out) -> int:
 
 
 def cmd_export(args, config, out) -> int:
+    # ingest starts a store where there is none; export would only write
+    # an empty map.
+    if not os.path.isfile(args.store):
+        raise ConfigError(f"detection store {args.store!r} is not a file")
     store = protocol.DetectionStore.load(args.store)
     _write(
         args.out,

@@ -451,13 +451,23 @@ class DetectionStore:
 
     @classmethod
     def load(cls, path) -> "DetectionStore":
+        """The store saved at ``path``, or an empty one if there is no such
+        file.  A line that is not one detection event raises ``ValueError``
+        naming the file and the line."""
         store = cls()
         try:
             with open(path) as fh:
-                for line in fh:
+                for number, line in enumerate(fh, 1):
                     line = line.strip()
-                    if line:
+                    if not line:
+                        continue
+                    try:
                         store._append(DetectionEvent.from_json(line))
+                    except (TypeError, ValueError) as exc:
+                        raise ValueError(
+                            f"detection store {str(path)!r} line {number} is not "
+                            f"a detection event: {exc}"
+                        ) from None
         except FileNotFoundError:
             pass
         return store

@@ -28,10 +28,30 @@ Carlo and is the reference the analytic path is tested against.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 
-import numpy as np
+
+def _deferred(name: str):
+    """Module ``name``, imported on its first attribute access.
+
+    Only the array paths here and in ``sim`` compute with numpy, so a
+    process that never reaches them does not pay for its import."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _deferred("numpy")
 
 MPH_TO_MS = 0.44704
 

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .pathloss import PathLossModel
 from .presets import DEFAULT_PATH_LOSS_PRESET, DriveScenario, Mount, scenario_for_mount
 from .rendezvous import (
@@ -36,12 +34,15 @@ from .rendezvous import (
     _any_heard,
     _arc_length_ms,
     _coverage_exact,
+    _deferred,
     _event_offsets,
     _expected_coverage,
     detection_probability,
     detection_probability_oracle,
     mph_to_ms,
 )
+
+np = _deferred("numpy")
 
 __all__ = [
     "Mount",
@@ -208,11 +209,13 @@ def simulate_pass(
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-_LO32, _U11, _U16, _U32 = np.uint64(_MASK32), np.uint64(11), np.uint64(16), np.uint64(32)
 # PCG64's 128-bit LCG multiplier as (high, low) 64-bit halves (O'Neill 2014).
-_PCG_MULT = (np.uint64(2549297995355413924), np.uint64(4865540595714422341))
+_PCG_MULT = (2549297995355413924, 4865540595714422341)
+# These stay Python ints, so importing this module does not import numpy;
+# the array code turns each into an np.uint64 where it is used, so no
+# Python int meets a uint64 array (numpy < 2 promotes that differently).
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -237,13 +240,13 @@ def _hash_multipliers(init: int, mult: int, count: int) -> list[tuple[int, int]]
 
 
 def _hashmix(value: np.ndarray, consts: tuple[int, int]) -> np.ndarray:
-    value = ((value ^ np.uint64(consts[0])) * np.uint64(consts[1])) & _LO32
-    return value ^ (value >> _U16)
+    value = ((value ^ np.uint64(consts[0])) * np.uint64(consts[1])) & np.uint64(_MASK32)
+    return value ^ (value >> np.uint64(16))
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _LO32
-    return result ^ (result >> _U16)
+    result = (np.uint64(_MIX_MULT_L) * x - np.uint64(_MIX_MULT_R) * y) & np.uint64(_MASK32)
+    return result ^ (result >> np.uint64(16))
 
 
 def _seed_words(entropy: list[np.ndarray]) -> list[np.ndarray]:
@@ -263,21 +266,23 @@ def _seed_words(entropy: list[np.ndarray]) -> list[np.ndarray]:
             pool[dst] = _mix(pool[dst], _hashmix(word, next(consts)))
     consts = _hash_multipliers(_INIT_B, _MULT_B, 8)
     state = [_hashmix(pool[i % n], c) for i, c in enumerate(consts)]
-    return [state[i] | (state[i + 1] << _U32) for i in range(0, 8, 2)]
+    return [state[i] | (state[i + 1] << np.uint64(32)) for i in range(0, 8, 2)]
 
 
 def _mul_hi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """High 64 bits of the 128-bit product a * b, from 32-bit halves."""
-    a0, a1, b0, b1 = a & _LO32, a >> _U32, b & _LO32, b >> _U32
+    lo32, u32 = np.uint64(_MASK32), np.uint64(32)
+    a0, a1, b0, b1 = a & lo32, a >> u32, b & lo32, b >> u32
     cross0, cross1 = a0 * b1, a1 * b0
-    mid = ((a0 * b0) >> _U32) + (cross0 & _LO32) + (cross1 & _LO32)
-    return a1 * b1 + (cross0 >> _U32) + (cross1 >> _U32) + (mid >> _U32)
+    mid = ((a0 * b0) >> u32) + (cross0 & lo32) + (cross1 & lo32)
+    return a1 * b1 + (cross0 >> u32) + (cross1 >> u32) + (mid >> u32)
 
 
 def _pcg_step(state, inc):
     """One PCG64 LCG step, state * multiplier + inc mod 2**128, on
     (high, low) pairs of uint64 arrays."""
-    (hi, lo), (m_hi, m_lo) = state, _PCG_MULT
+    hi, lo = state
+    m_hi, m_lo = np.uint64(_PCG_MULT[0]), np.uint64(_PCG_MULT[1])
     lo_next = lo * m_lo + inc[1]
     carry = (lo_next < inc[1]).astype(np.uint64)
     return _mul_hi(lo, m_lo) + lo * m_hi + hi * m_lo + inc[0] + carry, lo_next
@@ -288,7 +293,7 @@ def _pcg_double(state) -> np.ndarray:
     hi, lo = state
     x, rot = hi ^ lo, hi >> np.uint64(58)
     word = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-    return (word >> _U11) * (1.0 / 9007199254740992.0)
+    return (word >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 
 def _first_doubles(entropy: list[np.ndarray]) -> np.ndarray:
@@ -313,13 +318,14 @@ def _trial_uniforms(seed: int, cell_index: int, trials) -> np.ndarray:
     trials = np.asarray(trials, dtype=np.uint64)
     prefix = _uint32_words(seed) + _uint32_words(cell_index)
     out = np.empty((2, trials.size))
+    lo32 = np.uint64(_MASK32)
     # SeedSequence takes a trial index of 2**32 or more as two words.
-    wide = trials > _LO32
+    wide = trials > lo32
     for part, n_words in ((~wide, 1), (wide, 2)):
         t = trials[part]
         if t.size:
             fixed = [np.full(t.shape, w, dtype=np.uint64) for w in prefix]
-            out[:, part] = _first_doubles(fixed + [t & _LO32, t >> _U32][:n_words])
+            out[:, part] = _first_doubles(fixed + [t & lo32, t >> np.uint64(32)][:n_words])
     return out
 
 

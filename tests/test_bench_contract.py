@@ -4,12 +4,16 @@ can wrap, or a refactor silently breaks the traced run."""
 
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def _load_tracer():
@@ -69,3 +73,15 @@ def test_traced_name_is_wrappable(module_name, attr):
         assert inspect.isfunction(raw), (
             f"{module_name}.{attr} is not a module-level function"
         )
+
+
+def test_cli_import_loads_every_traced_layer():
+    # tracer.install wraps sys.modules["trackside.<layer>"]; run in a new
+    # interpreter, since this one has imported every layer already.
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
+    probe = "import json, sys, trackside.cli; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    loaded = set(json.loads(proc.stdout))
+    assert [m for m in tracer.LAYERS if f"trackside.{m}" not in loaded] == []

@@ -130,6 +130,23 @@ class TestGuide:
         )
 
 
+    @pytest.mark.parametrize("speeds", ["0", "-10", "nan", "inf", "10,inf"])
+    def test_bad_speed_is_usage_error(self, capsys, speeds):
+        code, out = run(["guide", "--reliability", "0.95", "--speeds", speeds])
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: --speeds: ") and "positive, finite" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flags", [["--speeds", "10"], ["--preset", "nosuch"]])
+    def test_model_flag_without_reliability_is_usage_error(self, capsys, flags):
+        code, out = run(["guide", *flags])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: --speeds and --preset need --reliability: the published guide is fixed\n"
+        )
+
+
 class TestCalibrate:
     def test_empty_csv_usage_error(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -426,6 +443,43 @@ class TestProtocolPipeline:
         code, text = run(["export", "--store", str(store), "--out", str(tmp_path / "e.geojson")])
         assert code == 0
         assert (tmp_path / "e.geojson").read_bytes() == first_geo
+
+    def test_export_of_missing_store_is_usage_error(self, tmp_path, capsys):
+        store, geo = tmp_path / "typo.ndjson", tmp_path / "map.geojson"
+        code, out = run(["export", "--store", str(store), "--out", str(geo)])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: detection store {str(store)!r} is not a file\n"
+        assert not geo.exists()
+
+    @pytest.mark.parametrize("line,detail", [
+        ('{"beacon_id": "B-0001", "bogus": 1}', "unexpected keyword argument 'bogus'"),
+        ('{"beacon_id": "B-0001"}', "missing 4 required positional arguments"),
+        ("[1,2]", "must be a mapping, not list"),
+        ("{not json", "Expecting property name enclosed in double quotes"),
+    ])
+    @pytest.mark.parametrize("command", ["ingest", "export"])
+    def test_corrupt_store_names_file_and_line(
+        self, registry_csv, tmp_path, capsys, command, line, detail
+    ):
+        good = ('{"beacon_id": "B-01", "count": 2, "first_seen_s": 10, "lat": 5.41, '
+                '"lon": 118.03, "quarantined": false, "received_at": 1, "receiver_id": "RX1"}')
+        store = tmp_path / "store.ndjson"
+        store.write_text(f"{good}\n\n{line}\n")
+        segments = tmp_path / "segments.txt"
+        segments.write_text("T1|RX1|1/1|B-01:2:10\n")
+        argv = {
+            "ingest": ["ingest", "--segments", str(segments), "--registry", str(registry_csv),
+                       "--store", str(store), "--received-at", "2"],
+            "export": ["export", "--store", str(store), "--out", str(tmp_path / "e.geojson")],
+        }[command]
+        code, out = run(argv)
+        assert (code, out) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: detection store {str(store)!r} line 3 is not a detection event: "
+        )
+        assert detail in err and len(err.splitlines()) == 1
+        assert store.read_text() == f"{good}\n\n{line}\n"
 
     def test_ingest_flags_unparseable_lines(self, registry_csv, tmp_path):
         segments = tmp_path / "segments.txt"
