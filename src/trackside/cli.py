@@ -452,7 +452,9 @@ def main(argv=None, out=None) -> int:
     try:
         config = _load_config(args.config)
         return args.func(args, config, out)
-    except (ConfigError, FileNotFoundError, KeyError) as exc:
+    except (ConfigError, OSError, KeyError) as exc:
+        # An OSError comes from opening a path given on the command line
+        # (missing, a directory, unreadable); its message names the file.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
+from .rendezvous import _arc_length_ms
+
 if TYPE_CHECKING:
     from .presets import DriveScenario
 
@@ -88,14 +90,24 @@ def derive_guide(
     For each speed, picks the largest interval on the guide's search grid
     whose single-pass detection probability meets the target.  A speed
     with no feasible interval yields a row flagged infeasible.
+
+    An interval is not probed when it provably fails: with n whole events
+    in range, p is at most the coverage of n + 1 arcs, which is at most
+    (n + 1) * arc / cycle.  The 1e-9 margin dwarfs the rounding of the
+    coverage sum, so a skipped interval always has p below the target.
     """
     if not 0.0 <= reliability_target <= 1.0:
         raise ValueError("reliability target must lie in [0, 1]")
     rows = []
     ceiling = GUIDE_MAX_INTERVAL_MS
+    needed_ms = reliability_target * scenario.scanner.scan_cycle_ms * (1.0 - 1e-9)
     for speed in sorted(speeds_mph):
+        span_ms = scenario.in_range_time_s(speed) * 1000.0
         best = None
         for interval in range(ceiling, GUIDE_INTERVAL_STEP_MS - 1, -GUIDE_INTERVAL_STEP_MS):
+            arc = _arc_length_ms(scenario.advertiser(interval), scenario.scanner)
+            if (int(span_ms / interval) + 1) * arc < needed_ms:
+                continue
             if scenario.pass_probability(speed, interval) >= reliability_target:
                 best = interval
                 break

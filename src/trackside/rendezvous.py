@@ -112,8 +112,8 @@ class PassGeometry:
     detection_range_m: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.speed_ms > 0:  # also rejects NaN
-            raise ValueError("speed must be positive")
+        if not 0 < self.speed_ms < math.inf:  # also rejects NaN
+            raise ValueError("speed must be positive and finite")
         if self.lateral_offset_m < 0:
             raise ValueError("lateral offset cannot be negative")
         if self.detection_range_m < 0:

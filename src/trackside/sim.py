@@ -493,31 +493,25 @@ def _mismatch_report(
 def _target_mismatch(
     target: TargetMatrix,
     scenario: DriveScenario,
-    scanners: Sequence[ScannerConfig],
+    bands_target: np.ndarray,
+    coverage,
 ) -> np.ndarray:
-    """Band mismatch of one target under ``scenario``, one entry per scanner.
+    """Band mismatch of one target under ``scenario``, one entry per
+    scanner; ``coverage(k, interval)`` is ``_coverage_exact`` at every
+    scanner's arc, and ``bands_target`` the target's bands in cell order.
 
-    Equal, scanner by scanner, to the target's share of ``_mismatch_report``:
-    the scanners share one scan cycle, and the hearable arc depends on the
-    advertiser only through the event duration, which is the same for
-    every interval.
+    Equal, scanner by scanner, to the target's share of ``_mismatch_report``.
     """
-    cycle = scanners[0].scan_cycle_ms
-    first = scenario.advertiser(target.intervals_ms[0])
-    arcs = np.array([_arc_length_ms(first, s) for s in scanners])
-    probabilities, bands_target = [], []
+    probabilities = []
     for speed in target.speeds_mph:
         span_ms = scenario.in_range_time_s(speed) * 1000.0
         for interval in target.intervals_ms:
             adv = scenario.advertiser(interval)
             probabilities.append(_expected_coverage(
-                span_ms,
-                adv.interval_ms,
-                lambda k: _coverage_exact(k, adv.interval_ms, cycle, arcs),
+                span_ms, adv.interval_ms, lambda k: coverage(k, adv.interval_ms)
             ))
-            bands_target.append(band_of_label(target.label(speed, interval)))
     bands = band_of_probability(np.array(probabilities))
-    return np.abs(bands - np.array(bands_target)[:, None]).sum(axis=0)
+    return np.abs(bands - bands_target[:, None]).sum(axis=0)
 
 
 def _objective_grid(
@@ -529,18 +523,42 @@ def _objective_grid(
     """The ``_mismatch_report`` objective at every grid point, as an int
     array: entry [i, j] is the objective at (windows[i], bonnets[j]).
 
-    Each cell sorts its arc gaps once and scores every window at once.
-    Cells that see the same detection range under two bonnet losses, as
-    every wheel-arch cell does, are scored once and shared."""
+    The scanners share one scan cycle, and the hearable arc depends on the
+    advertiser only through the event duration, the same for every
+    interval; so the coverage of k events at one interval, over every
+    window at once, depends on (k, interval) alone.  Each is computed once
+    and shared by every target, bonnet loss and speed.  Cells that see the
+    same detection range under two bonnet losses, as every wheel-arch cell
+    does, are scored once and shared."""
     scanners = [ScannerConfig(scan_window_ms=w) for w in windows]
+    cycle = scanners[0].scan_cycle_ms
+    table: dict[tuple[int, float], np.ndarray] = {}
+    arcs = None
+
+    def coverage(k: int, interval: float) -> np.ndarray:
+        key = (k, interval)
+        if key not in table:
+            table[key] = _coverage_exact(k, interval, cycle, arcs)
+        return table[key]
+
     total = np.zeros((len(windows), len(bonnets)), dtype=int)
     for target in targets:
+        bands_target = np.array([
+            band_of_label(target.label(speed, interval))
+            for speed in target.speeds_mph
+            for interval in target.intervals_ms
+        ])
         by_range: dict[float, np.ndarray] = {}
         for j, bonnet in enumerate(bonnets):
             scenario = scenario_for_mount(target.mount, rf_preset, bonnet_attenuation_db=bonnet)
+            if arcs is None:
+                first = scenario.advertiser(target.intervals_ms[0])
+                arcs = np.array([_arc_length_ms(first, s) for s in scanners])
             detection_range = scenario.detection_range_m()
             if detection_range not in by_range:
-                by_range[detection_range] = _target_mismatch(target, scenario, scanners)
+                by_range[detection_range] = _target_mismatch(
+                    target, scenario, bands_target, coverage
+                )
             total[:, j] += by_range[detection_range]
     return total
 

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import os
 
 import pytest
 
@@ -481,6 +482,40 @@ class TestProtocolPipeline:
         assert detail in err and len(err.splitlines()) == 1
         assert store.read_text() == f"{good}\n\n{line}\n"
 
+    @pytest.mark.parametrize("command", ["ingest", "export"])
+    def test_directory_as_output_is_usage_error(self, registry_csv, tmp_path, capsys, command):
+        segments = tmp_path / "segments.txt"
+        segments.write_text("T1|RX1|1/1|B-01:2:10\n")
+        store = tmp_path / "store.ndjson"
+        store.write_text("")
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        argv = {
+            "ingest": ["ingest", "--segments", str(segments), "--registry", str(registry_csv),
+                       "--store", str(directory), "--received-at", "2"],
+            "export": ["export", "--store", str(store), "--out", str(directory)],
+        }[command]
+        code, out = run(argv)
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 21] Is a directory: {str(directory)!r}\n"
+
+    @pytest.mark.skipif(
+        not hasattr(os, "geteuid") or os.geteuid() == 0,
+        reason="file permissions do not bind the superuser",
+    )
+    def test_unreadable_segments_is_usage_error(self, registry_csv, tmp_path, capsys):
+        segments = tmp_path / "segments.txt"
+        segments.write_text("T1|RX1|1/1|B-01:2:10\n")
+        segments.chmod(0)
+        code, out = run(["ingest", "--segments", str(segments), "--registry", str(registry_csv),
+                         "--store", str(tmp_path / "s.ndjson"), "--received-at", "1"])
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 13] Permission denied") and str(segments) in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "s.ndjson").exists()
+
     def test_ingest_flags_unparseable_lines(self, registry_csv, tmp_path):
         segments = tmp_path / "segments.txt"
         segments.write_text("garbage line\n")
@@ -591,6 +626,9 @@ def test_matrix_csv_pinned(tmp_path, mount, seed):
     (["matrix", "--intervals", "50"], "matrix: interval 50 ms outside [100, 10240]"),
     (["matrix", "--speeds", "0"], "matrix: speed must be positive"),
     (["matrix", "--speeds", "nan"], "matrix: speed must be positive"),
+    (["matrix", "--speeds", "inf"], "matrix: speed must be positive and finite"),
+    (["matrix", "--speeds=-inf"], "matrix: speed must be positive and finite"),
+    (["matrix", "--speeds", "10,inf"], "matrix: speed must be positive and finite"),
 ])
 def test_out_of_range_value_is_usage_error(capsys, argv, message):
     code, out = run(argv)

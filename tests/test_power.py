@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,13 +7,22 @@ from hypothesis import strategies as st
 from trackside import pathloss
 from trackside.pathloss import PathLossModel
 from trackside.power import (
+    GUIDE_INTERVAL_STEP_MS,
+    GUIDE_MAX_INTERVAL_MS,
+    GuideRow,
     SpeedEnvelopeError,
     battery_life,
     derive_guide,
     published_guide,
     recommend_interval,
 )
-from trackside.presets import DriveScenario, default_scanner, path_loss_preset
+from trackside.presets import (
+    DriveScenario,
+    Mount,
+    default_scanner,
+    path_loss_preset,
+    scenario_for_mount,
+)
 
 PUBLISHED = [
     (5, 1400, 262.5),
@@ -118,3 +129,76 @@ class TestDeriveGuide:
         derive_guide(0.95, [5, 25, 45], fresh)
         assert len(calls) == 1
         assert fresh.detection_range_m() == real(fresh.path_loss, materials=fresh.materials)
+
+
+def brute_force_guide(target, speeds, scenario):
+    """The guide search that probes every interval from the ceiling down."""
+    rows, ceiling = [], GUIDE_MAX_INTERVAL_MS
+    for speed in sorted(speeds):
+        best = next(
+            (interval
+             for interval in range(ceiling, GUIDE_INTERVAL_STEP_MS - 1, -GUIDE_INTERVAL_STEP_MS)
+             if scenario.pass_probability(speed, interval) >= target),
+            None,
+        )
+        if best is None:
+            rows.append(GuideRow(speed, 0, 0.0, feasible=False))
+        else:
+            rows.append(GuideRow(speed, best, battery_life(best)))
+            ceiling = best
+    return rows
+
+
+class TestPrunedSearch:
+    """derive_guide skips intervals whose coverage bound misses the target."""
+
+    TARGETS = [0.0, 0.1, 0.5, 0.9, 0.95, 0.99, 1.0 - 1e-9, 1.0]
+
+    @pytest.fixture(scope="class", params=list(Mount), ids=lambda m: m.value)
+    def mounted(self, request):
+        return scenario_for_mount(request.param)
+
+    @pytest.fixture(scope="class")
+    def speeds(self):
+        rnd = random.Random(10)
+        return [45.0] + [45.0 - rnd.uniform(0.0, 45.0) for _ in range(24)]
+
+    def probed(self, monkeypatch, scenario):
+        probes = []
+        real = DriveScenario.pass_probability
+        monkeypatch.setattr(
+            DriveScenario, "pass_probability",
+            lambda self, speed, interval: probes.append((speed, interval)) or real(
+                self, speed, interval
+            ),
+        )
+        return probes
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_matches_brute_force(self, mounted, speeds, target):
+        assert derive_guide(target, speeds, mounted) == brute_force_guide(target, speeds, mounted)
+        for speed in speeds:
+            assert derive_guide(target, [speed], mounted) == brute_force_guide(
+                target, [speed], mounted
+            )
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_skipped_intervals_fail(self, mounted, speeds, target, monkeypatch):
+        probes = self.probed(monkeypatch, mounted)
+        for speed in speeds:
+            probes.clear()
+            row, = derive_guide(target, [speed], mounted)
+            probed = {interval for _, interval in probes}
+            lowest = row.interval_ms if row.feasible else GUIDE_INTERVAL_STEP_MS
+            skipped = [
+                interval
+                for interval in range(GUIDE_MAX_INTERVAL_MS, lowest - 1, -GUIDE_INTERVAL_STEP_MS)
+                if interval not in probed
+            ]
+            assert all(mounted.pass_probability(speed, i) < target for i in skipped)
+
+    def test_few_probes_at_45mph(self, scenario, monkeypatch):
+        probes = self.probed(monkeypatch, scenario)
+        row, = derive_guide(0.95, [45], scenario)
+        assert row.feasible
+        assert len(probes) <= 10

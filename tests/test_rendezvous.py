@@ -52,6 +52,11 @@ class TestInRangeTime:
         with pytest.raises(ValueError):
             PassGeometry(0.0, 1.0, 10.0)
 
+    @pytest.mark.parametrize("speed", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_speed_rejected(self, speed):
+        with pytest.raises(ValueError, match="positive and finite"):
+            PassGeometry(speed, 1.0, 10.0)
+
     def test_mph_conversion(self):
         assert mph_to_ms(45.0) == pytest.approx(20.1168)
 

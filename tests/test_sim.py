@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -427,3 +428,27 @@ class TestObjectiveGrid:
         bonnets = [round(2.75 + 0.05 * i, 2) for i in range(-6, 7)]
         points = [(i, j) for i in range(13) for j in range(13)]
         self.assert_matches_report(targets, windows, bonnets, points)
+
+    @pytest.mark.parametrize("windows,bonnets,digest", [
+        # The default coarse search.
+        ([float(w) for w in range(100, 2501, 25)], [round(0.25 * i, 2) for i in range(41)],
+         "e7e96eebc55cf44e24aeb682452dbae445951f80402a46c43877698116306483"),
+        # Its refinement around the coarse argmin (1175 ms, 2.75 dB).
+        ([1175.0 + 5.0 * i for i in range(-6, 7)], [round(2.75 + 0.05 * i, 2) for i in range(-6, 7)],
+         "b5b79d65b72f1bfc6d43792952ea54e5cb27ca76d03cad3f1a5c770483b3c0e6"),
+    ], ids=["coarse", "refinement"])
+    def test_whole_grid_pinned(self, targets, windows, bonnets, digest):
+        # Every objective of the grid, as computed before the coverage of
+        # each (event count, interval) was shared across the grid.
+        grid = _objective_grid(targets, windows, bonnets, "hm10-bt4")
+        assert hashlib.sha256(grid.astype("<i8").tobytes()).hexdigest() == digest
+
+    def test_each_coverage_computed_once(self, targets, monkeypatch):
+        calls = []
+        real = sim._coverage_exact
+        monkeypatch.setattr(
+            sim, "_coverage_exact", lambda *a: calls.append(a[:2]) or real(*a)
+        )
+        windows = [float(w) for w in range(100, 2501, 25)]
+        _objective_grid(targets, windows, [round(0.25 * i, 2) for i in range(41)], "hm10-bt4")
+        assert len(calls) == len(set(calls))

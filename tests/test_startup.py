@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from trackside.presets import default_scanner, path_loss_preset, write_preset_ini
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Runs one command through cli.main and reports, on its last stdout line,
@@ -41,6 +43,7 @@ def inputs(tmp_path_factory):
     (work / "registry.csv").write_text("beacon_id,lat,lon\nB-01,5.41,118.03\n")
     (work / "segments.txt").write_text("T1|RX1|1/1|B-01:2:10\n")
     (work / "rssi.csv").write_text("distance_m,rssi_dbm,materials\n1,-70,\n25,-95,\n")
+    write_preset_ini(work / "calibrated.ini", path_loss_preset("hm10-bt4"), default_scanner())
     coords = [[i * 0.001, 0.0] for i in range(11)]
     (work / "road.geojson").write_text(json.dumps({
         "type": "Feature",
@@ -62,7 +65,8 @@ def inputs(tmp_path_factory):
     ["plan", "--road", "road.geojson", "--budget", "3", "--reliability", "0.95",
      "--out", "plan.geojson"],
     ["guide", "--reliability", "0.95", "--speeds", "10,30"],
-], ids=lambda argv: argv[0])
+    ["guide", "--reliability", "0.95", "--preset", "calibrated.ini"],
+], ids=["--help", "ingest", "export", "encode", "decode", "plan", "guide", "guide-preset"])
 def test_command_runs_without_numpy(inputs, argv):
     assert run_fresh(argv, inputs) == (0, False)
 
