@@ -193,6 +193,10 @@ def cmd_matrix(args, config, out) -> int:
 
 
 def cmd_plan(args, config, out) -> int:
+    if args.budget < 1:
+        raise ConfigError(f"--budget: {args.budget} is below 1")
+    if not args.spacing > 0:  # also rejects NaN
+        raise ConfigError(f"--spacing: {args.spacing!r} is not positive")
     try:
         with open(args.road) as fh:
             road = roadplan.road_from_geojson(fh.read())

@@ -24,6 +24,8 @@ from typing import Iterable, Mapping, Sequence
 from . import gsm7
 
 VERSION_TAG = "T1"
+# Most segments in one payload; a trip needs a few dozen.
+MAX_SEGMENTS = 999
 DEFAULT_DEDUP_WINDOW_S = 300.0
 
 _BEACON_ID_RE = re.compile(r"^[A-Z0-9-]{1,12}$")
@@ -250,6 +252,8 @@ def encode_sms(
         digits = needed
 
     total = len(segments)
+    if total > MAX_SEGMENTS:
+        raise WireFormatError(f"records need {total} segments, more than {MAX_SEGMENTS}")
     payloads = [
         SmsPayload(
             receiver_id=receiver_id,
@@ -278,6 +282,8 @@ def _parse_segment(raw: str) -> tuple[str, int, int, str]:
     if not m:
         raise WireFormatError(f"bad segment counter {counter!r}")
     index, total = int(m.group(1)), int(m.group(2))
+    if total > MAX_SEGMENTS:
+        raise WireFormatError(f"segment total {total} exceeds {MAX_SEGMENTS}")
     if not 1 <= index <= total:
         raise WireFormatError(f"segment index {index} outside 1..{total}")
     return receiver_id, index, total, body

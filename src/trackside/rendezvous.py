@@ -37,8 +37,9 @@ from dataclasses import dataclass
 def _deferred(name: str):
     """Module ``name``, imported on its first attribute access.
 
-    Only the array paths here and in ``sim`` compute with numpy, so a
-    process that never reaches them does not pay for its import."""
+    Only the Monte Carlo paths compute with numpy: the oracle here and the
+    batched trial stream of ``sim.run_matrix``.  A process that never
+    reaches them, calibration included, does not pay for its import."""
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)
@@ -139,35 +140,20 @@ def _arc_gaps(k: int, interval: float, cycle: float) -> list[float]:
     return [b - a for a, b in zip(starts, starts[1:] + [starts[0] + cycle])]
 
 
-def _coverage_exact(
-    k: int, interval: float, cycle: float, arc: float | np.ndarray
-) -> float | np.ndarray:
+def _coverage_exact(k: int, interval: float, cycle: float, arc: float) -> float:
     """Union measure of k same-length arcs spaced ``interval`` apart, / cycle.
 
-    ``arc`` is one arc length (a float) or a 1-D array of them: the arc
-    starts are sorted once and each length takes sum(min(gap, arc)) over
-    the same gaps, added left to right from zero, so an array gives
-    exactly the values of one call per length.
-    """
-    if isinstance(arc, float):
-        # One arc: the same left-to-right sum in plain Python, without the
-        # per-call cost of numpy.
-        if k <= 0:
-            return 0.0
-        if arc >= cycle:
-            return 1.0
-        covered = 0.0
-        for gap in _arc_gaps(k, interval, cycle):
-            covered += min(gap, arc)
-        return float(min(covered / cycle, 1.0))
-    arcs = np.asarray(arc, dtype=float)
+    Each min(gap, arc) is exact and the sum runs left to right, so under
+    round-to-nearest the result never decreases as ``arc`` grows; the
+    calibration bisects along ascending scan windows on that order."""
     if k <= 0:
-        covered = np.zeros(arcs.shape)
-    else:
-        # cumsum adds in order; np.sum's pairwise sum would round differently.
-        summed = np.minimum.outer(_arc_gaps(k, interval, cycle), arcs).cumsum(axis=0)[-1]
-        covered = np.where(arcs >= cycle, 1.0, np.minimum(summed / cycle, 1.0))
-    return float(covered) if covered.ndim == 0 else covered
+        return 0.0
+    if arc >= cycle:
+        return 1.0
+    covered = 0.0
+    for gap in _arc_gaps(k, interval, cycle):
+        covered += min(gap, arc)
+    return float(min(covered / cycle, 1.0))
 
 
 def detection_probability(
@@ -189,7 +175,8 @@ def detection_probability(
 def _expected_coverage(span_ms: float, interval: float, coverage):
     """floor(span/interval) event starts fit in range, plus one more with
     probability equal to the fractional remainder; ``coverage(k)`` is the
-    chance k events are heard (a float, or an array over scan windows)."""
+    chance k events are heard.  Both weights are fixed and non-negative,
+    so the mix never decreases where both coverages grow."""
     events = span_ms / interval
     n = int(events)
     frac = events - n

@@ -206,7 +206,7 @@ def select_sites(
     """
     if count_budget < 1:
         raise ValueError("count budget must be at least one beacon")
-    if max_spacing_m <= 0:
+    if not max_spacing_m > 0:  # also rejects NaN
         raise ValueError("max spacing must be positive")
 
     speeds = speed_profile(road)

@@ -12,14 +12,18 @@ is byte-identical however trials are scheduled.  ``run_matrix`` does not
 build those generators one by one: ``_trial_uniforms`` evaluates numpy's
 SeedSequence hash and PCG64 in uint64 arrays for a block of trials at once,
 bit for bit, and the block is decided with the oracle's own arithmetic.
-Seeds are non-negative integers, as SeedSequence requires.
+Seeds are non-negative integers, as SeedSequence requires.  Only that
+trial stream imports numpy: the calibration grid runs on the scalar kernel
+behind ``pass_probability``, bisecting for each cell's band edges.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import enum
 import io
+import itertools
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
@@ -66,6 +70,7 @@ DEFAULT_SEED = 1729
 # Expected-probability bands: Y >= 0.95, 66% in [0.4, 0.95), 33% in
 # [0.1, 0.4), N below 0.1.  Total and mutually exclusive over [0, 1].
 BAND_THRESHOLDS = (0.95, 0.4, 0.1)
+_RISING_THRESHOLDS = sorted(BAND_THRESHOLDS)
 
 
 class CellLabel(enum.Enum):
@@ -78,15 +83,12 @@ class CellLabel(enum.Enum):
 _LABEL_BAND = {CellLabel.Y: 3, CellLabel.P66: 2, CellLabel.P33: 1, CellLabel.N: 0}
 
 
-def band_of_probability(p: float | np.ndarray) -> int | np.ndarray:
-    """Band index 3..0 (Y..N) for an expected probability, or an int array
-    of band indices for an array of probabilities."""
-    p = np.asarray(p)
-    if not np.all((0.0 <= p) & (p <= 1.0)):
+def band_of_probability(p: float) -> int:
+    """Band index 3..0 (Y..N) for an expected probability."""
+    if not 0.0 <= p <= 1.0:
         raise ValueError("probability outside [0, 1]")
     y, p66, p33 = BAND_THRESHOLDS
-    bands = np.select([p >= y, p >= p66, p >= p33], [3, 2, 1], 0)
-    return int(bands) if bands.ndim == 0 else bands
+    return 3 if p >= y else 2 if p >= p66 else 1 if p >= p33 else 0
 
 
 def band_of_label(label: CellLabel) -> int:
@@ -490,76 +492,73 @@ def _mismatch_report(
     return total, tuple(reports)
 
 
-def _target_mismatch(
-    target: TargetMatrix,
-    scenario: DriveScenario,
-    bands_target: np.ndarray,
-    coverage,
-) -> np.ndarray:
-    """Band mismatch of one target under ``scenario``, one entry per
-    scanner; ``coverage(k, interval)`` is ``_coverage_exact`` at every
-    scanner's arc, and ``bands_target`` the target's bands in cell order.
-
-    Equal, scanner by scanner, to the target's share of ``_mismatch_report``.
-    """
-    probabilities = []
-    for speed in target.speeds_mph:
-        span_ms = scenario.in_range_time_s(speed) * 1000.0
-        for interval in target.intervals_ms:
-            adv = scenario.advertiser(interval)
-            probabilities.append(_expected_coverage(
-                span_ms, adv.interval_ms, lambda k: coverage(k, adv.interval_ms)
-            ))
-    bands = band_of_probability(np.array(probabilities))
-    return np.abs(bands - bands_target[:, None]).sum(axis=0)
-
-
 def _objective_grid(
     targets: Iterable[TargetMatrix],
     windows: Sequence[float],
     bonnets: Sequence[float],
     rf_preset: str | PathLossModel,
-) -> np.ndarray:
-    """The ``_mismatch_report`` objective at every grid point, as an int
-    array: entry [i, j] is the objective at (windows[i], bonnets[j]).
+) -> list[list[int]]:
+    """The ``_mismatch_report`` objective at every grid point, for ascending
+    ``windows``: entry [i][j] is the objective at (windows[i], bonnets[j]).
 
-    The scanners share one scan cycle, and the hearable arc depends on the
-    advertiser only through the event duration, the same for every
-    interval; so the coverage of k events at one interval, over every
-    window at once, depends on (k, interval) alone.  Each is computed once
-    and shared by every target, bonnet loss and speed.  Cells that see the
-    same detection range under two bonnet losses, as every wheel-arch cell
-    does, are scored once and shared."""
+    Every scanner has one scan cycle and every beacon one event duration,
+    so the coverage of k events at one interval and window does not depend
+    on the target, bonnet loss or speed: each is computed once, on demand.
+    A cell's probability never decreases along the windows, exactly in
+    floating point (see ``_coverage_exact``), so its band steps up at most
+    three times: the steps are found by bisection and its mismatch added
+    over whole runs of windows.  Cells that see the same detection range
+    under two bonnet losses, as every wheel-arch cell does, are shared."""
     scanners = [ScannerConfig(scan_window_ms=w) for w in windows]
     cycle = scanners[0].scan_cycle_ms
-    table: dict[tuple[int, float], np.ndarray] = {}
-    arcs = None
+    axis = range(len(windows))
+    table: dict[tuple[int, float, int], float] = {}
 
-    def coverage(k: int, interval: float) -> np.ndarray:
-        key = (k, interval)
-        if key not in table:
-            table[key] = _coverage_exact(k, interval, cycle, arcs)
-        return table[key]
+    def coverage(k: int, adv: AdvertiserConfig, i: int) -> float:
+        key = (k, adv.interval_ms, i)
+        value = table.get(key)
+        if value is None:
+            arc = _arc_length_ms(adv, scanners[i])
+            value = table[key] = _coverage_exact(k, adv.interval_ms, cycle, arc)
+        return value
 
-    total = np.zeros((len(windows), len(bonnets)), dtype=int)
+    def target_mismatch(target: TargetMatrix, scenario: DriveScenario) -> list[int]:
+        """The target's band mismatch under ``scenario``, one per window."""
+        steps = [0] * (len(axis) + 1)
+        for speed in target.speeds_mph:
+            span_ms = scenario.in_range_time_s(speed) * 1000.0
+            for interval in target.intervals_ms:
+                adv = scenario.advertiser(interval)
+
+                def p(i: int) -> float:
+                    return _expected_coverage(
+                        span_ms, adv.interval_ms, lambda k: coverage(k, adv, i)
+                    )
+
+                # In [0, 1] at both ends of the axis, so everywhere between.
+                first = band_of_probability(p(axis[0]))
+                last = band_of_probability(p(axis[-1]))
+                # edges[b]: the first window whose band is b or more.
+                edges = [0] * (first + 1)
+                for tau in _RISING_THRESHOLDS[first:last]:
+                    edges.append(bisect.bisect_left(axis, tau, lo=edges[-1], key=p))
+                edges += [len(axis)] * (len(_RISING_THRESHOLDS) + 2 - len(edges))
+                target_band = band_of_label(target.label(speed, interval))
+                for band, (lo, hi) in enumerate(zip(edges, edges[1:])):
+                    steps[lo] += abs(band - target_band)
+                    steps[hi] -= abs(band - target_band)
+        return list(itertools.accumulate(steps[:-1]))
+
+    total = [[0] * len(bonnets) for _ in windows]
     for target in targets:
-        bands_target = np.array([
-            band_of_label(target.label(speed, interval))
-            for speed in target.speeds_mph
-            for interval in target.intervals_ms
-        ])
-        by_range: dict[float, np.ndarray] = {}
+        by_range: dict[float, list[int]] = {}
         for j, bonnet in enumerate(bonnets):
             scenario = scenario_for_mount(target.mount, rf_preset, bonnet_attenuation_db=bonnet)
-            if arcs is None:
-                first = scenario.advertiser(target.intervals_ms[0])
-                arcs = np.array([_arc_length_ms(first, s) for s in scanners])
             detection_range = scenario.detection_range_m()
             if detection_range not in by_range:
-                by_range[detection_range] = _target_mismatch(
-                    target, scenario, bands_target, coverage
-                )
-            total[:, j] += by_range[detection_range]
+                by_range[detection_range] = target_mismatch(target, scenario)
+            for i, mismatch in enumerate(by_range[detection_range]):
+                total[i][j] += mismatch
     return total
 
 
@@ -590,10 +589,7 @@ def calibrate(
     def argmin(windows, bonnets, seed=None):
         windows, bonnets = sorted(windows), sorted(bonnets)
         grid = _objective_grid(targets, windows, bonnets, rf_preset)
-        # The first minimum in row-major order is the smallest
-        # (objective, window, bonnet) key.
-        i, j = np.unravel_index(np.argmin(grid), grid.shape)
-        best = (int(grid[i, j]), windows[i], bonnets[j])
+        best = min((obj, w, b) for w, row in zip(windows, grid) for b, obj in zip(bonnets, row))
         return best if seed is None else min(seed, best)
 
     best = argmin(scan_window_grid_ms, bonnet_grid_db)

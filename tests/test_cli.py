@@ -638,11 +638,24 @@ def test_out_of_range_value_is_usage_error(capsys, argv, message):
     assert len(err.splitlines()) == 1
 
 
-def test_plan_reliability_out_of_range_is_usage_error(road_geojson, tmp_path, capsys):
-    code, _ = run(["plan", "--road", str(road_geojson), "--budget", "2",
-                   "--reliability", "-0.1", "--out", str(tmp_path / "p.geojson")])
-    assert code == 2
-    assert capsys.readouterr().err == "error: --reliability: -0.1 is outside [0, 1]\n"
+@pytest.mark.parametrize("option,value,message", [
+    ("--reliability", "-0.1", "-0.1 is outside [0, 1]"),
+    ("--budget", "0", "0 is below 1"),
+    ("--budget", "-1", "-1 is below 1"),
+    ("--spacing", "0", "0.0 is not positive"),
+    ("--spacing", "-5", "-5.0 is not positive"),
+    ("--spacing", "nan", "nan is not positive"),
+], ids=["reliability", "budget-0", "budget-negative", "spacing-0", "spacing-negative",
+        "spacing-nan"])
+def test_plan_value_out_of_range_is_usage_error(road_geojson, tmp_path, capsys,
+                                                option, value, message):
+    argv = ["plan", "--road", str(road_geojson), "--out", str(tmp_path / "p.geojson")]
+    if option != "--budget":
+        argv += ["--budget", "2"]
+    code, out = run(argv + [option, value])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {option}: {message}\n"
+    assert not (tmp_path / "p.geojson").exists()
 
 
 @pytest.mark.parametrize("text,detail", [

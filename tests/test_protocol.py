@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from trackside import gsm7
 from trackside.protocol import (
+    MAX_SEGMENTS,
     DecodeResult,
     DetectionRecord,
     DetectionStore,
@@ -302,6 +303,21 @@ class TestCodec:
     def test_bad_counter_rejected(self):
         with pytest.raises(WireFormatError):
             decode_sms(["T1|RX1|0/1|B-01:1:10"])
+
+    def test_segment_total_bounded(self):
+        decoded = decode_sms(["T1|RX1|999/999|B-01:1:10"])
+        assert decoded.missing_segments == tuple(range(1, MAX_SEGMENTS))
+        for line in ("T1|RX1|1/1000|B-01:1:10", "T1|RX1|1/1000000|B-01:1:10"):
+            with pytest.raises(WireFormatError, match="exceeds 999"):
+                decode_sms([line])
+            assert group_segments([line]) == ({}, [line])
+
+    def test_encoder_refuses_more_than_max_segments(self):
+        # 33-septet tokens, four to a segment.
+        records = [DetectionRecord(f"B-{i:010d}", 10**9 + i, 10**8) for i in range(4000)]
+        assert len(encode_sms("RX1", records[:3996])) == MAX_SEGMENTS
+        with pytest.raises(WireFormatError, match="1000 segments"):
+            encode_sms("RX1", records)
 
     def test_group_segments_sets_aside_every_header_decode_rejects(self):
         good = ["T1|RX1|2/2|B-02:1:5", "T1|RX2|1/1|B-03:1:7", "T1|RX1|1/2|B-01:1:3"]

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackside import rendezvous
 from trackside.rendezvous import (
@@ -90,7 +92,6 @@ class TestCoverageKernel:
             arcs += [g + d for g in gaps[:3] for d in (-1e-9, 0.0, 1e-9) if g + d > 0]
             expected = [loop_coverage(k, interval, cycle, a) for a in arcs]
             assert [_coverage_exact(k, interval, cycle, a) for a in arcs] == expected
-            assert _coverage_exact(k, interval, cycle, np.array(arcs)).tolist() == expected
 
     def test_scalar_arc_returns_float(self):
         assert type(_coverage_exact(5, 700.0, 2500.0, 1173.0)) is float
@@ -98,20 +99,57 @@ class TestCoverageKernel:
         assert type(_coverage_exact(5, 700.0, 2500.0, np.float64(1173.0))) is float
 
     def test_window_axis_agrees_with_oracle(self):
-        # The calibration scores a whole axis of scan windows at once; each
-        # entry is the scalar probability and agrees with the oracle.
+        # The calibration scores a cell along an axis of scan windows, one
+        # window at a time; each entry is the scalar probability and agrees
+        # with the oracle.
         windows = [150.0, 600.0, 1170.0, 1800.0, 2400.0]
-        arcs = np.array(windows) + 3.0
         for i, (interval, t) in enumerate(((700.0, 2.5), (1200.0, 4.1), (1600.0, 9.0))):
-            axis = _expected_coverage(
-                t * 1000.0, interval, lambda k: _coverage_exact(k, interval, 2500.0, arcs)
-            )
             for j, window in enumerate(windows):
+                p = _expected_coverage(
+                    t * 1000.0, interval,
+                    lambda k: _coverage_exact(k, interval, 2500.0, window + 3.0),
+                )
                 adv = AdvertiserConfig(interval_ms=interval)
                 scan = ScannerConfig(scan_window_ms=window)
-                assert axis[j] == detection_probability(adv, scan, t)
+                assert p == detection_probability(adv, scan, t)
                 mc = detection_probability_oracle(adv, scan, t, trials=20000, seed=(i, j))
-                assert abs(axis[j] - mc) < 0.02
+                assert abs(p - mc) < 0.02
+
+
+_INTERVALS = st.one_of(st.integers(100, 3000).map(float), st.floats(100.0, 3000.0))
+
+
+class TestMonotoneInWindow:
+    """The premise of the calibration's bisection along the window axis:
+    exactly in floating point, nothing decreases as the arc grows."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        k=st.integers(0, 40),
+        interval=_INTERVALS,
+        cycle=st.one_of(st.just(2500.0), st.floats(500.0, 4000.0)),
+        arcs=st.lists(st.floats(1.0, 5000.0), min_size=1, max_size=6),
+    )
+    def test_coverage_non_decreasing_in_arc(self, k, interval, cycle, arcs):
+        gaps = rendezvous._arc_gaps(k, interval, cycle) if k > 0 else []
+        arcs = arcs + [math.nextafter(cycle, 0.0), cycle]
+        arcs += [g + d for g in gaps for d in (-1e-9, 0.0, 1e-9) if g + d > 0]
+        values = [_coverage_exact(k, interval, cycle, a) for a in sorted(arcs)]
+        assert values == sorted(values)
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        interval=_INTERVALS,
+        t_in=st.floats(0.0, 12.0),
+        windows=st.lists(st.floats(1.0, 2500.0), min_size=2, max_size=12),
+    )
+    def test_probability_non_decreasing_in_window(self, interval, t_in, windows):
+        adv = AdvertiserConfig(interval_ms=interval)
+        ps = [
+            detection_probability(adv, ScannerConfig(scan_window_ms=w), t_in)
+            for w in sorted(windows)
+        ]
+        assert ps == sorted(ps)
 
 
 class TestDetectionProbability:

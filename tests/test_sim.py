@@ -73,18 +73,9 @@ class TestBands:
         assert band_of_probability(0.0) == 0
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            band_of_probability(1.5)
         for bad in (1.5, -0.1, float("nan")):
             with pytest.raises(ValueError):
-                band_of_probability(np.array([0.5, bad]))
-
-    def test_array_matches_scalar(self):
-        y, p66, p33 = BAND_THRESHOLDS
-        ps = [0.0, p33 - 1e-12, p33, p66, y - 1e-12, y, 1.0]
-        assert band_of_probability(np.array(ps)).tolist() == [
-            band_of_probability(p) for p in ps
-        ]
+                band_of_probability(bad)
 
     def test_label_bands(self):
         assert [band_of_label(l) for l in BAND_LABELS] == [0, 1, 2, 3]
@@ -350,9 +341,15 @@ class TestCalibrate:
         assert result.bonnet_attenuation_db == 2.5
 
     def test_bad_probability_rejected(self, monkeypatch):
-        monkeypatch.setattr(sim, "_coverage_exact", lambda k, i, c, arcs: np.full(arcs.shape, 1.5))
-        with pytest.raises(ValueError, match="outside"):
-            calibrate(scan_window_grid_ms=[1000.0], bonnet_grid_db=[1.0])
+        # The grid range-checks each cell at both ends of its window axis.
+        windows = [500.0, 1000.0, 1500.0]
+        for coverage in (
+            lambda k, interval, cycle, arc: -0.5 if arc < 600.0 else 0.5,  # smallest arc only
+            lambda k, interval, cycle, arc: 1.5 if arc > 1400.0 else 0.5,  # largest arc only
+        ):
+            monkeypatch.setattr(sim, "_coverage_exact", coverage)
+            with pytest.raises(ValueError, match="outside"):
+                calibrate(scan_window_grid_ms=windows, bonnet_grid_db=[1.0])
 
     def test_bonnet_shift_at_45mph(self):
         # Concealing the receiver behaves like dialling the interval down
@@ -403,14 +400,14 @@ class TestPublishedMatrixExamples:
 
 
 class TestObjectiveGrid:
-    """The array objective against the scalar per-point report."""
+    """The band-edge objective grid against the per-point report."""
 
     @pytest.fixture(scope="class")
     def targets(self):
         return (load_target_matrix(Mount.WHEEL_ARCH), load_target_matrix(Mount.BONNET))
 
     def assert_matches_report(self, targets, windows, bonnets, points):
-        grid = _objective_grid(targets, windows, bonnets, "hm10-bt4")
+        grid = np.array(_objective_grid(targets, windows, bonnets, "hm10-bt4"), dtype="<i8")
         assert grid.shape == (len(windows), len(bonnets))
         for i, j in points:
             objective, _ = _mismatch_report(targets, windows[i], bonnets[j], "hm10-bt4")
@@ -440,15 +437,18 @@ class TestObjectiveGrid:
     def test_whole_grid_pinned(self, targets, windows, bonnets, digest):
         # Every objective of the grid, as computed before the coverage of
         # each (event count, interval) was shared across the grid.
-        grid = _objective_grid(targets, windows, bonnets, "hm10-bt4")
-        assert hashlib.sha256(grid.astype("<i8").tobytes()).hexdigest() == digest
+        grid = np.array(_objective_grid(targets, windows, bonnets, "hm10-bt4"), dtype="<i8")
+        assert hashlib.sha256(grid.tobytes()).hexdigest() == digest
 
     def test_each_coverage_computed_once(self, targets, monkeypatch):
         calls = []
         real = sim._coverage_exact
-        monkeypatch.setattr(
-            sim, "_coverage_exact", lambda *a: calls.append(a[:2]) or real(*a)
-        )
+
+        def counted(k, interval, cycle, arc):
+            calls.append((k, interval, arc))
+            return real(k, interval, cycle, arc)
+
+        monkeypatch.setattr(sim, "_coverage_exact", counted)
         windows = [float(w) for w in range(100, 2501, 25)]
         _objective_grid(targets, windows, [round(0.25 * i, 2) for i in range(41)], "hm10-bt4")
         assert len(calls) == len(set(calls))

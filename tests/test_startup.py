@@ -1,6 +1,7 @@
-"""Which commands import numpy.  Only ``calibrate`` and ``matrix`` compute
-with it; every other command runs on the standard library, and a fresh
-process for it should not pay for numpy's import.  Each case runs in a new
+"""Which commands import numpy.  Only ``matrix`` computes with it, in its
+Monte Carlo trial stream; every other command, ``calibrate`` included, runs
+on the standard library, and a fresh process for it should not pay for
+numpy's import.  Each case runs in a new
 interpreter, because this one has numpy loaded already."""
 
 import json
@@ -66,14 +67,15 @@ def inputs(tmp_path_factory):
      "--out", "plan.geojson"],
     ["guide", "--reliability", "0.95", "--speeds", "10,30"],
     ["guide", "--reliability", "0.95", "--preset", "calibrated.ini"],
-], ids=["--help", "ingest", "export", "encode", "decode", "plan", "guide", "guide-preset"])
+    ["calibrate", "--rssi", "rssi.csv", "--out", "preset.ini", "--report", "report.txt"],
+], ids=["--help", "ingest", "export", "encode", "decode", "plan", "guide", "guide-preset",
+        "calibrate"])
 def test_command_runs_without_numpy(inputs, argv):
     assert run_fresh(argv, inputs) == (0, False)
 
 
 @pytest.mark.parametrize("argv", [
     ["matrix", "--speeds", "10", "--intervals", "1000"],
-    ["calibrate", "--rssi", "rssi.csv", "--out", "preset.ini", "--report", "report.txt"],
 ], ids=lambda argv: argv[0])
 def test_array_command_loads_numpy(inputs, argv):
     assert run_fresh(argv, inputs) == (0, True)
