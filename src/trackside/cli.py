@@ -19,8 +19,8 @@ from . import power, protocol, roadplan, sim
 from .pathloss import SingularFitError, fit_exponent, load_samples_csv
 from .presets import (
     DEFAULT_PATH_LOSS_PRESET,
+    DriveScenario,
     Mount,
-    default_scanner,
     path_loss_preset,
     read_preset_ini,
     scenario_for_mount,
@@ -93,19 +93,20 @@ def _setting(config, section: str, key: str, override, fallback=None):
     return fallback
 
 
-def _resolve_preset(value: str | None):
-    """A preset name, or a calibration INI written by `calibrate`."""
+def _resolve_preset(value: str | None, mount: Mount = Mount.WHEEL_ARCH) -> DriveScenario:
+    """The command's one drive-by scenario, from a preset name or a
+    calibration INI written by `calibrate`."""
     name = value or DEFAULT_PATH_LOSS_PRESET
-    if os.path.exists(name):
-        try:
-            return read_preset_ini(name)
-        except KeyError as exc:
-            raise ConfigError(
-                f"calibration preset {name!r} has no [{exc.args[0]}] section"
-            ) from None
-        except (OSError, ValueError, configparser.Error) as exc:
-            raise _invalid_file("calibration preset", name, exc) from None
-    return path_loss_preset(name), default_scanner()
+    if not os.path.exists(name):
+        return scenario_for_mount(mount, path_loss_preset(name))
+    try:
+        return scenario_for_mount(mount, *read_preset_ini(name))
+    except KeyError as exc:
+        raise ConfigError(
+            f"calibration preset {name!r} has no [{exc.args[0]}] section"
+        ) from None
+    except (OSError, ValueError, configparser.Error) as exc:
+        raise _invalid_file("calibration preset", name, exc) from None
 
 
 def _write(path: str | None, text: str, out) -> None:
@@ -134,7 +135,7 @@ def cmd_calibrate(args, config, out) -> int:
         sim.load_target_matrix(Mount.WHEEL_ARCH, args.targets_wheelarch),
         sim.load_target_matrix(Mount.BONNET, args.targets_bonnet),
     )
-    result = sim.calibrate(targets=targets, rf_preset=fit.model)
+    result = sim.calibrate(targets=targets, path_loss=fit.model)
     calibrated = scenario_for_mount(
         Mount.BONNET, fit.model, result.scanner(), result.bonnet_attenuation_db
     )
@@ -162,8 +163,8 @@ def cmd_calibrate(args, config, out) -> int:
 
 
 def cmd_matrix(args, config, out) -> int:
-    model, scanner = _resolve_preset(_setting(config, "matrix", "preset", args.preset))
     mount = Mount(args.mount)
+    scenario = _resolve_preset(_setting(config, "matrix", "preset", args.preset), mount)
     if args.intervals:
         intervals = [_number(x, int, "--intervals") for x in args.intervals.split(",")]
     else:
@@ -180,10 +181,9 @@ def cmd_matrix(args, config, out) -> int:
         speeds_mph=tuple(speeds),
         intervals_ms=tuple(intervals),
         trials_per_cell=args.trials,
-        mount=mount,
         seed=seed,
     )
-    result = sim.run_matrix(spec, rf_preset=model, scanner=scanner)
+    result = sim.run_matrix(spec, scenario)
     header = f"# drive-by matrix  mount={mount.value}  trials={args.trials}  seed={seed}\n"
     if args.out_csv:
         _write(args.out_csv, result.to_csv(), out)
@@ -203,15 +203,14 @@ def cmd_plan(args, config, out) -> int:
     except (OSError, ValueError) as exc:
         raise _invalid_file("road file", args.road, exc) from None
     preset = _setting(config, "plan", "preset", args.preset) or DEFAULT_PATH_LOSS_PRESET
-    model, scanner = _resolve_preset(preset)
     plan = roadplan.plan_deployment(
         road,
         budget=args.budget,
+        scenario=_resolve_preset(preset),
         # A calibration INI is labelled by its file name, never its directory.
         beacon_preset=os.path.basename(preset),
         max_spacing_m=args.spacing,
         reliability_target=_reliability(args.reliability),
-        scenario=scenario_for_mount(Mount.WHEEL_ARCH, model, scanner),
     )
     geojson = roadplan.plan_to_geojson(plan)
     _write(args.out, json.dumps(geojson, sort_keys=True, indent=2) + "\n", out)
@@ -243,8 +242,7 @@ def cmd_guide(args, config, out) -> int:
             )
         rows = power.published_guide()
     else:
-        model, scanner = _resolve_preset(_setting(config, "guide", "preset", args.preset))
-        scenario = scenario_for_mount(Mount.WHEEL_ARCH, model, scanner)
+        scenario = _resolve_preset(_setting(config, "guide", "preset", args.preset))
         speeds = _speeds(args.speeds)
         for speed in speeds:
             if not 0.0 < speed < math.inf:
@@ -332,18 +330,9 @@ def cmd_ingest(args, config, out) -> int:
 
 def cmd_encode(args, config, out) -> int:
     _checked(protocol.validate_receiver_id, "--receiver", args.receiver)
-    records = []
-    for token in args.records:
-        fields = token.split(":")
-        if len(fields) != 3:
-            print(f"error: record {token!r} must be BEACON:COUNT:FIRST_SEEN", file=sys.stderr)
-            return EXIT_USAGE
-        beacon, count, first_seen = fields
-        what = f"record {token!r}"
-        records.append(_checked(
-            protocol.DetectionRecord, what,
-            beacon, count=_number(count, int, what), first_seen_s=_number(first_seen, int, what),
-        ))
+    records = [
+        _checked(protocol.parse_record_token, f"record {token!r}", token) for token in args.records
+    ]
     for payload in protocol.encode_sms(args.receiver, records):
         out.write(payload.text + "\n")
     return EXIT_OK
@@ -357,7 +346,7 @@ def cmd_decode(args, config, out) -> int:
     decoded = protocol.decode_sms(lines)
     out.write(f"receiver: {decoded.receiver_id}\n")
     for record in decoded.records:
-        out.write(f"{record.beacon_id}:{record.count}:{record.first_seen_s}\n")
+        out.write(protocol.record_token(record) + "\n")
     if decoded.missing_segments:
         out.write(f"missing segments: {list(decoded.missing_segments)}\n")
     for diag in decoded.diagnostics:

@@ -31,6 +31,7 @@ PATH_LOSS_PRESETS: dict[str, PathLossModel] = {
     "otsb-bt5": PathLossModel(exponent=pathloss.EXPONENT_BT5),
 }
 DEFAULT_PATH_LOSS_PRESET = "hm10-bt4"
+DEFAULT_PATH_LOSS = PATH_LOSS_PRESETS[DEFAULT_PATH_LOSS_PRESET]
 
 
 class Mount(enum.Enum):
@@ -41,6 +42,8 @@ class Mount(enum.Enum):
 
 
 def path_loss_preset(name: str) -> PathLossModel:
+    """The model a preset name stands for; names are resolved at the
+    command line, and every layer below takes the model."""
     try:
         return PATH_LOSS_PRESETS[name]
     except KeyError:
@@ -58,53 +61,45 @@ def default_scanner() -> ScannerConfig:
 class DriveScenario:
     """Everything needed to score one drive-by: radio model plus timing.
     The beacon is the field unit, with the defaults of ``PassGeometry``
-    (2 m off the road) and ``AdvertiserConfig`` (3 ms events)."""
+    (2 m off the road) and ``AdvertiserConfig`` (3 ms events).  Build it
+    with ``scenario_for_mount``."""
 
     path_loss: PathLossModel
     scanner: ScannerConfig
     materials: frozenset[Material] = frozenset()
 
     @cached_property
-    def _detection_range_m(self) -> float:
-        return pathloss.detection_range(self.path_loss, materials=self.materials)
-
     def detection_range_m(self) -> float:
         """Computed once per scenario: every speed and probe shares it."""
-        return self._detection_range_m
+        return pathloss.detection_range(self.path_loss, materials=self.materials)
 
     def in_range_time_s(self, speed_mph: float) -> float:
         geometry = PassGeometry(
-            speed_ms=mph_to_ms(speed_mph), detection_range_m=self.detection_range_m()
+            speed_ms=mph_to_ms(speed_mph), detection_range_m=self.detection_range_m
         )
         return in_range_time(geometry)
 
-    def advertiser(self, interval_ms: float) -> AdvertiserConfig:
-        return AdvertiserConfig(interval_ms=interval_ms)
-
     def pass_probability(self, speed_mph: float, interval_ms: float) -> float:
         """Single-pass detection probability at this speed and interval."""
-        return detection_probability(
-            self.advertiser(interval_ms), self.scanner, self.in_range_time_s(speed_mph)
-        )
+        adv = AdvertiserConfig(interval_ms=interval_ms)
+        return detection_probability(adv, self.scanner, self.in_range_time_s(speed_mph))
 
 
 def scenario_for_mount(
     mount: Mount = Mount.WHEEL_ARCH,
-    rf_preset: str | PathLossModel = DEFAULT_PATH_LOSS_PRESET,
+    path_loss: PathLossModel = DEFAULT_PATH_LOSS,
     scanner: ScannerConfig | None = None,
     bonnet_attenuation_db: float | None = None,
 ) -> DriveScenario:
-    """The drive-by scenario for a receiver mount.
-
-    ``rf_preset`` is a preset name or a model; ``bonnet_attenuation_db``
-    replaces the model's bonnet loss (the calibration's free parameter).
+    """The drive-by scenario for a receiver mount: the one way to build a
+    ``DriveScenario``.  ``bonnet_attenuation_db`` replaces the model's
+    bonnet loss (the calibration's free parameter).
     """
-    model = rf_preset if isinstance(rf_preset, PathLossModel) else path_loss_preset(rf_preset)
     if bonnet_attenuation_db is not None:
-        table = {**model.attenuation_db, Material.BONNET: bonnet_attenuation_db}
-        model = replace(model, attenuation_db=table)
+        table = {**path_loss.attenuation_db, Material.BONNET: bonnet_attenuation_db}
+        path_loss = replace(path_loss, attenuation_db=table)
     return DriveScenario(
-        path_loss=model,
+        path_loss=path_loss,
         scanner=scanner if scanner is not None else default_scanner(),
         materials=frozenset({Material.BONNET}) if mount is Mount.BONNET else frozenset(),
     )

@@ -28,8 +28,14 @@ VERSION_TAG = "T1"
 MAX_SEGMENTS = 999
 DEFAULT_DEDUP_WINDOW_S = 300.0
 
-_BEACON_ID_RE = re.compile(r"^[A-Z0-9-]{1,12}$")
-_RECEIVER_ID_RE = re.compile(r"^[A-Z0-9-]{1,8}$")
+_BEACON_ID_RE = re.compile(r"[A-Z0-9-]{1,12}")
+_RECEIVER_ID_RE = re.compile(r"[A-Z0-9-]{1,8}")
+# Wire numbers are ASCII digits: \d and int() also take other scripts'
+# digits, and int() a sign, spaces and underscores.
+_NUMBER_RE = re.compile(r"[0-9]+")
+_COUNTER_RE = re.compile(r"([0-9]+)/([0-9]+)")
+# What json.loads makes of a JSON number, in a store line.
+_JSON_NUMBERS = (int, float)
 
 
 class WireFormatError(ValueError):
@@ -37,7 +43,7 @@ class WireFormatError(ValueError):
 
 
 def validate_beacon_id(beacon_id: str) -> str:
-    if not _BEACON_ID_RE.match(beacon_id):
+    if not _BEACON_ID_RE.fullmatch(beacon_id):
         raise ValueError(
             f"beacon id {beacon_id!r} must be 1-12 characters from [A-Z0-9-]"
         )
@@ -45,7 +51,7 @@ def validate_beacon_id(beacon_id: str) -> str:
 
 
 def validate_receiver_id(receiver_id: str) -> str:
-    if not _RECEIVER_ID_RE.match(receiver_id):
+    if not _RECEIVER_ID_RE.fullmatch(receiver_id):
         raise ValueError(
             f"receiver id {receiver_id!r} must be 1-8 characters from [A-Z0-9-]"
         )
@@ -202,12 +208,26 @@ class SmsPayload:
 
     @property
     def text(self) -> str:
-        body = ";".join(_record_token(r) for r in self.records)
+        body = ";".join(record_token(r) for r in self.records)
         return _header(self.receiver_id, self.segment_index, self.segment_total) + body
 
 
-def _record_token(record: DetectionRecord) -> str:
+def record_token(record: DetectionRecord) -> str:
+    """A record's wire token, ``BEACON:COUNT:FIRST_SEEN``."""
     return f"{record.beacon_id}:{record.count}:{record.first_seen_s}"
+
+
+def parse_record_token(token: str) -> DetectionRecord:
+    """The record a ``BEACON:COUNT:FIRST_SEEN`` token stands for; raises
+    ``ValueError`` if it is not exactly that, in ASCII digits."""
+    fields = token.split(":")
+    if len(fields) != 3:
+        raise WireFormatError("not BEACON:COUNT:FIRST_SEEN")
+    beacon_id, count, first_seen = fields
+    for number in (count, first_seen):
+        if not _NUMBER_RE.fullmatch(number):
+            raise WireFormatError(f"{number!r} is not a valid int")
+    return DetectionRecord(beacon_id, int(first_seen), int(count))
 
 
 def _header(receiver_id: str, index: int, total: int) -> str:
@@ -229,10 +249,10 @@ def encode_sms(
         segments: list[list[DetectionRecord]] = [[]]
         used = header_cost
         for record in records:
-            token_cost = gsm7.septet_length(_record_token(record))
+            token_cost = gsm7.septet_length(record_token(record))
             if header_cost + token_cost > gsm7.SEGMENT_SEPTETS:
                 raise WireFormatError(
-                    f"record {_record_token(record)!r} cannot fit one segment"
+                    f"record {record_token(record)!r} cannot fit one segment"
                 )
             extra = token_cost + (1 if segments[-1] else 0)  # ';' separator
             if used + extra > gsm7.SEGMENT_SEPTETS:
@@ -278,7 +298,7 @@ def _parse_segment(raw: str) -> tuple[str, int, int, str]:
     if tag != VERSION_TAG:
         raise WireFormatError(f"unsupported version tag {tag!r}")
     validate_receiver_id(receiver_id)
-    m = re.match(r"^(\d+)/(\d+)$", counter)
+    m = _COUNTER_RE.fullmatch(counter)
     if not m:
         raise WireFormatError(f"bad segment counter {counter!r}")
     index, total = int(m.group(1)), int(m.group(2))
@@ -361,15 +381,8 @@ def decode_sms(segments: Iterable[str]) -> DecodeResult:
         for token in parsed[index].split(";"):
             if not token:
                 continue
-            fields = token.split(":")
-            if len(fields) != 3:
-                diagnostics.append(f"malformed record {token!r} skipped")
-                continue
-            beacon_id, count_s, first_seen_s = fields
             try:
-                records.append(
-                    DetectionRecord(beacon_id, int(first_seen_s), int(count_s))
-                )
+                records.append(parse_record_token(token))
             except ValueError as exc:
                 diagnostics.append(f"malformed record {token!r} skipped: {exc}")
 
@@ -444,13 +457,33 @@ class DetectionEvent:
 
     @classmethod
     def from_json(cls, line: str) -> "DetectionEvent":
-        data = json.loads(line)
-        return cls(**data)
+        """The event one store line holds; raises ``ValueError`` (or
+        ``TypeError`` for missing or unknown keys) when a field does not
+        have its exact JSON type: a bool is not an integer, nor a string
+        a number."""
+        event = cls(**json.loads(line))
+        validate_beacon_id(event.beacon_id)
+        validate_receiver_id(event.receiver_id)
+        count, first_seen_s, lat, lon = event.count, event.first_seen_s, event.lat, event.lon
+        if type(count) is not int or count < 1:
+            raise ValueError(f"count {count!r} is not a positive integer")
+        if type(first_seen_s) is not int or first_seen_s < 0:
+            raise ValueError(f"first_seen_s {first_seen_s!r} is not a non-negative integer")
+        if type(event.received_at) is not int:
+            raise ValueError(f"received_at {event.received_at!r} is not an integer")
+        if lat is not None and type(lat) not in _JSON_NUMBERS:
+            raise ValueError(f"lat {lat!r} is neither a number nor null")
+        if lon is not None and type(lon) not in _JSON_NUMBERS:
+            raise ValueError(f"lon {lon!r} is neither a number nor null")
+        if type(event.quarantined) is not bool:
+            raise ValueError(f"quarantined {event.quarantined!r} is not true or false")
+        return event
 
 
 @dataclass
 class DetectionStore:
-    """Append-only detection log; merges are idempotent by event key."""
+    """Detection log, one JSON event per line in file order; merges are
+    idempotent by event key, and ``save`` rewrites the whole file."""
 
     events: list[DetectionEvent] = field(default_factory=list)
     _keys: set[tuple] = field(default_factory=set)

@@ -14,16 +14,11 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import power
-from .presets import (
-    DEFAULT_PATH_LOSS_PRESET,
-    DriveScenario,
-    Mount,
-    scenario_for_mount,
-)
+from .presets import DEFAULT_PATH_LOSS_PRESET, DriveScenario
 from .rendezvous import ms_to_mph
 
 EARTH_RADIUS_M = 6371000.0
@@ -140,7 +135,7 @@ class BeaconSite:
     interval_ms: int
     predicted_battery_days: float
     local_vmax_mph: float
-    detection_probability: float = 0.0
+    detection_probability: float
 
 
 @dataclass(frozen=True)
@@ -196,13 +191,12 @@ def select_sites(
     road: Road,
     max_spacing_m: float = DEFAULT_MAX_SPACING_M,
     count_budget: int = 1,
-    beacon_preset: str = DEFAULT_PATH_LOSS_PRESET,
-) -> list[BeaconSite]:
+) -> list[tuple[float, float]]:
     """Greedy siting: slowest local minima first, then gap filling.
 
-    Runs out of budget gracefully; plan_deployment reports what is left
-    uncovered.  Each site's interval follows the deployment guide for its
-    local speed.
+    Returns (arc_m, local_vmax_mph) per site, in road order.  Runs out of
+    budget gracefully; plan_deployment reports what is left uncovered and
+    prices each site.
     """
     if count_budget < 1:
         raise ValueError("count budget must be at least one beacon")
@@ -240,23 +234,7 @@ def select_sites(
         chosen.append(arc)
         chosen_speed.append(_speed_at(road, speeds, arc))
 
-    sites = []
-    order = sorted(range(len(chosen)), key=lambda i: chosen[i])
-    for rank, i in enumerate(order, start=1):
-        local_vmax = chosen_speed[i]
-        interval, days = power.recommend_interval(local_vmax)
-        sites.append(
-            BeaconSite(
-                beacon_id=f"B-{rank:02d}",
-                position=road.point_at(chosen[i]),
-                arc_m=chosen[i],
-                beacon_preset=beacon_preset,
-                interval_ms=interval,
-                predicted_battery_days=days,
-                local_vmax_mph=local_vmax,
-            )
-        )
-    return sites
+    return sorted(zip(chosen, chosen_speed))
 
 
 def _speed_at(road: Road, speeds: Sequence[float], arc_m: float) -> float:
@@ -267,42 +245,43 @@ def _speed_at(road: Road, speeds: Sequence[float], arc_m: float) -> float:
 def plan_deployment(
     road: Road,
     budget: int,
+    scenario: DriveScenario,
     beacon_preset: str = DEFAULT_PATH_LOSS_PRESET,
     max_spacing_m: float = DEFAULT_MAX_SPACING_M,
     reliability_target: float | None = None,
-    scenario: DriveScenario | None = None,
 ) -> DeploymentPlan:
     """Assemble sites, intervals, battery life and pass probabilities.
 
-    Intervals default to the published speed guide; with a
-    ``reliability_target`` they come from the calibrated model instead
-    (largest 100 ms interval meeting the target at the site's speed).
+    With a ``reliability_target``, a site's interval comes from the
+    calibrated ``scenario`` (largest 100 ms interval meeting the target at
+    the site's speed); without one, or where no interval meets it, from
+    the published speed guide.  ``beacon_preset`` only labels the sites.
     """
-    if scenario is None:
-        scenario = scenario_for_mount(Mount.WHEEL_ARCH, rf_preset=beacon_preset)
-    sites = select_sites(
-        road, max_spacing_m=max_spacing_m, count_budget=budget, beacon_preset=beacon_preset
-    )
-    priced = []
+    sites = []
     # Sites on one straight share a speed; each speed is searched once.
     guide_rows: dict[float, power.GuideRow] = {}
-    for site in sites:
-        interval, days = site.interval_ms, site.predicted_battery_days
-        if reliability_target is not None:
-            speed = site.local_vmax_mph
-            if speed not in guide_rows:
-                guide_rows[speed] = power.derive_guide(reliability_target, [speed], scenario)[0]
-            row = guide_rows[speed]
-            if row.feasible:
-                interval, days = row.interval_ms, row.battery_days
-        p = scenario.pass_probability(site.local_vmax_mph, interval)
-        priced.append(
-            replace(
-                site, interval_ms=interval, predicted_battery_days=days, detection_probability=p
+    for rank, (arc, speed) in enumerate(select_sites(road, max_spacing_m, budget), start=1):
+        if reliability_target is not None and speed not in guide_rows:
+            guide_rows[speed] = power.derive_guide(reliability_target, [speed], scenario)[0]
+        row = guide_rows.get(speed)
+        if row is not None and row.feasible:
+            interval, days = row.interval_ms, row.battery_days
+        else:
+            interval, days = power.recommend_interval(speed)
+        sites.append(
+            BeaconSite(
+                beacon_id=f"B-{rank:02d}",
+                position=road.point_at(arc),
+                arc_m=arc,
+                beacon_preset=beacon_preset,
+                interval_ms=interval,
+                predicted_battery_days=days,
+                local_vmax_mph=speed,
+                detection_probability=scenario.pass_probability(speed, interval),
             )
         )
-    gaps = _coverage_gaps(road.length_m, [s.arc_m for s in priced], max_spacing_m)
-    return DeploymentPlan(road=road, sites=tuple(priced), coverage_gaps=gaps)
+    gaps = _coverage_gaps(road.length_m, [s.arc_m for s in sites], max_spacing_m)
+    return DeploymentPlan(road=road, sites=tuple(sites), coverage_gaps=gaps)
 
 
 def road_from_geojson(obj) -> Road:

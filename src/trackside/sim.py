@@ -29,7 +29,7 @@ from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
 from .pathloss import PathLossModel
-from .presets import DEFAULT_PATH_LOSS_PRESET, DriveScenario, Mount, scenario_for_mount
+from .presets import DEFAULT_PATH_LOSS, DriveScenario, Mount, scenario_for_mount
 from .rendezvous import (
     ORACLE_CHUNK,
     AdvertiserConfig,
@@ -108,7 +108,6 @@ class TrialMatrixSpec:
     speeds_mph: tuple[float, ...]
     intervals_ms: tuple[int, ...]
     trials_per_cell: int = 3
-    mount: Mount = Mount.WHEEL_ARCH
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
@@ -185,23 +184,15 @@ class MatrixResult:
 
 
 def simulate_pass(
-    seed: int | Sequence[int],
-    speed_mph: float,
-    interval_ms: float,
-    mount: Mount = Mount.WHEEL_ARCH,
-    rf_preset: str | PathLossModel = DEFAULT_PATH_LOSS_PRESET,
-    scanner: ScannerConfig | None = None,
+    seed: int | Sequence[int], speed_mph: float, interval_ms: float, scenario: DriveScenario
 ) -> bool:
     """One simulated drive-by: detection range -> in-range time -> one
     phase-sampled trial.  Deterministic in the seed."""
-    if speed_mph <= 0:
-        raise ValueError("speed must be positive")
-    scenario = scenario_for_mount(mount, rf_preset, scanner)
     t_in = scenario.in_range_time_s(speed_mph)
     if t_in == 0.0:
         return False
     hit = detection_probability_oracle(
-        scenario.advertiser(interval_ms), scenario.scanner, t_in, trials=1, seed=seed
+        AdvertiserConfig(interval_ms=interval_ms), scenario.scanner, t_in, trials=1, seed=seed
     )
     return hit >= 0.5
 
@@ -358,19 +349,14 @@ def _cell_detections(
     return detections
 
 
-def run_matrix(
-    spec: TrialMatrixSpec,
-    rf_preset: str | PathLossModel = DEFAULT_PATH_LOSS_PRESET,
-    scanner: ScannerConfig | None = None,
-) -> MatrixResult:
-    """Simulate every (speed, interval) cell of the spec."""
-    scenario = scenario_for_mount(spec.mount, rf_preset, scanner)
+def run_matrix(spec: TrialMatrixSpec, scenario: DriveScenario) -> MatrixResult:
+    """Simulate every (speed, interval) cell of the spec under ``scenario``."""
     cells = []
     for row, speed in enumerate(spec.speeds_mph):
         t_in = scenario.in_range_time_s(speed)
         for col, interval in enumerate(spec.intervals_ms):
             cell_index = row * len(spec.intervals_ms) + col
-            adv = scenario.advertiser(interval)
+            adv = AdvertiserConfig(interval_ms=interval)
             detections = _cell_detections(
                 spec.seed, cell_index, spec.trials_per_cell, adv, scenario.scanner, t_in
             )
@@ -465,13 +451,13 @@ def _mismatch_report(
     targets: Iterable[TargetMatrix],
     scan_window_ms: float,
     bonnet_attenuation_db: float,
-    rf_preset: str | PathLossModel,
+    path_loss: PathLossModel,
 ) -> tuple[int, tuple[CellReport, ...]]:
     scanner = ScannerConfig(scan_window_ms=scan_window_ms)
     reports = []
     total = 0
     for target in targets:
-        scenario = scenario_for_mount(target.mount, rf_preset, scanner, bonnet_attenuation_db)
+        scenario = scenario_for_mount(target.mount, path_loss, scanner, bonnet_attenuation_db)
         for speed in target.speeds_mph:
             for interval in target.intervals_ms:
                 p = scenario.pass_probability(speed, interval)
@@ -496,7 +482,7 @@ def _objective_grid(
     targets: Iterable[TargetMatrix],
     windows: Sequence[float],
     bonnets: Sequence[float],
-    rf_preset: str | PathLossModel,
+    path_loss: PathLossModel,
 ) -> list[list[int]]:
     """The ``_mismatch_report`` objective at every grid point, for ascending
     ``windows``: entry [i][j] is the objective at (windows[i], bonnets[j]).
@@ -528,7 +514,7 @@ def _objective_grid(
         for speed in target.speeds_mph:
             span_ms = scenario.in_range_time_s(speed) * 1000.0
             for interval in target.intervals_ms:
-                adv = scenario.advertiser(interval)
+                adv = AdvertiserConfig(interval_ms=interval)
 
                 def p(i: int) -> float:
                     return _expected_coverage(
@@ -553,8 +539,8 @@ def _objective_grid(
     for target in targets:
         by_range: dict[float, list[int]] = {}
         for j, bonnet in enumerate(bonnets):
-            scenario = scenario_for_mount(target.mount, rf_preset, bonnet_attenuation_db=bonnet)
-            detection_range = scenario.detection_range_m()
+            scenario = scenario_for_mount(target.mount, path_loss, bonnet_attenuation_db=bonnet)
+            detection_range = scenario.detection_range_m
             if detection_range not in by_range:
                 by_range[detection_range] = target_mismatch(target, scenario)
             for i, mismatch in enumerate(by_range[detection_range]):
@@ -566,7 +552,7 @@ def calibrate(
     targets: Sequence[TargetMatrix] | None = None,
     scan_window_grid_ms: Sequence[float] | None = None,
     bonnet_grid_db: Sequence[float] | None = None,
-    rf_preset: str | PathLossModel = DEFAULT_PATH_LOSS_PRESET,
+    path_loss: PathLossModel = DEFAULT_PATH_LOSS,
     refine: bool = True,
 ) -> CalibrationResult:
     """Grid-search (scan_window, bonnet_attenuation) minimising the total
@@ -588,7 +574,7 @@ def calibrate(
 
     def argmin(windows, bonnets, seed=None):
         windows, bonnets = sorted(windows), sorted(bonnets)
-        grid = _objective_grid(targets, windows, bonnets, rf_preset)
+        grid = _objective_grid(targets, windows, bonnets, path_loss)
         best = min((obj, w, b) for w, row in zip(windows, grid) for b, obj in zip(bonnets, row))
         return best if seed is None else min(seed, best)
 
@@ -602,7 +588,7 @@ def calibrate(
         best = argmin(sorted(set(windows)), sorted(set(bonnets)), seed=best)
 
     objective, window, bonnet = best
-    _, reports = _mismatch_report(targets, window, bonnet, rf_preset)
+    _, reports = _mismatch_report(targets, window, bonnet, path_loss)
     return CalibrationResult(
         scan_window_ms=window,
         bonnet_attenuation_db=bonnet,

@@ -386,6 +386,11 @@ INGEST_STORE_SHA256 = "1df0fbc49e7bf291f846998cd460dfaf725cad65d3b17385df855f31d
 INGEST_GEOJSON_SHA256 = "f19d03293066c04e5a894ddecce91e8fb95966f8585d5b1418ff50c8c762ff5f"
 
 
+# One valid detection store line.
+STORE_LINE = ('{"beacon_id": "B-01", "count": 2, "first_seen_s": 10, "lat": 5.41, '
+              '"lon": 118.03, "quarantined": false, "received_at": 1, "receiver_id": "RX1"}')
+
+
 class TestProtocolPipeline:
     def test_encode_decode_roundtrip(self, tmp_path):
         code, text = run(["encode", "--receiver", "RX1", "B-01:2:10", "B-07:1:55"])
@@ -414,6 +419,35 @@ class TestProtocolPipeline:
     def test_bad_record_token_usage_error(self):
         code, _ = run(["encode", "--receiver", "RX1", "nonsense"])
         assert code == 2
+
+    @pytest.mark.parametrize("segment,diagnostic", [
+        # int() takes a sign and underscores, \d and int() other scripts' digits.
+        ("T1|RX1|1/1|B-01:+1:1_0", "! malformed record 'B-01:+1:1_0' skipped: '+1' is not"),
+        ("T1|RX1|1/1|B-01: 2:\u0663", "! malformed record 'B-01: 2:\u0663' skipped: ' 2' is not"),
+        ("T1|RX1|1/1|B-01:2:\u0663", "! malformed record 'B-01:2:\u0663' skipped: '\u0663' is not"),
+    ])
+    def test_decode_numbers_are_ascii_digits(self, tmp_path, segment, diagnostic):
+        segments = tmp_path / "segments.txt"
+        segments.write_text(segment + "\n", encoding="utf-8")
+        code, text = run(["decode", "--segments", str(segments)])
+        assert code == 1
+        assert text.splitlines() == ["receiver: RX1", diagnostic + " a valid int"]
+
+    def test_decode_non_ascii_counter_is_unparseable(self, tmp_path, capsys):
+        segments = tmp_path / "segments.txt"
+        segments.write_text("T1|RX1|\u0661/\u0661|B-01:1:10\n", encoding="utf-8")
+        code, text = run(["decode", "--segments", str(segments)])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == "error: bad segment counter '\u0661/\u0661'\n"
+
+    @pytest.mark.parametrize("token,bad", [
+        ("B-01:+2:\u0663", "+2"), ("B-01:2:\u0663", "\u0663"), ("B-01:1_0:5", "1_0"),
+        ("B-01: 2:5", " 2"), ("B-01:2:-5", "-5"),
+    ])
+    def test_encode_numbers_are_ascii_digits(self, capsys, token, bad):
+        code, out = run(["encode", "--receiver", "RX1", token])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: record {token!r}: {bad!r} is not a valid int\n"
 
     def test_ingest_idempotent_and_export(self, registry_csv, tmp_path):
         code, text = run(["encode", "--receiver", "RX1", "B-01:2:10", "B-99:1:55"])
@@ -457,13 +491,23 @@ class TestProtocolPipeline:
         ('{"beacon_id": "B-0001"}', "missing 4 required positional arguments"),
         ("[1,2]", "must be a mapping, not list"),
         ("{not json", "Expecting property name enclosed in double quotes"),
+        # Each field has its exact JSON type, and a count is at least 1.
+        (STORE_LINE.replace('"lat": 5.41', '"lat": "x"'), "lat 'x' is neither a number nor null"),
+        (STORE_LINE.replace("false", '"no"'), "quarantined 'no' is not true or false"),
+        (STORE_LINE.replace('"count": 2', '"count": -4'), "count -4 is not a positive integer"),
+        (STORE_LINE.replace('"count": 2', '"count": true'), "count True is not a positive"),
+        (STORE_LINE.replace('"first_seen_s": 10', '"first_seen_s": "3"'),
+         "first_seen_s '3' is not a non-negative integer"),
+        (STORE_LINE.replace('"received_at": 1', '"received_at": 1.5'),
+         "received_at 1.5 is not an integer"),
+        (STORE_LINE.replace('"B-01"', '"bad id!"'), "beacon id 'bad id!' must be"),
+        (STORE_LINE.replace('"RX1"', '"rx1"'), "receiver id 'rx1' must be"),
     ])
     @pytest.mark.parametrize("command", ["ingest", "export"])
     def test_corrupt_store_names_file_and_line(
         self, registry_csv, tmp_path, capsys, command, line, detail
     ):
-        good = ('{"beacon_id": "B-01", "count": 2, "first_seen_s": 10, "lat": 5.41, '
-                '"lon": 118.03, "quarantined": false, "received_at": 1, "receiver_id": "RX1"}')
+        good = STORE_LINE
         store = tmp_path / "store.ndjson"
         store.write_text(f"{good}\n\n{line}\n")
         segments = tmp_path / "segments.txt"
@@ -721,3 +765,23 @@ def test_model_failure_still_exits_one(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "envelope" in err
+
+
+def test_fast_road_is_priced_by_the_model_at_a_target(tmp_path, capsys):
+    # The same 60 mph road, with --reliability: every site takes the
+    # model-derived interval, which `guide --speeds 60` derives too.
+    coords = [[i * 100.0 / M_PER_DEG, 0.0] for i in range(11)]
+    road = tmp_path / "fast.geojson"
+    road.write_text(json.dumps({
+        "type": "Feature",
+        "properties": {"surface_vmax_mph": 60},
+        "geometry": {"type": "LineString", "coordinates": coords},
+    }))
+    code, summary = run(["plan", "--road", str(road), "--budget", "2", "--reliability", "0.95",
+                         "--out", str(tmp_path / "p.geojson")])
+    assert (code, capsys.readouterr().err) == (0, "")
+    sites = [f["properties"] for f in json.loads((tmp_path / "p.geojson").read_text())["features"]]
+    assert [s["interval_ms"] for s in sites] == [600, 600]
+    assert all(s["detection_probability"] >= 0.95 for s in sites)
+    _, guide = run(["guide", "--reliability", "0.95", "--speeds", "60"])
+    assert guide.splitlines()[1].split() == ["60", "600", "112.50"]

@@ -1,0 +1,44 @@
+"""Design rules of the package, checked on its source: there is one way to
+build a ``DriveScenario``, and preset names are resolved only where the
+command line reads them."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "trackside"
+
+
+def calls_to(name: str) -> list[tuple[str, str | None]]:
+    """(module, innermost enclosing function) of every call to ``name``,
+    whether called bare or as an attribute, in ``src/trackside/*.py``."""
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = getattr(func, "id", None) or getattr(func, "attr", None)
+                if called == name:
+                    found.append((module, scope))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+            visit(child, module, inner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, None)
+    return found
+
+
+def test_scenario_built_only_by_scenario_for_mount():
+    assert calls_to("DriveScenario") == [("presets", "scenario_for_mount")]
+
+
+def test_only_cli_resolves_preset_names():
+    callers = calls_to("path_loss_preset")
+    assert callers and {module for module, _ in callers} == {"cli"}
+
+
+def test_walker_sees_attribute_and_nested_calls():
+    # The rules above would pass vacuously if the walker missed calls.
+    assert ("cli", "cmd_calibrate") in calls_to("scenario_for_mount")
+    assert ("sim", "_objective_grid") in calls_to("scenario_for_mount")
+    assert ("roadplan", "plan_deployment") in calls_to("recommend_interval")

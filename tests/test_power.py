@@ -16,13 +16,7 @@ from trackside.power import (
     published_guide,
     recommend_interval,
 )
-from trackside.presets import (
-    DriveScenario,
-    Mount,
-    default_scanner,
-    path_loss_preset,
-    scenario_for_mount,
-)
+from trackside.presets import DriveScenario, Mount, scenario_for_mount
 
 PUBLISHED = [
     (5, 1400, 262.5),
@@ -81,7 +75,7 @@ class TestRecommendInterval:
 
 @pytest.fixture(scope="module")
 def scenario():
-    return DriveScenario(path_loss=path_loss_preset("hm10-bt4"), scanner=default_scanner())
+    return scenario_for_mount()
 
 
 class TestDeriveGuide:
@@ -107,9 +101,8 @@ class TestDeriveGuide:
         # A pass that never enters range cannot meet any positive target:
         # a threshold a hair under the reference gives a ~1.07 m range,
         # less than the 2 m lateral offset.
-        blind = DriveScenario(
-            path_loss=PathLossModel(reliability_threshold_dbm=-70.5),
-            scanner=scenario.scanner,
+        blind = scenario_for_mount(
+            path_loss=PathLossModel(reliability_threshold_dbm=-70.5), scanner=scenario.scanner
         )
         rows = derive_guide(0.5, [30], blind)
         assert not rows[0].feasible
@@ -125,10 +118,10 @@ class TestDeriveGuide:
         monkeypatch.setattr(
             pathloss, "detection_range", lambda *a, **k: calls.append(1) or real(*a, **k)
         )
-        fresh = DriveScenario(path_loss=path_loss_preset("hm10-bt4"), scanner=default_scanner())
+        fresh = scenario_for_mount()
         derive_guide(0.95, [5, 25, 45], fresh)
         assert len(calls) == 1
-        assert fresh.detection_range_m() == real(fresh.path_loss, materials=fresh.materials)
+        assert fresh.detection_range_m == real(fresh.path_loss, materials=fresh.materials)
 
 
 def brute_force_guide(target, speeds, scenario):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -9,6 +10,7 @@ from trackside import gsm7
 from trackside.protocol import (
     MAX_SEGMENTS,
     DecodeResult,
+    DetectionEvent,
     DetectionRecord,
     DetectionStore,
     GsmDown,
@@ -24,9 +26,12 @@ from trackside.protocol import (
     group_segments,
     load_registry,
     merge_detections,
+    parse_record_token,
     receiver_step,
+    record_token,
     store_to_geojson,
     validate_beacon_id,
+    validate_receiver_id,
 )
 
 beacon_ids = st.from_regex(r"[A-Z0-9-]{1,12}", fullmatch=True)
@@ -62,9 +67,11 @@ class TestGsm7:
 class TestValidation:
     def test_beacon_id_charset(self):
         assert validate_beacon_id("B-01") == "B-01"
-        for bad in ("", "b-01", "B_01", "B" * 13, "B 1"):
+        for bad in ("", "b-01", "B_01", "B" * 13, "B 1", "B-01\n"):
             with pytest.raises(ValueError):
                 validate_beacon_id(bad)
+        with pytest.raises(ValueError):
+            validate_receiver_id("RX1\n")
 
     def test_record_invariants(self):
         with pytest.raises(ValueError):
@@ -300,6 +307,31 @@ class TestCodec:
         with pytest.raises(WireFormatError):
             decode_sms(["T9|RX1|1/1|B-01:1:10"])
 
+    def test_record_token_roundtrip(self):
+        record = DetectionRecord("B-01", 10, 2)
+        assert record_token(record) == "B-01:2:10"
+        assert parse_record_token("B-01:2:10") == record
+
+    @pytest.mark.parametrize("token", [
+        "B-01:+1:10", "B-01:1:1_0", "B-01: 2:10", "B-01:2 :10", "B-01:\u0663:10",
+        "B-01:2:\uff11", "B-01:-2:10", "B-01:2", "B-01:2:10:4", "B-01::10",
+    ])
+    def test_record_numbers_are_ascii_digits(self, token):
+        with pytest.raises(ValueError):
+            parse_record_token(token)
+        decoded = decode_sms([f"T1|RX1|1/1|B-02:1:5;{token}"])
+        assert decoded.records == (DetectionRecord("B-02", 5, 1),)
+        assert decoded.diagnostics == (
+            f"malformed record {token!r} skipped: {_parse_error(token)}",
+        )
+
+    @pytest.mark.parametrize("counter", ["\u0661/1", "1/\u0661", "+1/1", "1/ 1", "1_0/10"])
+    def test_counter_is_ascii_digits(self, counter):
+        line = f"T1|RX1|{counter}|B-01:1:10"
+        with pytest.raises(WireFormatError, match="bad segment counter"):
+            decode_sms([line])
+        assert group_segments([line]) == ({}, [line])
+
     def test_bad_counter_rejected(self):
         with pytest.raises(WireFormatError):
             decode_sms(["T1|RX1|0/1|B-01:1:10"])
@@ -335,6 +367,13 @@ class TestCodec:
             decode_sms([])
         with pytest.raises(ValueError):
             encode_sms("RX1", [])
+
+
+def _parse_error(token):
+    try:
+        parse_record_token(token)
+    except ValueError as exc:
+        return str(exc)
 
 
 @pytest.fixture
@@ -401,6 +440,24 @@ class TestStore:
             "received_at": 1234,
         }
         assert geojson["features"][0]["geometry"]["coordinates"] == [118.03, 5.41]
+
+    @pytest.mark.parametrize("field,value", [
+        ("lat", '"x"'), ("lon", "true"), ("quarantined", '"no"'), ("quarantined", "0"),
+        ("count", "-4"), ("count", "0"), ("count", "true"), ("count", "2.0"),
+        ("first_seen_s", '"3"'), ("first_seen_s", "-1"), ("received_at", "null"),
+        ("beacon_id", '"bad id!"'), ("beacon_id", "7"), ("receiver_id", '"rx1"'),
+    ])
+    def test_load_checks_json_types(self, tmp_path, field, value):
+        event = DetectionEvent("B-01", "RX1", 2, 10, 1000, 5.41, None, False)
+        assert DetectionEvent.from_json(event.to_json()) == event
+        line = event.to_json().replace(
+            f'"{field}": {json.dumps(getattr(event, field))}', f'"{field}": {value}'
+        )
+        assert line != event.to_json()
+        path = tmp_path / "store.ndjson"
+        path.write_text(event.to_json() + "\n" + line + "\n")
+        with pytest.raises(ValueError, match="line 2 is not a detection event"):
+            DetectionStore.load(path)
 
     def test_registry_csv(self, tmp_path):
         path = tmp_path / "registry.csv"

@@ -3,9 +3,10 @@ import math
 
 import pytest
 
+from trackside.pathloss import PathLossModel
 from trackside.power import recommend_interval
-from trackside.presets import DriveScenario, default_scanner, path_loss_preset
-from trackside.rendezvous import detection_probability_oracle, mph_to_ms
+from trackside.presets import path_loss_preset, scenario_for_mount
+from trackside.rendezvous import AdvertiserConfig, detection_probability_oracle, mph_to_ms
 from trackside.roadplan import (
     DEFAULT_MAX_SPACING_M,
     Road,
@@ -19,6 +20,7 @@ from trackside.roadplan import (
 )
 
 M_PER_DEG = math.pi * 6371000.0 / 180.0
+SCENARIO = scenario_for_mount()
 
 
 def road_from_meters(points_m, vmax=45.0):
@@ -122,86 +124,96 @@ class TestSelectSites:
         road = straight_road(1000.0)
         sites = select_sites(road, count_budget=1)
         assert len(sites) == 1
-        assert sites[0].arc_m == pytest.approx(500.0, rel=1e-6)
-        assert sites[0].interval_ms == 700  # 45 mph guide row
-        assert sites[0].predicted_battery_days == 131.25
+        assert sites[0][0] == pytest.approx(500.0, rel=1e-6)
+        site = plan_deployment(road, 1, SCENARIO).sites[0]
+        assert site.interval_ms == 700  # 45 mph guide row
+        assert site.predicted_battery_days == 131.25
 
     def test_hairpin_budget_one_at_apex(self):
         road = hairpin_road()
         sites = select_sites(road, count_budget=1)
         apex_arc = road.arc_lengths()[2]  # vertex (100, 2) m
         assert len(sites) == 1
-        assert sites[0].arc_m == pytest.approx(apex_arc, abs=1.0)
+        arc, local_vmax = sites[0]
+        assert arc == pytest.approx(apex_arc, abs=1.0)
         # apex speed is well under the cap, so the interval is longer
-        assert sites[0].local_vmax_mph < 15.0
-        assert sites[0].interval_ms >= 1200
+        assert local_vmax < 15.0
+        assert plan_deployment(road, 1, SCENARIO).sites[0].interval_ms >= 1200
 
     def test_zero_budget_rejected(self):
         with pytest.raises(ValueError):
             select_sites(straight_road(), count_budget=0)
 
     def test_sites_sorted_and_unique_ids(self):
-        sites = select_sites(straight_road(2000.0), count_budget=4)
-        arcs = [s.arc_m for s in sites]
-        assert arcs == sorted(arcs)
+        arcs = [arc for arc, _ in select_sites(straight_road(2000.0), count_budget=4)]
+        assert len(arcs) == 4 and arcs == sorted(arcs)
+        sites = plan_deployment(straight_road(2000.0), 4, SCENARIO).sites
+        assert [s.arc_m for s in sites] == arcs
         assert len({s.beacon_id for s in sites}) == len(sites)
 
 
 class TestPlanDeployment:
     def test_straight_km_three_sites_no_gaps(self):
-        plan = plan_deployment(straight_road(1000.0), budget=3, max_spacing_m=400.0)
+        plan = plan_deployment(straight_road(1000.0), 3, SCENARIO, max_spacing_m=400.0)
         assert len(plan.sites) == 3
         assert plan.coverage_gaps == ()
 
     def test_underbudget_reports_gaps(self):
-        plan = plan_deployment(straight_road(2000.0), budget=1, max_spacing_m=400.0)
+        plan = plan_deployment(straight_road(2000.0), 1, SCENARIO, max_spacing_m=400.0)
         assert len(plan.sites) == 1
         assert plan.coverage_gaps
 
     def test_two_point_road_plans(self):
-        plan = plan_deployment(road_from_meters([(0, 0), (300, 0)]), budget=1)
+        plan = plan_deployment(road_from_meters([(0, 0), (300, 0)]), 1, SCENARIO)
         assert len(plan.sites) == 1
         assert plan.sites[0].arc_m == pytest.approx(150.0, rel=1e-6)
 
     def test_sites_on_polyline(self):
-        plan = plan_deployment(hairpin_road(), budget=2)
+        plan = plan_deployment(hairpin_road(), 2, SCENARIO)
         for site in plan.sites:
             assert site.position == plan.road.point_at(site.arc_m)
 
     def test_guide_consistency(self):
-        plan = plan_deployment(straight_road(1500.0), budget=3)
+        plan = plan_deployment(straight_road(1500.0), 3, SCENARIO)
         for site in plan.sites:
             interval, days = recommend_interval(site.local_vmax_mph)
             assert site.interval_ms == interval
             assert site.predicted_battery_days == days
 
     def test_reliability_target_met_and_oracle_checked(self):
-        scenario = DriveScenario(
-            path_loss=path_loss_preset("hm10-bt4"), scanner=default_scanner()
-        )
-        plan = plan_deployment(
-            straight_road(1000.0), budget=2, reliability_target=0.95, scenario=scenario
-        )
+        plan = plan_deployment(straight_road(1000.0), 2, SCENARIO, reliability_target=0.95)
         for site in plan.sites:
             assert site.detection_probability >= 0.95
             mc = detection_probability_oracle(
-                scenario.advertiser(site.interval_ms),
-                scenario.scanner,
-                scenario.in_range_time_s(site.local_vmax_mph),
+                AdvertiserConfig(interval_ms=site.interval_ms),
+                SCENARIO.scanner,
+                SCENARIO.in_range_time_s(site.local_vmax_mph),
                 trials=20000,
                 seed=17,
             )
             assert abs(mc - site.detection_probability) < 0.02
 
     def test_expected_detections_sum(self):
-        plan = plan_deployment(straight_road(1000.0), budget=2)
+        plan = plan_deployment(straight_road(1000.0), 2, SCENARIO)
         assert plan.expected_detections_per_traverse == pytest.approx(
             sum(s.detection_probability for s in plan.sites)
         )
 
     def test_unknown_preset_rejected(self):
-        with pytest.raises(KeyError):
-            plan_deployment(straight_road(), budget=1, beacon_preset="nope")
+        # Names are resolved where the command line reads them; below it,
+        # ``beacon_preset`` is only a label.
+        with pytest.raises(KeyError, match="nope"):
+            path_loss_preset("nope")
+        plan = plan_deployment(straight_road(), 1, SCENARIO, beacon_preset="nope")
+        assert plan.sites[0].beacon_preset == "nope"
+
+    def test_infeasible_target_falls_back_to_the_guide(self):
+        # A ~1 m range never reaches a beacon 2 m off the road, so no
+        # interval meets the target; the guide prices the site.
+        blind = scenario_for_mount(path_loss=PathLossModel(reliability_threshold_dbm=-70.5))
+        site, = plan_deployment(straight_road(1000.0), 1, blind, reliability_target=0.5).sites
+        assert (site.interval_ms, site.predicted_battery_days) == (700, 131.25)
+        assert site.detection_probability == 0.0
 
 
 class TestGeoJson:
@@ -237,7 +249,7 @@ class TestGeoJson:
             road_from_geojson({"type": "Point", "coordinates": [0, 0]})
 
     def test_plan_export_points(self):
-        plan = plan_deployment(straight_road(1000.0), budget=2)
+        plan = plan_deployment(straight_road(1000.0), 2, SCENARIO)
         geojson = plan_to_geojson(plan)
         assert geojson["type"] == "FeatureCollection"
         assert len(geojson["features"]) == 2

@@ -10,11 +10,12 @@ from trackside import sim
 from trackside.pathloss import PathLossModel
 from trackside.presets import (
     CALIBRATED_SCAN_WINDOW_MS,
+    DEFAULT_PATH_LOSS,
     Mount,
     default_scanner,
     scenario_for_mount,
 )
-from trackside.rendezvous import ScannerConfig, detection_probability_oracle
+from trackside.rendezvous import AdvertiserConfig, ScannerConfig, detection_probability_oracle
 from trackside.sim import (
     BAND_THRESHOLDS,
     CellLabel,
@@ -32,30 +33,32 @@ from trackside.sim import (
 )
 
 BAND_LABELS = [CellLabel.N, CellLabel.P33, CellLabel.P66, CellLabel.Y]
+WHEEL_ARCH = scenario_for_mount(Mount.WHEEL_ARCH)
+# Range ~1.07 m, under the 2 m lateral offset: no pass is ever in range.
+NEVER_IN_RANGE = scenario_for_mount(path_loss=PathLossModel(reliability_threshold_dbm=-70.5))
 
 
 class TestSimulatePass:
     def test_deterministic(self):
         for seed in range(6):
-            a = simulate_pass(seed, 45.0, 1400, Mount.WHEEL_ARCH)
-            b = simulate_pass(seed, 45.0, 1400, Mount.WHEEL_ARCH)
+            a = simulate_pass(seed, 45.0, 1400, WHEEL_ARCH)
+            b = simulate_pass(seed, 45.0, 1400, WHEEL_ARCH)
             assert a == b
 
     def test_short_interval_always_detected_at_20mph(self):
         for seed in range(10):
             for interval in (200, 700, 1200, 1600):
-                assert simulate_pass(seed, 20.0, interval, Mount.WHEEL_ARCH)
+                assert simulate_pass(seed, 20.0, interval, WHEEL_ARCH)
 
     def test_out_of_range_never_detected(self):
-        # Reliability threshold a hair under the reference: range ~1 m,
-        # less than the 2 m lateral offset, so the pass never connects.
-        model = PathLossModel(reliability_threshold_dbm=-70.5)
+        # Reliability threshold a hair under the reference, so the pass
+        # never connects.
         for seed in range(5):
-            assert not simulate_pass(seed, 20.0, 200, rf_preset=model)
+            assert not simulate_pass(seed, 20.0, 200, NEVER_IN_RANGE)
 
     def test_bad_speed_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_pass(1, 0.0, 700)
+        with pytest.raises(ValueError, match="speed must be positive"):
+            simulate_pass(1, 0.0, 700, WHEEL_ARCH)
 
 
 class TestBands:
@@ -93,21 +96,20 @@ def small_spec():
         speeds_mph=(20.0, 35.0, 45.0),
         intervals_ms=(900, 1200, 1500),
         trials_per_cell=3,
-        mount=Mount.WHEEL_ARCH,
         seed=77,
     )
 
 
 class TestRunMatrix:
     def test_grid_dimensions(self, small_spec):
-        result = run_matrix(small_spec)
+        result = run_matrix(small_spec, WHEEL_ARCH)
         assert len(result.cells) == 9
         assert {c.speed_mph for c in result.cells} == set(small_spec.speeds_mph)
         assert {c.interval_ms for c in result.cells} == set(small_spec.intervals_ms)
 
     def test_deterministic_output(self, small_spec):
-        a = run_matrix(small_spec)
-        b = run_matrix(small_spec)
+        a = run_matrix(small_spec, WHEEL_ARCH)
+        b = run_matrix(small_spec, WHEEL_ARCH)
         assert a.to_csv() == b.to_csv()
         assert a.to_text() == b.to_text()
 
@@ -120,11 +122,10 @@ class TestRunMatrix:
             speeds_mph=(30.0, 60.0, 90.0),
             intervals_ms=(1100, 1600, 4000),
             trials_per_cell=200,
-            mount=Mount.BONNET,
             seed=2024,
         )
-        for spec in (small_spec, edges):
-            result = run_matrix(spec)
+        for spec, scenario in ((small_spec, WHEEL_ARCH), (edges, scenario_for_mount(Mount.BONNET))):
+            result = run_matrix(spec, scenario)
             n_rows, n_cols = len(spec.speeds_mph), len(spec.intervals_ms)
             order = [
                 (r, c, t)
@@ -139,7 +140,7 @@ class TestRunMatrix:
                     (spec.seed, r * n_cols + c, t),
                     spec.speeds_mph[r],
                     spec.intervals_ms[c],
-                    mount=spec.mount,
+                    scenario,
                 )
                 key = (spec.speeds_mph[r], spec.intervals_ms[c])
                 counts[key] = counts.get(key, 0) + int(hit)
@@ -152,9 +153,9 @@ class TestRunMatrix:
         # More trials than one block: the counts equal one trials=1 oracle
         # call per trial, with the oracle's real chunk and with tiny trial
         # or entry limits that split a cell into many uneven blocks.
-        scenario = scenario_for_mount(Mount.WHEEL_ARCH)
+        scenario = WHEEL_ARCH
         t_in = scenario.in_range_time_s(45.0)
-        adv = scenario.advertiser(1300)
+        adv = AdvertiserConfig(interval_ms=1300)
         spec = TrialMatrixSpec(
             speeds_mph=(45.0,), intervals_ms=(1300,),
             trials_per_cell=sim.ORACLE_CHUNK + 3, seed=31,
@@ -166,7 +167,7 @@ class TestRunMatrix:
             for t in range(spec.trials_per_cell)
         ]
         assert 0 < sum(hits) < len(hits)
-        assert run_matrix(spec).cells[0].detections == sum(hits)
+        assert run_matrix(spec, scenario).cells[0].detections == sum(hits)
         for chunk, entries in ((7, sim._BLOCK_EVENTS), (sim.ORACLE_CHUNK, 10)):
             monkeypatch.setattr(sim, "ORACLE_CHUNK", chunk)
             monkeypatch.setattr(sim, "_BLOCK_EVENTS", entries)
@@ -174,20 +175,19 @@ class TestRunMatrix:
                 small = TrialMatrixSpec(
                     speeds_mph=(45.0,), intervals_ms=(1300,), trials_per_cell=trials, seed=31
                 )
-                assert run_matrix(small).cells[0].detections == sum(hits[:trials])
+                assert run_matrix(small, scenario).cells[0].detections == sum(hits[:trials])
 
     def test_certain_cell_always_y(self):
         spec = TrialMatrixSpec(
             speeds_mph=(20.0,), intervals_ms=(200,), trials_per_cell=3, seed=3
         )
-        result = run_matrix(spec)
+        result = run_matrix(spec, WHEEL_ARCH)
         cell = result.cells[0]
         assert cell.expected_probability == 1.0
         assert cell.label is CellLabel.Y
 
     def test_never_in_range_matrix_is_all_n(self, small_spec):
-        # Range ~1.07 m, under the 2 m lateral offset: no pass is ever in range.
-        result = run_matrix(small_spec, rf_preset=PathLossModel(reliability_threshold_dbm=-70.5))
+        result = run_matrix(small_spec, NEVER_IN_RANGE)
         assert {(c.detections, c.label, c.expected_probability) for c in result.cells} == {
             (0, CellLabel.N, 0.0)
         }
@@ -198,7 +198,7 @@ class TestRunMatrix:
             intervals_ms=tuple(range(700, 1601, 100)),
             seed=5,
         )
-        result = run_matrix(spec)
+        result = run_matrix(spec, WHEEL_ARCH)
         for interval in spec.intervals_ms:
             col = [
                 result.cell(speed, interval).expected_probability
@@ -215,9 +215,8 @@ class TestRunMatrix:
             TrialMatrixSpec(speeds_mph=(20.0,), intervals_ms=(700,), seed=-1)
 
     def test_expected_probability_is_pass_probability(self, small_spec):
-        scenario = scenario_for_mount(small_spec.mount)
-        for cell in run_matrix(small_spec).cells:
-            assert cell.expected_probability == scenario.pass_probability(
+        for cell in run_matrix(small_spec, WHEEL_ARCH).cells:
+            assert cell.expected_probability == WHEEL_ARCH.pass_probability(
                 cell.speed_mph, cell.interval_ms
             )
 
@@ -312,7 +311,7 @@ class TestCalibrate:
 
         for w in grid_w:
             for b in grid_b:
-                other, _ = _mismatch_report(targets, w, b, "hm10-bt4")
+                other, _ = _mismatch_report(targets, w, b, DEFAULT_PATH_LOSS)
                 assert result.objective <= other
 
     def test_tie_breaks_toward_smaller_window_then_bonnet(self):
@@ -320,7 +319,7 @@ class TestCalibrate:
         windows = [850.0, 775.0, 800.0, 825.0, 750.0]
         bonnets = [1.75, 1.25, 1.5, 1.0]
         scalar = [
-            (_mismatch_report(targets, w, b, "hm10-bt4")[0], w, b)
+            (_mismatch_report(targets, w, b, DEFAULT_PATH_LOSS)[0], w, b)
             for w in windows
             for b in bonnets
         ]
@@ -407,10 +406,10 @@ class TestObjectiveGrid:
         return (load_target_matrix(Mount.WHEEL_ARCH), load_target_matrix(Mount.BONNET))
 
     def assert_matches_report(self, targets, windows, bonnets, points):
-        grid = np.array(_objective_grid(targets, windows, bonnets, "hm10-bt4"), dtype="<i8")
+        grid = np.array(_objective_grid(targets, windows, bonnets, DEFAULT_PATH_LOSS), dtype="<i8")
         assert grid.shape == (len(windows), len(bonnets))
         for i, j in points:
-            objective, _ = _mismatch_report(targets, windows[i], bonnets[j], "hm10-bt4")
+            objective, _ = _mismatch_report(targets, windows[i], bonnets[j], DEFAULT_PATH_LOSS)
             assert grid[i, j] == objective
 
     def test_random_points_of_the_coarse_grid(self, targets):
@@ -437,7 +436,7 @@ class TestObjectiveGrid:
     def test_whole_grid_pinned(self, targets, windows, bonnets, digest):
         # Every objective of the grid, as computed before the coverage of
         # each (event count, interval) was shared across the grid.
-        grid = np.array(_objective_grid(targets, windows, bonnets, "hm10-bt4"), dtype="<i8")
+        grid = np.array(_objective_grid(targets, windows, bonnets, DEFAULT_PATH_LOSS), dtype="<i8")
         assert hashlib.sha256(grid.tobytes()).hexdigest() == digest
 
     def test_each_coverage_computed_once(self, targets, monkeypatch):
@@ -450,5 +449,5 @@ class TestObjectiveGrid:
 
         monkeypatch.setattr(sim, "_coverage_exact", counted)
         windows = [float(w) for w in range(100, 2501, 25)]
-        _objective_grid(targets, windows, [round(0.25 * i, 2) for i in range(41)], "hm10-bt4")
+        _objective_grid(targets, windows, [round(0.25 * i, 2) for i in range(41)], DEFAULT_PATH_LOSS)
         assert len(calls) == len(set(calls))
