@@ -278,10 +278,13 @@ def cmd_guide(args, config, out) -> int:
 
 
 def _read_segment_lines(source: str) -> list[str]:
-    if source == "-":
-        return [line.strip() for line in sys.stdin if line.strip()]
-    with open(source) as fh:
-        return [line.strip() for line in fh if line.strip()]
+    try:
+        if source == "-":
+            return [line.strip() for line in sys.stdin if line.strip()]
+        with open(source, encoding="utf-8") as fh:
+            return [line.strip() for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise _invalid_file("segments", source, exc) from None
 
 
 def cmd_ingest(args, config, out) -> int:

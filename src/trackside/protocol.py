@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
@@ -416,7 +417,10 @@ def load_registry(path) -> dict[str, RegistryEntry]:
             raise ValueError("registry CSV needs columns beacon_id,lat,lon")
         for row in reader:
             beacon_id = validate_beacon_id(row["beacon_id"].strip())
-            registry[beacon_id] = RegistryEntry(beacon_id, float(row["lat"]), float(row["lon"]))
+            lat, lon = float(row["lat"]), float(row["lon"])
+            if not (math.isfinite(lat) and math.isfinite(lon)):
+                raise ValueError(f"beacon {beacon_id} has non-finite coordinates {lat}, {lon}")
+            registry[beacon_id] = RegistryEntry(beacon_id, lat, lon)
     return registry
 
 
@@ -460,7 +464,7 @@ class DetectionEvent:
         """The event one store line holds; raises ``ValueError`` (or
         ``TypeError`` for missing or unknown keys) when a field does not
         have its exact JSON type: a bool is not an integer, nor a string
-        a number."""
+        a number, and coordinates are finite."""
         event = cls(**json.loads(line))
         validate_beacon_id(event.beacon_id)
         validate_receiver_id(event.receiver_id)
@@ -475,6 +479,11 @@ class DetectionEvent:
             raise ValueError(f"lat {lat!r} is neither a number nor null")
         if lon is not None and type(lon) not in _JSON_NUMBERS:
             raise ValueError(f"lon {lon!r} is neither a number nor null")
+        # json.loads reads NaN, Infinity and 1e400 as floats.
+        if type(lat) is float and not math.isfinite(lat):
+            raise ValueError(f"lat {lat!r} is not finite")
+        if type(lon) is float and not math.isfinite(lon):
+            raise ValueError(f"lon {lon!r} is not finite")
         if type(event.quarantined) is not bool:
             raise ValueError(f"quarantined {event.quarantined!r} is not true or false")
         return event
@@ -483,38 +492,67 @@ class DetectionEvent:
 @dataclass
 class DetectionStore:
     """Detection log, one JSON event per line in file order; merges are
-    idempotent by event key, and ``save`` rewrites the whole file."""
+    idempotent by event key.  ``save`` appends the events added since
+    ``load`` to the file and fsyncs it: lines already in the file are
+    never rewritten."""
 
     events: list[DetectionEvent] = field(default_factory=list)
     _keys: set[tuple] = field(default_factory=set)
+    # How many of ``events`` the file already holds; None while there is
+    # no file behind the store, so save writes all of them.
+    _saved: int | None = field(default=None, init=False)
+    # Whether the file's last line lacks its line end.
+    _unterminated: bool = field(default=False, init=False)
 
     @classmethod
     def load(cls, path) -> "DetectionStore":
         """The store saved at ``path``, or an empty one if there is no such
-        file.  A line that is not one detection event raises ``ValueError``
-        naming the file and the line."""
+        file.  A line that is not one UTF-8 encoded detection event raises
+        ``ValueError`` naming the file and the line."""
         store = cls()
+        raw = "\n"
         try:
-            with open(path) as fh:
-                for number, line in enumerate(fh, 1):
-                    line = line.strip()
-                    if not line:
-                        continue
+            # Undecodable bytes become lone surrogates here, so that the
+            # strict decode below can fail on the line that holds them.
+            with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+                for number, raw in enumerate(fh, 1):
                     try:
-                        store._append(DetectionEvent.from_json(line))
+                        if not raw.isascii():
+                            raw.encode("utf-8", "surrogateescape").decode("utf-8")
+                        line = raw.strip()
+                        if line:
+                            store._append(DetectionEvent.from_json(line))
                     except (TypeError, ValueError) as exc:
                         raise ValueError(
                             f"detection store {str(path)!r} line {number} is not "
                             f"a detection event: {exc}"
                         ) from None
         except FileNotFoundError:
-            pass
+            return store
+        store._saved = len(store.events)
+        # Text-mode reading turns \r and \r\n line ends into \n.
+        store._unterminated = not raw.endswith("\n")
         return store
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            for event in self.events:
-                fh.write(event.to_json() + "\n")
+        """Append the events added since ``load`` to ``path``, the file
+        the store was loaded from, in one write, and fsync it; with none
+        added the file is not opened.  A store with no file behind it
+        writes ``path`` whole."""
+        if self._saved is None:
+            mode, new = "w", self.events
+        else:
+            mode, new = "a", self.events[self._saved:]
+            if not new:
+                return
+        text = "".join(event.to_json() + "\n" for event in new)
+        if self._unterminated:
+            text = "\n" + text
+        with open(path, mode) as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        self._saved, self._unterminated = len(self.events), False
 
     def _append(self, event: DetectionEvent) -> bool:
         key = event.key()

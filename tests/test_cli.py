@@ -469,10 +469,13 @@ class TestProtocolPipeline:
         assert hashlib.sha256(first_store).hexdigest() == INGEST_STORE_SHA256
         assert hashlib.sha256(first_geo).hexdigest() == INGEST_GEOJSON_SHA256
 
+        # A re-sent dump adds nothing, so the store is not even opened.
+        os.utime(store, ns=(10**18, 10**18))
         code, report = run(args)
         assert code == 0
         assert "0 new" in report
         assert store.read_bytes() == first_store
+        assert store.stat().st_mtime_ns == 10**18
         assert geo.read_bytes() == first_geo
 
         code, text = run(["export", "--store", str(store), "--out", str(tmp_path / "e.geojson")])
@@ -502,6 +505,11 @@ class TestProtocolPipeline:
          "received_at 1.5 is not an integer"),
         (STORE_LINE.replace('"B-01"', '"bad id!"'), "beacon id 'bad id!' must be"),
         (STORE_LINE.replace('"RX1"', '"rx1"'), "receiver id 'rx1' must be"),
+        # Coordinates are finite.
+        (STORE_LINE.replace('"lat": 5.41', '"lat": NaN'), "lat nan is not finite"),
+        (STORE_LINE.replace('"lon": 118.03', '"lon": -Infinity'), "lon -inf is not finite"),
+        # A store is UTF-8.
+        ("\udcff" + STORE_LINE, "'utf-8' codec can't decode byte 0xff in position 0"),
     ])
     @pytest.mark.parametrize("command", ["ingest", "export"])
     def test_corrupt_store_names_file_and_line(
@@ -509,7 +517,7 @@ class TestProtocolPipeline:
     ):
         good = STORE_LINE
         store = tmp_path / "store.ndjson"
-        store.write_text(f"{good}\n\n{line}\n")
+        store.write_text(f"{good}\n\n{line}\n", errors="surrogateescape")
         segments = tmp_path / "segments.txt"
         segments.write_text("T1|RX1|1/1|B-01:2:10\n")
         argv = {
@@ -524,7 +532,40 @@ class TestProtocolPipeline:
             f"error: detection store {str(store)!r} line 3 is not a detection event: "
         )
         assert detail in err and len(err.splitlines()) == 1
-        assert store.read_text() == f"{good}\n\n{line}\n"
+        assert store.read_text(errors="surrogateescape") == f"{good}\n\n{line}\n"
+
+    @pytest.mark.parametrize("ending", ["\n", ""])
+    def test_ingest_appends_without_rewriting(self, registry_csv, tmp_path, ending):
+        # A valid line that save would not write: keys reversed, no spaces.
+        first = json.dumps(dict(reversed(json.loads(STORE_LINE).items())), separators=(",", ":"))
+        store = tmp_path / "store.ndjson"
+        store.write_text(first + ending)
+        segments = tmp_path / "segments.txt"
+        segments.write_text("T1|RX1|1/1|B-01:2:10\n")
+        code, _ = run(["ingest", "--segments", str(segments), "--registry", str(registry_csv),
+                       "--store", str(store), "--received-at", "2"])
+        assert code == 0
+        added = STORE_LINE.replace('"received_at": 1', '"received_at": 2')
+        # The old line stays as it was; an unterminated one gains its "\n".
+        assert store.read_text() == f"{first}\n{added}\n"
+
+    @pytest.mark.parametrize("command", ["ingest", "decode"])
+    def test_non_utf8_segments_is_usage_error(self, registry_csv, tmp_path, capsys, command):
+        segments = tmp_path / "segments.txt"
+        segments.write_bytes(b"\xffT1|RX1|1/1|B-01:2:10\n")
+        store = tmp_path / "s.ndjson"
+        argv = {
+            "ingest": ["ingest", "--segments", str(segments), "--registry", str(registry_csv),
+                       "--store", str(store), "--received-at", "1"],
+            "decode": ["decode", "--segments", str(segments)],
+        }[command]
+        code, out = run(argv)
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: segments {str(segments)!r} is invalid: 'utf-8' codec can't decode "
+            "byte 0xff in position 0: invalid start byte\n"
+        )
+        assert not store.exists()
 
     @pytest.mark.parametrize("command", ["ingest", "export"])
     def test_directory_as_output_is_usage_error(self, registry_csv, tmp_path, capsys, command):
@@ -737,6 +778,8 @@ def test_bad_road_file_is_config_error(tmp_path, capsys, text, detail):
     ("beacon_id,lon\nB-01,118.03\n", "registry CSV needs columns beacon_id,lat,lon"),
     ("beacon_id,lat,lon\nB-01,north,118.03\n", "could not convert string to float: 'north'"),
     ("beacon_id,lat,lon\nB-01\n", "could not convert string to float: ''"),
+    ("beacon_id,lat,lon\nB-01,nan,inf\n", "beacon B-01 has non-finite coordinates nan, inf"),
+    ("beacon_id,lat,lon\nB-01,5.41,1e400\n", "beacon B-01 has non-finite coordinates 5.41, inf"),
 ])
 def test_bad_registry_is_config_error(tmp_path, capsys, text, detail):
     registry = tmp_path / "registry.csv"

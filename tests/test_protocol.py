@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -376,12 +378,32 @@ def _parse_error(token):
         return str(exc)
 
 
+REGISTRY = {
+    "B-01": RegistryEntry("B-01", 5.41, 118.03),
+    "B-02": RegistryEntry("B-02", 5.43, 118.10),
+}
+
+
 @pytest.fixture
 def registry():
-    return {
-        "B-01": RegistryEntry("B-01", 5.41, 118.03),
-        "B-02": RegistryEntry("B-02", 5.43, 118.10),
-    }
+    return dict(REGISTRY)
+
+
+# A gateway dump, small enough that dumps share events: (receiver,
+# records, received_at), with B-99 not in the registry.
+dumps = st.tuples(
+    st.sampled_from(["RX1", "RX2"]),
+    st.lists(
+        st.builds(
+            DetectionRecord,
+            beacon_id=st.sampled_from(["B-01", "B-02", "B-99"]),
+            first_seen_s=st.integers(0, 3),
+            count=st.integers(1, 2),
+        ),
+        max_size=4,
+    ),
+    st.integers(0, 2),
+)
 
 
 class TestStore:
@@ -423,6 +445,27 @@ class TestStore:
         # idempotence survives persistence
         assert merge_detections(loaded, decoded, registry, received_at=1000) == 0
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(pool=st.lists(dumps, min_size=1, max_size=3),
+           picks=st.lists(st.integers(0, 2), min_size=1, max_size=6))
+    def test_append_matches_full_rewrite(self, pool, picks):
+        """Ingesting dumps one after another, re-sends included, leaves the
+        file the old whole-file rewrite wrote, and never alters bytes
+        already in it."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "store.ndjson"
+            before = b""
+            for pick in picks:
+                receiver, records, received_at = pool[pick % len(pool)]
+                store = DetectionStore.load(path)
+                merge_detections(store, DecodeResult(receiver, tuple(records)), REGISTRY,
+                                 received_at)
+                store.save(path)
+                after = path.read_bytes()
+                assert after == "".join(e.to_json() + "\n" for e in store.events).encode()
+                assert after.startswith(before)
+                before = after
+
     def test_geojson_excludes_quarantined(self, registry):
         store = DetectionStore()
         decoded = DecodeResult(
@@ -446,6 +489,7 @@ class TestStore:
         ("count", "-4"), ("count", "0"), ("count", "true"), ("count", "2.0"),
         ("first_seen_s", '"3"'), ("first_seen_s", "-1"), ("received_at", "null"),
         ("beacon_id", '"bad id!"'), ("beacon_id", "7"), ("receiver_id", '"rx1"'),
+        ("lat", "NaN"), ("lon", "-Infinity"), ("lat", "1e400"),
     ])
     def test_load_checks_json_types(self, tmp_path, field, value):
         event = DetectionEvent("B-01", "RX1", 2, 10, 1000, 5.41, None, False)
