@@ -306,7 +306,8 @@ def cmd_ingest(args, config, out) -> int:
         decoded = protocol.decode_sms(segs)
         added = protocol.merge_detections(store, decoded, registry, received_at)
         added_total += added
-        status = "complete" if decoded.complete else f"missing {list(decoded.missing_segments)}"
+        missing = protocol.format_ranges(decoded.missing_segments)
+        status = f"missing {missing}" if missing else "complete"
         report.append(
             f"{receiver} ({len(segs)} segments, {status}): "
             f"{len(decoded.records)} records, {added} new"
@@ -322,11 +323,7 @@ def cmd_ingest(args, config, out) -> int:
         f"store: {len(store.events)} events ({quarantined} quarantined), {added_total} new"
     )
     if args.geojson:
-        _write(
-            args.geojson,
-            json.dumps(protocol.store_to_geojson(store), sort_keys=True, indent=2) + "\n",
-            out,
-        )
+        _write(args.geojson, protocol.store_to_geojson(store), out)
     _write(None, "\n".join(report) + "\n", out)
     return EXIT_OK if not bad else EXIT_MODEL
 
@@ -351,7 +348,7 @@ def cmd_decode(args, config, out) -> int:
     for record in decoded.records:
         out.write(protocol.record_token(record) + "\n")
     if decoded.missing_segments:
-        out.write(f"missing segments: {list(decoded.missing_segments)}\n")
+        out.write(f"missing segments: {protocol.format_ranges(decoded.missing_segments)}\n")
     for diag in decoded.diagnostics:
         out.write(f"! {diag}\n")
     return EXIT_OK if decoded.complete and not decoded.diagnostics else EXIT_MODEL
@@ -363,11 +360,7 @@ def cmd_export(args, config, out) -> int:
     if not os.path.isfile(args.store):
         raise ConfigError(f"detection store {args.store!r} is not a file")
     store = protocol.DetectionStore.load(args.store)
-    _write(
-        args.out,
-        json.dumps(protocol.store_to_geojson(store), sort_keys=True, indent=2) + "\n",
-        out,
-    )
+    _write(args.out, protocol.store_to_geojson(store), out)
     return EXIT_OK
 
 

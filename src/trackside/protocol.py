@@ -19,7 +19,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Mapping, Sequence
 
 from . import gsm7
@@ -37,6 +37,10 @@ _NUMBER_RE = re.compile(r"[0-9]+")
 _COUNTER_RE = re.compile(r"([0-9]+)/([0-9]+)")
 # What json.loads makes of a JSON number, in a store line.
 _JSON_NUMBERS = (int, float)
+# json's C scanner (one JSON value at an index, no trailing-data check)
+# and its C string encoder, which json.dumps uses by default.
+_scan_once = json.decoder.JSONDecoder().scan_once
+_quote = json.encoder.encode_basestring_ascii
 
 
 class WireFormatError(ValueError):
@@ -342,6 +346,18 @@ class DecodeResult:
         return not self.missing_segments
 
 
+def format_ranges(indices: Iterable[int]) -> str:
+    """Ascending indices as comma-separated runs, ``"2-5, 7"``, so that a
+    report of missing segments stays as short as the dump that caused it."""
+    runs: list[list[int]] = []
+    for i in indices:
+        if runs and i == runs[-1][1] + 1:
+            runs[-1][1] = i
+        else:
+            runs.append([i, i])
+    return ", ".join(f"{a}-{b}" if a != b else f"{a}" for a, b in runs)
+
+
 def decode_sms(segments: Iterable[str]) -> DecodeResult:
     """Reassemble raw segment texts, in any order, duplicates tolerated.
 
@@ -465,7 +481,20 @@ class DetectionEvent:
         ``TypeError`` for missing or unknown keys) when a field does not
         have its exact JSON type: a bool is not an integer, nor a string
         a number, and coordinates are finite."""
-        event = cls(**json.loads(line))
+        try:
+            obj, end = _scan_once(line, 0)
+        except StopIteration:
+            end = -1
+        if end != len(line):
+            # Not one JSON value and nothing else: json.loads reads what
+            # the scan cannot (leading whitespace) or raises its own message.
+            obj = json.loads(line)
+        if type(obj) is dict and obj.keys() == _EVENT_FIELDS:
+            event = cls(obj["beacon_id"], obj["receiver_id"], obj["count"],
+                        obj["first_seen_s"], obj["received_at"], obj["lat"], obj["lon"],
+                        obj["quarantined"])
+        else:
+            event = cls(**obj)
         validate_beacon_id(event.beacon_id)
         validate_receiver_id(event.receiver_id)
         count, first_seen_s, lat, lon = event.count, event.first_seen_s, event.lat, event.lon
@@ -479,7 +508,7 @@ class DetectionEvent:
             raise ValueError(f"lat {lat!r} is neither a number nor null")
         if lon is not None and type(lon) not in _JSON_NUMBERS:
             raise ValueError(f"lon {lon!r} is neither a number nor null")
-        # json.loads reads NaN, Infinity and 1e400 as floats.
+        # json reads NaN, Infinity and 1e400 as floats.
         if type(lat) is float and not math.isfinite(lat):
             raise ValueError(f"lat {lat!r} is not finite")
         if type(lon) is float and not math.isfinite(lon):
@@ -487,6 +516,9 @@ class DetectionEvent:
         if type(event.quarantined) is not bool:
             raise ValueError(f"quarantined {event.quarantined!r} is not true or false")
         return event
+
+
+_EVENT_FIELDS = frozenset(f.name for f in fields(DetectionEvent))
 
 
 @dataclass
@@ -510,6 +542,7 @@ class DetectionStore:
         file.  A line that is not one UTF-8 encoded detection event raises
         ``ValueError`` naming the file and the line."""
         store = cls()
+        events, keys = store.events, store._keys
         raw = "\n"
         try:
             # Undecodable bytes become lone surrogates here, so that the
@@ -521,7 +554,11 @@ class DetectionStore:
                             raw.encode("utf-8", "surrogateescape").decode("utf-8")
                         line = raw.strip()
                         if line:
-                            store._append(DetectionEvent.from_json(line))
+                            event = DetectionEvent.from_json(line)
+                            key = event.key()
+                            if key not in keys:
+                                keys.add(key)
+                                events.append(event)
                     except (TypeError, ValueError) as exc:
                         raise ValueError(
                             f"detection store {str(path)!r} line {number} is not "
@@ -592,27 +629,57 @@ def merge_detections(
     return added
 
 
-def store_to_geojson(store: DetectionStore) -> dict:
-    """Point per located detection event; quarantined events have no
-    coordinates and stay in the store only."""
-    features = []
-    for event in store.events:
-        if event.quarantined:
-            continue
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {
-                    "type": "Point",
-                    "coordinates": [event.lon, event.lat],
-                },
-                "properties": {
-                    "beacon_id": event.beacon_id,
-                    "receiver_id": event.receiver_id,
-                    "count": event.count,
-                    "first_seen_s": event.first_seen_s,
-                    "received_at": event.received_at,
-                },
-            }
+# One located event's GeoJSON feature, laid out as
+# json.dumps(..., sort_keys=True, indent=2) lays out a member of the
+# top-level "features" list.
+_FEATURE = """\
+    {
+      "geometry": {
+        "coordinates": [
+          %s,
+          %s
+        ],
+        "type": "Point"
+      },
+      "properties": {
+        "beacon_id": %s,
+        "count": %d,
+        "first_seen_s": %d,
+        "received_at": %d,
+        "receiver_id": %s
+      },
+      "type": "Feature"
+    }"""
+
+
+def _json_number(value: float | None) -> str:
+    """``value`` as json.dumps writes it: ``null``, or the number's repr.
+    Store coordinates are finite (``load`` and ``load_registry`` refuse
+    others), so json's ``NaN`` and ``Infinity`` never arise."""
+    if value is None:
+        return "null"
+    if type(value) is float:
+        return float.__repr__(value)
+    return int.__repr__(value)
+
+
+def store_to_geojson(store: DetectionStore) -> str:
+    """The map text: a Point feature per located detection event, byte for
+    byte what ``json.dumps(..., sort_keys=True, indent=2) + "\\n"`` writes
+    for it, without the stdlib's pure-Python indenting encoder.
+    Quarantined events have no coordinates and stay in the store only."""
+    features = ",\n".join([
+        _FEATURE % (
+            _json_number(event.lon),
+            _json_number(event.lat),
+            _quote(event.beacon_id),
+            event.count,
+            event.first_seen_s,
+            event.received_at,
+            _quote(event.receiver_id),
         )
-    return {"type": "FeatureCollection", "features": features}
+        for event in store.events
+        if not event.quarantined
+    ])
+    features = "[\n" + features + "\n  ]" if features else "[]"
+    return '{\n  "features": %s,\n  "type": "FeatureCollection"\n}\n' % features

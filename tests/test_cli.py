@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 
 import pytest
 
@@ -386,6 +387,37 @@ INGEST_STORE_SHA256 = "1df0fbc49e7bf291f846998cd460dfaf725cad65d3b17385df855f31d
 INGEST_GEOJSON_SHA256 = "f19d03293066c04e5a894ddecce91e8fb95966f8585d5b1418ff50c8c762ff5f"
 
 
+# sha256 of `export` and of `ingest --geojson` (one more dump) on the
+# 2000-event seeded_store, as json.dumps(..., sort_keys=True, indent=2)
+# wrote the map.
+SEEDED_EXPORT_SHA256 = "3b2f587adef445bbba304d294853495e8ba754b284863d8990b6a7162be96f46"
+SEEDED_INGEST_GEOJSON_SHA256 = "8c98f553659cce134849502d2fb265e656b84754bf1b205ee17c94403b541fa0"
+
+
+def seeded_store(path, events=2000, seed=2019):
+    """A store of ``events`` seeded events: every tenth quarantined, the
+    located ones with int, float and negative coordinates."""
+    rng = random.Random(seed)
+    lines = []
+    for i in range(events):
+        event = {
+            "beacon_id": f"B-{rng.randrange(440):03d}",
+            "receiver_id": f"RX{rng.randrange(1, 9)}",
+            "count": rng.randint(1, 40),
+            "first_seen_s": rng.randrange(10**6),
+            "received_at": 1754650000 + i // 50 * 600,
+            "lat": None,
+            "lon": None,
+            "quarantined": i % 10 == 0,
+        }
+        if i % 10 in (1, 2, 3):
+            event["lat"], event["lon"] = rng.randint(-90, 90), rng.randint(-180, 180)
+        elif i % 10:
+            event["lat"], event["lon"] = rng.uniform(-90, 90), rng.uniform(-180, 180)
+        lines.append(json.dumps(event, sort_keys=True))
+    path.write_text("\n".join(lines) + "\n")
+
+
 # One valid detection store line.
 STORE_LINE = ('{"beacon_id": "B-01", "count": 2, "first_seen_s": 10, "lat": 5.41, '
               '"lon": 118.03, "quarantined": false, "received_at": 1, "receiver_id": "RX1"}')
@@ -415,6 +447,22 @@ class TestProtocolPipeline:
         code, text = run(["decode", "--segments", str(partial)])
         assert code == 1
         assert "missing segments" in text
+
+    def test_decode_missing_segments_as_ranges(self, tmp_path):
+        # A 27-byte dump must not print a 998-number list.
+        segments = tmp_path / "segments.txt"
+        segments.write_text("T1|RX1|1/999|B-01:1:10\n")
+        code, text = run(["decode", "--segments", str(segments)])
+        assert (code, text) == (1, "receiver: RX1\nB-01:1:10\nmissing segments: 2-999\n")
+
+    def test_ingest_reports_missing_segments_as_ranges(self, registry_csv, tmp_path):
+        segments = tmp_path / "segments.txt"
+        segments.write_text("".join(f"T1|RX1|{i}/9|B-01:1:{i}\n" for i in (1, 6, 8)))
+        code, report = run(["ingest", "--segments", str(segments), "--registry",
+                            str(registry_csv), "--store", str(tmp_path / "s.ndjson"),
+                            "--received-at", "1"])
+        assert code == 0
+        assert report.splitlines()[1] == "RX1 (3 segments, missing 2-5, 7, 9): 3 records, 3 new"
 
     def test_bad_record_token_usage_error(self):
         code, _ = run(["encode", "--receiver", "RX1", "nonsense"])
@@ -481,6 +529,22 @@ class TestProtocolPipeline:
         code, text = run(["export", "--store", str(store), "--out", str(tmp_path / "e.geojson")])
         assert code == 0
         assert (tmp_path / "e.geojson").read_bytes() == first_geo
+
+    def test_seeded_store_map_pinned(self, registry_csv, tmp_path):
+        store = tmp_path / "store.ndjson"
+        seeded_store(store)
+        geo = tmp_path / "map.geojson"
+        code, _ = run(["export", "--store", str(store), "--out", str(geo)])
+        assert code == 0
+        assert hashlib.sha256(geo.read_bytes()).hexdigest() == SEEDED_EXPORT_SHA256
+
+        segments = tmp_path / "segments.txt"
+        segments.write_text("T1|RX1|1/1|B-01:2:10;B-99:1:55\n")
+        code, _ = run(["ingest", "--segments", str(segments), "--registry", str(registry_csv),
+                       "--store", str(store), "--received-at", "1754800000",
+                       "--geojson", str(geo)])
+        assert code == 0
+        assert hashlib.sha256(geo.read_bytes()).hexdigest() == SEEDED_INGEST_GEOJSON_SHA256
 
     def test_export_of_missing_store_is_usage_error(self, tmp_path, capsys):
         store, geo = tmp_path / "typo.ndjson", tmp_path / "map.geojson"

@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trackside import gsm7
@@ -25,6 +25,7 @@ from trackside.protocol import (
     WireFormatError,
     decode_sms,
     encode_sms,
+    format_ranges,
     group_segments,
     load_registry,
     merge_detections,
@@ -346,6 +347,22 @@ class TestCodec:
                 decode_sms([line])
             assert group_segments([line]) == ({}, [line])
 
+    @pytest.mark.parametrize("indices,text", [
+        ((), ""), ((7,), "7"), ((2, 3), "2-3"), ((2, 3, 4, 5, 7), "2-5, 7"),
+        ((1, 3, 5), "1, 3, 5"), (tuple(range(2, MAX_SEGMENTS + 1)), "2-999"),
+    ])
+    def test_format_ranges(self, indices, text):
+        assert format_ranges(indices) == text
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.sets(st.integers(1, 40)))
+    def test_format_ranges_lists_exactly_the_indices(self, indices):
+        listed = set()
+        for run in filter(None, format_ranges(sorted(indices)).split(", ")):
+            first, _, last = run.partition("-")
+            listed.update(range(int(first), int(last or first) + 1))
+        assert listed == indices
+
     def test_encoder_refuses_more_than_max_segments(self):
         # 33-septet tokens, four to a segment.
         records = [DetectionRecord(f"B-{i:010d}", 10**9 + i, 10**8) for i in range(4000)]
@@ -472,7 +489,7 @@ class TestStore:
             "RX1", (DetectionRecord("B-01", 10, 2), DetectionRecord("B-99", 5, 1))
         )
         merge_detections(store, decoded, registry, received_at=1234)
-        geojson = store_to_geojson(store)
+        geojson = json.loads(store_to_geojson(store))
         assert len(geojson["features"]) == 1
         props = geojson["features"][0]["properties"]
         assert props == {
@@ -515,3 +532,213 @@ class TestStore:
             "B-01": RegistryEntry("B-01", 5.41, 118.03),
             "B-02": RegistryEntry("B-02", 5.43, 118.10),
         }
+
+
+def reference_map(store):
+    """The map as a dict: what store_to_geojson returned before it wrote
+    the text itself."""
+    features = []
+    for event in store.events:
+        if event.quarantined:
+            continue
+        features.append(
+            {
+                "type": "Feature",
+                "geometry": {
+                    "type": "Point",
+                    "coordinates": [event.lon, event.lat],
+                },
+                "properties": {
+                    "beacon_id": event.beacon_id,
+                    "receiver_id": event.receiver_id,
+                    "count": event.count,
+                    "first_seen_s": event.first_seen_s,
+                    "received_at": event.received_at,
+                },
+            }
+        )
+    return {"type": "FeatureCollection", "features": features}
+
+
+big_ints = st.integers(-(10**30), 10**30)
+coordinates = st.one_of(
+    st.none(),
+    big_ints,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e16, -1e16, 5e-324, 118.03]),
+)
+map_events = st.builds(
+    DetectionEvent,
+    # Any text: the writer must escape as json does, not only valid ids.
+    beacon_id=st.one_of(beacon_ids, st.text(max_size=6)),
+    receiver_id=st.one_of(receiver_ids, st.text(max_size=6)),
+    count=big_ints,
+    first_seen_s=big_ints,
+    received_at=big_ints,
+    lat=coordinates,
+    lon=coordinates,
+    quarantined=st.booleans(),
+)
+
+
+class TestMapText:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(events=st.lists(map_events, max_size=5))
+    @example(events=[])
+    @example(events=[DetectionEvent("B-99", "RX1", 1, 5, 1000, quarantined=True)] * 2)
+    @example(events=[DetectionEvent("B-01", "RX1", 1, 5, 1000, None, None, False)])
+    @example(events=[DetectionEvent("B-01", "RX1", 2**70, 0, -1, 5, -0.0, False)])
+    def test_map_is_json_dumps_of_reference(self, events):
+        store = DetectionStore(events=events)
+        expected = json.dumps(reference_map(store), sort_keys=True, indent=2) + "\n"
+        assert store_to_geojson(store) == expected
+
+
+def reference_from_json(line):
+    """DetectionEvent.from_json as json.loads and cls(**obj) wrote it."""
+    event = DetectionEvent(**json.loads(line))
+    validate_beacon_id(event.beacon_id)
+    validate_receiver_id(event.receiver_id)
+    count, first_seen_s, lat, lon = event.count, event.first_seen_s, event.lat, event.lon
+    if type(count) is not int or count < 1:
+        raise ValueError(f"count {count!r} is not a positive integer")
+    if type(first_seen_s) is not int or first_seen_s < 0:
+        raise ValueError(f"first_seen_s {first_seen_s!r} is not a non-negative integer")
+    if type(event.received_at) is not int:
+        raise ValueError(f"received_at {event.received_at!r} is not an integer")
+    if lat is not None and type(lat) not in (int, float):
+        raise ValueError(f"lat {lat!r} is neither a number nor null")
+    if lon is not None and type(lon) not in (int, float):
+        raise ValueError(f"lon {lon!r} is neither a number nor null")
+    if type(lat) is float and not math.isfinite(lat):
+        raise ValueError(f"lat {lat!r} is not finite")
+    if type(lon) is float and not math.isfinite(lon):
+        raise ValueError(f"lon {lon!r} is not finite")
+    if type(event.quarantined) is not bool:
+        raise ValueError(f"quarantined {event.quarantined!r} is not true or false")
+    return event
+
+
+def reference_load(path):
+    """(events, unterminated) as DetectionStore.load read a UTF-8 store
+    through reference_from_json, or (line number, detail) of the first
+    line it rejects."""
+    events, keys, raw = [], set(), "\n"
+    with open(path, encoding="utf-8") as fh:
+        for number, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                event = reference_from_json(line)
+            except (TypeError, ValueError) as exc:
+                return number, str(exc)
+            if event.key() not in keys:
+                keys.add(event.key())
+                events.append(event)
+    return events, not raw.endswith("\n")
+
+
+# A store line's fields; lat, lon and quarantined may be left out.
+store_objects = st.fixed_dictionaries(
+    {
+        "beacon_id": st.sampled_from(["B-01", "B-02", "B-99"]),
+        "receiver_id": st.sampled_from(["RX1", "RX2"]),
+        "count": st.integers(1, 3),
+        "first_seen_s": st.integers(0, 3),
+        "received_at": st.integers(-2, 2**64),
+    },
+    optional={
+        "lat": coordinates,
+        "lon": coordinates,
+        "quarantined": st.booleans(),
+    },
+)
+
+
+@st.composite
+def store_lines(draw):
+    """One valid store line in any key order and spacing."""
+    obj = draw(store_objects)
+    keys = draw(st.permutations(sorted(obj)))
+    item = draw(st.sampled_from([",", ", ", " ,  ", ",\t"]))
+    pair = draw(st.sampled_from([":", ": ", " : ", ":\t"]))
+    pad = draw(st.sampled_from(["", " ", "\t "]))
+    text = json.dumps({k: obj[k] for k in keys}, separators=(item, pair))
+    return pad + text + pad
+
+
+@st.composite
+def store_files(draw, bad=None):
+    """Store text: valid lines, blank and whitespace-only lines, each
+    ended by \\n, \\r\\n or \\r, the last one perhaps by nothing; with a
+    ``bad`` strategy, one of its lines among them."""
+    lines = draw(st.lists(st.one_of(store_lines(), st.sampled_from(["", " ", "\t"])),
+                          max_size=8))
+    if bad is not None:
+        lines.insert(draw(st.integers(0, len(lines))), draw(bad))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+GOOD_LINE = ('{"beacon_id": "B-01", "count": 2, "first_seen_s": 10, "lat": 5.41, '
+             '"lon": 118.03, "quarantined": false, "received_at": 1, "receiver_id": "RX1"}')
+BAD_STORE_LINES = [
+    GOOD_LINE.replace('"count": 2', '"count": 2, "bogus": 1'),
+    GOOD_LINE.replace('"count": 2, ', ""),
+    GOOD_LINE.replace('"count": 2', '"count": true'),
+    GOOD_LINE.replace('"count": 2', '"count": 2.0'),
+    GOOD_LINE.replace('"lat": 5.41', '"lat": 1e400'),
+    GOOD_LINE.replace('"lon": 118.03', '"lon": NaN'),
+    GOOD_LINE.replace("false", "null"),
+    "\ufeff" + GOOD_LINE,
+    GOOD_LINE + " 1",
+    GOOD_LINE + "{}",
+    GOOD_LINE[:-1],
+    "[1, 2]",
+    '"B-01"',
+    "7",
+    "{not json",
+    GOOD_LINE.replace('"B-01"', '"B-\u00e91"'),
+    GOOD_LINE.replace('"B-01"', '"B-\\u00e91"'),
+    GOOD_LINE.replace('"RX1"', '"RX\u0661"'),
+]
+
+
+class TestLoadEquivalence:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(text=store_files())
+    def test_valid_files_load_as_before(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "store.ndjson"
+            path.write_bytes(text.encode("utf-8"))
+            events, unterminated = reference_load(path)
+            store = DetectionStore.load(path)
+        assert store.events == events
+        assert [type(v) for e in store.events for v in vars(e).values()] == [
+            type(v) for e in events for v in vars(e).values()
+        ]
+        assert store._keys == {e.key() for e in events}
+        assert (store._saved, store._unterminated) == (len(events), unterminated)
+
+    @pytest.mark.parametrize("bad", BAD_STORE_LINES)
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_bad_line_fails_as_before(self, bad, data):
+        text = data.draw(store_files(bad=st.just(bad)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "store.ndjson"
+            path.write_bytes(text.encode("utf-8"))
+            number, detail = reference_load(path)
+            with pytest.raises(ValueError) as raised:
+                DetectionStore.load(path)
+        assert str(raised.value) == (
+            f"detection store {str(path)!r} line {number} is not a detection event: {detail}"
+        )
+
+    @pytest.mark.parametrize("pad", [" ", "\t", "\n", " \r\n"])
+    def test_from_json_reads_surrounding_whitespace(self, pad):
+        assert DetectionEvent.from_json(pad + GOOD_LINE + pad) == reference_from_json(GOOD_LINE)
