@@ -19,7 +19,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from . import gsm7
@@ -489,12 +489,7 @@ class DetectionEvent:
             # Not one JSON value and nothing else: json.loads reads what
             # the scan cannot (leading whitespace) or raises its own message.
             obj = json.loads(line)
-        if type(obj) is dict and obj.keys() == _EVENT_FIELDS:
-            event = cls(obj["beacon_id"], obj["receiver_id"], obj["count"],
-                        obj["first_seen_s"], obj["received_at"], obj["lat"], obj["lon"],
-                        obj["quarantined"])
-        else:
-            event = cls(**obj)
+        event = cls(**obj)
         validate_beacon_id(event.beacon_id)
         validate_receiver_id(event.receiver_id)
         count, first_seen_s, lat, lon = event.count, event.first_seen_s, event.lat, event.lon
@@ -518,9 +513,6 @@ class DetectionEvent:
         return event
 
 
-_EVENT_FIELDS = frozenset(f.name for f in fields(DetectionEvent))
-
-
 @dataclass
 class DetectionStore:
     """Detection log, one JSON event per line in file order; merges are
@@ -542,7 +534,6 @@ class DetectionStore:
         file.  A line that is not one UTF-8 encoded detection event raises
         ``ValueError`` naming the file and the line."""
         store = cls()
-        events, keys = store.events, store._keys
         raw = "\n"
         try:
             # Undecodable bytes become lone surrogates here, so that the
@@ -554,11 +545,7 @@ class DetectionStore:
                             raw.encode("utf-8", "surrogateescape").decode("utf-8")
                         line = raw.strip()
                         if line:
-                            event = DetectionEvent.from_json(line)
-                            key = event.key()
-                            if key not in keys:
-                                keys.add(key)
-                                events.append(event)
+                            store._append(DetectionEvent.from_json(line))
                     except (TypeError, ValueError) as exc:
                         raise ValueError(
                             f"detection store {str(path)!r} line {number} is not "
