@@ -93,6 +93,8 @@ class PathLossModel:
     def __post_init__(self) -> None:
         if not 0.5 < self.exponent < 6.0:
             raise ValueError(f"path-loss exponent {self.exponent} outside (0.5, 6.0)")
+        if not (math.isfinite(self.rssi_ref_dbm) and math.isfinite(self.reliability_threshold_dbm)):
+            raise ValueError("reference RSSI and reliability threshold must be finite")
         if self.rssi_ref_dbm <= self.reliability_threshold_dbm:
             raise ValueError("reference RSSI must sit above the reliability threshold")
         table = dict(self.attenuation_db)
@@ -116,8 +118,10 @@ class RssiSample:
     materials: frozenset[Material] = frozenset()
 
     def __post_init__(self) -> None:
-        if self.distance_m <= 0:
-            raise ValueError("sample distance must be positive")
+        if not 0 < self.distance_m < math.inf:  # also rejects NaN
+            raise ValueError("sample distance must be positive and finite")
+        if not math.isfinite(self.rssi_dbm):
+            raise ValueError("sample RSSI must be finite")
         object.__setattr__(self, "materials", frozenset(self.materials))
 
 

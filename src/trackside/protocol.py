@@ -145,8 +145,11 @@ def receiver_step(state: ReceiverState, event: ReceiverEvent) -> StepResult:
     open record's count; after the window a fresh record opens (a genuine
     second pass).  The buffer flushes whenever GSM is available, and only
     clears after the payloads are produced.  Events that move time
-    backwards are rejected with a diagnostic, state unchanged.
+    backwards, or whose time is not finite, are rejected with a
+    diagnostic, state unchanged.
     """
+    if not math.isfinite(event.t_s):
+        return StepResult(state=state, rejected=f"event at t={event.t_s} is not a finite time")
     if event.t_s < state.clock_s:
         return StepResult(
             state=state,

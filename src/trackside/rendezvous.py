@@ -23,44 +23,20 @@ interval near interval/cycle resonances; that is physics, not a bug.
 treats events as independent Bernoulli trials: smooth and monotone, exact
 for at most one event, and off by up to ~0.2 at moderate duty cycles.
 ``detection_probability_oracle`` brute-forces the same process by Monte
-Carlo and is the reference the analytic path is tested against.
+Carlo and is the reference the analytic path is tested against; its array
+arithmetic lives in ``montecarlo``, the one module that imports numpy.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import math
-import sys
 from dataclasses import dataclass
-
-
-def _deferred(name: str):
-    """Module ``name``, imported on its first attribute access.
-
-    Only the Monte Carlo paths compute with numpy: the oracle here and the
-    batched trial stream of ``sim.run_matrix``.  A process that never
-    reaches them, calibration included, does not pay for its import."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    if spec is None:
-        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-np = _deferred("numpy")
 
 MPH_TO_MS = 0.44704
 
 MIN_INTERVAL_MS = 100.0
 MAX_INTERVAL_MS = 10240.0
 DEFAULT_SCAN_CYCLE_MS = 2500.0
-# Trials decided per array pass, which bounds memory however many are run.
-ORACLE_CHUNK = 20000
 
 
 def mph_to_ms(mph: float) -> float:
@@ -98,10 +74,10 @@ class ScannerConfig:
     scan_cycle_ms: float = DEFAULT_SCAN_CYCLE_MS
 
     def __post_init__(self) -> None:
-        if self.scan_window_ms <= 0:
-            raise ValueError("scan window must be positive")
-        if self.scan_cycle_ms < self.scan_window_ms:
-            raise ValueError("scan cycle cannot be shorter than the scan window")
+        if not 0 < self.scan_window_ms < math.inf:  # also rejects NaN
+            raise ValueError("scan window must be positive and finite")
+        if not self.scan_window_ms <= self.scan_cycle_ms < math.inf:
+            raise ValueError("scan cycle must be finite and no shorter than the scan window")
 
 
 @dataclass(frozen=True)
@@ -216,9 +192,8 @@ def detection_probability_oracle(
     and check any event against any scan window.
 
     Unbiased, deterministic in the seed, standard error <= 0.5/sqrt(trials).
-    All randomness is drawn up front in a fixed order; chunking only
-    batches the overlap arithmetic, so the estimate does not depend on
-    how the computation is scheduled.
+    The trials run in ``montecarlo.oracle_hits``, imported here so that
+    only a process that calls the oracle imports numpy.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -227,38 +202,6 @@ def detection_probability_oracle(
     if t_in_s == 0:
         return 0.0
 
-    span = t_in_s * 1000.0
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    phase_adv = rng.uniform(0.0, adv.interval_ms, size=trials)
-    phase_scan = rng.uniform(0.0, scan.scan_cycle_ms, size=trials)
+    from . import montecarlo
 
-    hits = 0
-    offsets = _event_offsets(span, adv.interval_ms)
-    for lo in range(0, trials, ORACLE_CHUNK):
-        hi = min(lo + ORACLE_CHUNK, trials)
-        starts = phase_adv[lo:hi, None] + offsets[None, :]
-        hits += int(_any_heard(starts, phase_scan[lo:hi], span, adv, scan).sum())
-    return hits / trials
-
-
-def _event_offsets(span: float, interval: float) -> np.ndarray:
-    """Offsets, from the first event's start, of every event that can start
-    within ``span`` ms of a pass, whatever the advertiser's phase."""
-    return np.arange(int(span // interval) + 1) * interval
-
-
-def _any_heard(
-    starts: np.ndarray,
-    phase_scan: np.ndarray,
-    span: float,
-    adv: AdvertiserConfig,
-    scan: ScannerConfig,
-) -> np.ndarray:
-    """One bool per trial (row of ``starts``, event starts in ms): whether
-    an event starting before ``span`` overlaps a listening window of a
-    scanner whose cycle begins at that trial's ``phase_scan``."""
-    cycle = scan.scan_cycle_ms
-    in_range = starts < span
-    rel = np.mod(starts - phase_scan[:, None], cycle)
-    heard = (rel < scan.scan_window_ms) | (rel > cycle - adv.event_duration_ms)
-    return np.any(in_range & heard, axis=1)
+    return montecarlo.oracle_hits(adv, scan, t_in_s * 1000.0, trials, seed) / trials

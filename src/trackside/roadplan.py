@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -319,7 +320,10 @@ def _object(value, what: str) -> dict:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number that is a finite float: ``json.loads`` also reads NaN,
+    Infinity and integers too large to convert."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _is_position(value) -> bool:

@@ -170,6 +170,12 @@ class TestCalibrate:
          "could not convert string to float: 'abc'"),
         ("distance_m,rssi_dbm,materials\n1,-70,chassis\n25,-95,\n",
          "unknown material 'chassis'"),
+        ("distance_m,rssi_dbm,materials\n1,-70,\nnan,-95,\n",
+         "sample distance must be positive and finite"),
+        ("distance_m,rssi_dbm,materials\n1,-70,\ninf,-95,\n",
+         "sample distance must be positive and finite"),
+        ("distance_m,rssi_dbm,materials\n1,nan,\n25,-95,\n", "sample RSSI must be finite"),
+        ("distance_m,rssi_dbm,materials\n1,-70,\n25,-inf,\n", "sample RSSI must be finite"),
     ])
     def test_bad_samples_csv_is_config_error(self, tmp_path, capsys, text, detail):
         rssi = tmp_path / "rssi.csv"
@@ -249,8 +255,19 @@ class TestPresetIni:
             OLDER_PRESET_INI.replace("vehicle_body", "chassis"),
             "chassis = 1.0\n",
             OLDER_PRESET_INI.replace("[attenuation_db]", "[losses]"),
+            OLDER_PRESET_INI.replace("scan_window_ms = 1170.0", "scan_window_ms = nan"),
+            OLDER_PRESET_INI.replace("scan_cycle_ms = 2500.0", "scan_cycle_ms = inf"),
+            OLDER_PRESET_INI.replace("scan_cycle_ms = 2500.0", "scan_cycle_ms = nan"),
+            OLDER_PRESET_INI.replace("rssi_ref_dbm = -70.0", "rssi_ref_dbm = nan"),
+            OLDER_PRESET_INI.replace("rssi_ref_dbm = -70.0", "rssi_ref_dbm = inf"),
+            OLDER_PRESET_INI.replace("reliability_threshold_dbm = -95.0",
+                                     "reliability_threshold_dbm = nan"),
+            OLDER_PRESET_INI.replace("reliability_threshold_dbm = -95.0",
+                                     "reliability_threshold_dbm = -inf"),
         ],
-        ids=["unknown-material", "no-section-header", "no-attenuation-section"],
+        ids=["unknown-material", "no-section-header", "no-attenuation-section",
+             "window-nan", "cycle-inf", "cycle-nan", "rssi-ref-nan",
+             "rssi-ref-inf", "threshold-nan", "threshold-minus-inf"],
     )
     def test_bad_preset_is_config_error(self, tmp_path, capsys, text):
         preset = tmp_path / "bad.ini"
@@ -821,6 +838,17 @@ def test_plan_value_out_of_range_is_usage_error(road_geojson, tmp_path, capsys,
      "road coordinates must be positions of at least 2 numbers"),
     ('{"type": "FeatureCollection", "features": [1]}', "each feature must be a JSON object"),
     ('{"type": "Feature", "properties": {"surface_vmax_mph": null}, "geometry": '
+     '{"type": "LineString", "coordinates": [[110.0, 1.0], [110.0, 1.1]]}}',
+     "surface_vmax_mph must be a number"),
+    # json.loads reads NaN, Infinity and any integer; none is a finite float.
+    ('{"type": "LineString", "coordinates": [[NaN, 1.0], [110.0, 1.1]]}',
+     "road coordinates must be positions of at least 2 numbers"),
+    ('{"type": "LineString", "coordinates": [[110.0, 1.0], [110.0, -Infinity]]}',
+     "road coordinates must be positions of at least 2 numbers"),
+    pytest.param('{"type": "LineString", "coordinates": [[110.0, 1.0], [110.0, 1%s]]}'
+                 % ("0" * 400), "road coordinates must be positions of at least 2 numbers",
+                 id="int-beyond-float"),
+    ('{"type": "Feature", "properties": {"surface_vmax_mph": NaN}, "geometry": '
      '{"type": "LineString", "coordinates": [[110.0, 1.0], [110.0, 1.1]]}}',
      "surface_vmax_mph must be a number"),
 ])

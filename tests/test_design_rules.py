@@ -1,6 +1,7 @@
 """Design rules of the package, checked on its source: there is one way to
-build a ``DriveScenario``, and preset names are resolved only where the
-command line reads them."""
+build a ``DriveScenario``, preset names are resolved only where the
+command line reads them, and numpy is imported by plain imports in one
+module only."""
 
 import ast
 from pathlib import Path
@@ -28,6 +29,21 @@ def calls_to(name: str) -> list[tuple[str, str | None]]:
     return found
 
 
+def imported_modules() -> dict[str, set[str]]:
+    """Top-level names of the modules each ``src/trackside/*.py`` imports,
+    at module level or inside a function; relative imports are left out."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+        found[path.stem] = names
+    return found
+
+
 def test_scenario_built_only_by_scenario_for_mount():
     assert calls_to("DriveScenario") == [("presets", "scenario_for_mount")]
 
@@ -42,3 +58,14 @@ def test_walker_sees_attribute_and_nested_calls():
     assert ("cli", "cmd_calibrate") in calls_to("scenario_for_mount")
     assert ("sim", "_objective_grid") in calls_to("scenario_for_mount")
     assert ("roadplan", "plan_deployment") in calls_to("recommend_interval")
+
+
+def test_only_montecarlo_imports_numpy():
+    # The standard-library commands stay free of numpy's import because
+    # the Monte Carlo paths import this one module inside the function.
+    assert {m for m, names in imported_modules().items() if "numpy" in names} == {"montecarlo"}
+
+
+def test_no_import_machinery():
+    assert [m for m, names in imported_modules().items() if "importlib" in names] == []
+    assert calls_to("__import__") == calls_to("import_module") == []

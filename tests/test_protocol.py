@@ -143,6 +143,17 @@ class TestReceiverStep:
         assert result.rejected is not None
         assert result.state == state
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("event", [lambda t: Sighting(t, "B-01"), Tick, GsmUp, GsmDown],
+                             ids=["sighting", "tick", "gsm-up", "gsm-down"])
+    def test_non_finite_time_rejected(self, event, t):
+        # A NaN clock would accept every later event, even one back in time.
+        state = receiver_step(ReceiverState(), Sighting(10.0, "B-01")).state
+        result = receiver_step(state, event(t))
+        assert result.rejected == f"event at t={t} is not a finite time"
+        assert result.state == state
+        assert result.payloads == ()
+
     def test_invalid_beacon_id_rejected(self):
         result = receiver_step(ReceiverState(), Sighting(1.0, "bad id"))
         assert result.rejected is not None

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trackside import rendezvous
+from trackside import montecarlo, rendezvous
 from trackside.rendezvous import (
     AdvertiserConfig,
     PassGeometry,
@@ -253,7 +253,7 @@ class TestOracle:
         scan = ScannerConfig(scan_window_ms=300.0, scan_cycle_ms=2100.0)
         results = []
         for chunk in (100, 4096):
-            monkeypatch.setattr(rendezvous, "ORACLE_CHUNK", chunk)
+            monkeypatch.setattr(montecarlo, "ORACLE_CHUNK", chunk)
             results.append(detection_probability_oracle(adv, scan, 2.3, 5000, 42))
         assert results[0] == results[1]
 

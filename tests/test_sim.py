@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trackside import sim
+from trackside import montecarlo, sim
 from trackside.pathloss import PathLossModel
 from trackside.presets import (
     CALIBRATED_SCAN_WINDOW_MS,
@@ -158,7 +158,7 @@ class TestRunMatrix:
         adv = AdvertiserConfig(interval_ms=1300)
         spec = TrialMatrixSpec(
             speeds_mph=(45.0,), intervals_ms=(1300,),
-            trials_per_cell=sim.ORACLE_CHUNK + 3, seed=31,
+            trials_per_cell=montecarlo.ORACLE_CHUNK + 3, seed=31,
         )
         hits = [
             detection_probability_oracle(
@@ -168,9 +168,9 @@ class TestRunMatrix:
         ]
         assert 0 < sum(hits) < len(hits)
         assert run_matrix(spec, scenario).cells[0].detections == sum(hits)
-        for chunk, entries in ((7, sim._BLOCK_EVENTS), (sim.ORACLE_CHUNK, 10)):
-            monkeypatch.setattr(sim, "ORACLE_CHUNK", chunk)
-            monkeypatch.setattr(sim, "_BLOCK_EVENTS", entries)
+        for chunk, entries in ((7, montecarlo._BLOCK_EVENTS), (montecarlo.ORACLE_CHUNK, 10)):
+            monkeypatch.setattr(montecarlo, "ORACLE_CHUNK", chunk)
+            monkeypatch.setattr(montecarlo, "_BLOCK_EVENTS", entries)
             for trials in (1, 7, 50):
                 small = TrialMatrixSpec(
                     speeds_mph=(45.0,), intervals_ms=(1300,), trials_per_cell=trials, seed=31
@@ -238,20 +238,20 @@ class TestTrialStream:
         # 2**32 and beyond as a cell or trial index take two words.
         trials = self.INDICES + [2**32, 2**40 + 3]
         for cell in self.INDICES + [2**32]:
-            u = sim._trial_uniforms(seed, cell, trials)
+            u = montecarlo._trial_uniforms(seed, cell, trials)
             assert u.shape == (2, len(trials))
             for j, t in enumerate(trials):
                 assert (u[0, j], u[1, j]) == self.numpy_pair(seed, cell, t)
 
     def test_block_equals_per_trial_calls(self):
-        u = sim._trial_uniforms(7, 3, np.arange(500))
+        u = montecarlo._trial_uniforms(7, 3, np.arange(500))
         for t in (0, 1, 250, 499):
             assert tuple(u[:, t]) == self.numpy_pair(7, 3, t)
-        assert sim._trial_uniforms(7, 3, np.arange(0)).shape == (2, 0)
+        assert montecarlo._trial_uniforms(7, 3, np.arange(0)).shape == (2, 0)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
-            sim._trial_uniforms(-1, 0, [0])
+            montecarlo._trial_uniforms(-1, 0, [0])
 
 
 class TestTargets:
