@@ -447,10 +447,10 @@ def main(argv=None, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
-        # Command-line values and the config, preset, RSSI samples, road and
-        # registry files are checked where they are read and fail as
-        # ConfigError above; what is left is a model, feasibility or
-        # wire-format failure, or a bad store file.
+        # Values check themselves and readers only parse; a refused
+        # command-line value or config, preset, RSSI samples, road or registry
+        # file fails as ConfigError above, where it is read.  What is left is
+        # a model, feasibility or wire-format failure, or a bad store file.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
 

@@ -63,6 +63,23 @@ def validate_receiver_id(receiver_id: str) -> str:
     return receiver_id
 
 
+def validate_position(lat, lon) -> None:
+    """Refuse a WGS 84 (lat, lon) in degrees that is off the globe: lat
+    outside [-90, 90] or lon outside [-180, 180], NaN and infinities too."""
+    if not (-90 <= lat <= 90 and -180 <= lon <= 180):
+        raise ValueError(f"lat {lat!r}, lon {lon!r} is not a position on the globe")
+
+
+def _validate_record(beacon_id: str, count: int, first_seen_s: int) -> None:
+    """The rule a wire record and a stored event share: a beacon id, and an
+    integer count >= 1 and first sighting >= 0 (a bool is not an integer)."""
+    validate_beacon_id(beacon_id)
+    if type(count) is not int or count < 1:
+        raise ValueError(f"count {count!r} is not a positive integer")
+    if type(first_seen_s) is not int or first_seen_s < 0:
+        raise ValueError(f"first_seen_s {first_seen_s!r} is not a non-negative integer")
+
+
 @dataclass(frozen=True)
 class DetectionRecord:
     """One beacon encounter: id, first sighting (s since boot), sightings."""
@@ -72,20 +89,11 @@ class DetectionRecord:
     count: int = 1
 
     def __post_init__(self) -> None:
-        validate_beacon_id(self.beacon_id)
-        if self.first_seen_s < 0:
-            raise ValueError("first_seen cannot be negative")
-        if self.count < 1:
-            raise ValueError("count must be at least 1")
+        _validate_record(self.beacon_id, self.count, self.first_seen_s)
 
 
 # ---------------------------------------------------------------------------
 # Receiver state machine
-
-
-class Mode:
-    SCANNING = "scanning"
-    IDLE = "idle"
 
 
 @dataclass(frozen=True)
@@ -124,11 +132,10 @@ class ReceiverState:
 
     def __post_init__(self) -> None:
         validate_receiver_id(self.receiver_id)
-
-    @property
-    def mode(self) -> str:
-        """Idle while GSM is up (the buffer flushes at once), else scanning."""
-        return Mode.IDLE if self.gsm_available else Mode.SCANNING
+        if not math.isfinite(self.clock_s):
+            raise ValueError(f"receiver clock {self.clock_s!r} is not finite")
+        if not 0 <= self.dedup_window_s < math.inf:  # also rejects NaN
+            raise ValueError(f"dedup window {self.dedup_window_s!r} is not finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -425,6 +432,10 @@ class RegistryEntry:
     lat: float
     lon: float
 
+    def __post_init__(self) -> None:
+        validate_beacon_id(self.beacon_id)
+        validate_position(self.lat, self.lon)
+
 
 def load_registry(path) -> dict[str, RegistryEntry]:
     """Beacon registry CSV with columns beacon_id,lat,lon.  Other columns,
@@ -435,11 +446,8 @@ def load_registry(path) -> dict[str, RegistryEntry]:
         if not {"beacon_id", "lat", "lon"}.issubset(reader.fieldnames or ()):
             raise ValueError("registry CSV needs columns beacon_id,lat,lon")
         for row in reader:
-            beacon_id = validate_beacon_id(row["beacon_id"].strip())
-            lat, lon = float(row["lat"]), float(row["lon"])
-            if not (math.isfinite(lat) and math.isfinite(lon)):
-                raise ValueError(f"beacon {beacon_id} has non-finite coordinates {lat}, {lon}")
-            registry[beacon_id] = RegistryEntry(beacon_id, lat, lon)
+            entry = RegistryEntry(row["beacon_id"].strip(), float(row["lat"]), float(row["lon"]))
+            registry[entry.beacon_id] = entry
     return registry
 
 
@@ -453,6 +461,25 @@ class DetectionEvent:
     lat: float | None = None
     lon: float | None = None
     quarantined: bool = False
+
+    def __post_init__(self) -> None:
+        """Each field has its exact JSON type, as in a store line: a bool is
+        not an integer, nor a string a number.  An event is quarantined and
+        has no position, or has one on the globe."""
+        _validate_record(self.beacon_id, self.count, self.first_seen_s)
+        validate_receiver_id(self.receiver_id)
+        if type(self.received_at) is not int:
+            raise ValueError(f"received_at {self.received_at!r} is not an integer")
+        if type(self.quarantined) is not bool:
+            raise ValueError(f"quarantined {self.quarantined!r} is not true or false")
+        lat, lon = self.lat, self.lon
+        if self.quarantined:
+            if lat is not None or lon is not None:
+                raise ValueError(f"lat {lat!r}, lon {lon!r}: a quarantined event has no position")
+        elif type(lat) not in _JSON_NUMBERS or type(lon) not in _JSON_NUMBERS:
+            raise ValueError(f"lat {lat!r}, lon {lon!r}: an event not quarantined needs numbers")
+        else:
+            validate_position(lat, lon)
 
     def key(self) -> tuple:
         return (
@@ -481,9 +508,8 @@ class DetectionEvent:
     @classmethod
     def from_json(cls, line: str) -> "DetectionEvent":
         """The event one store line holds; raises ``ValueError`` (or
-        ``TypeError`` for missing or unknown keys) when a field does not
-        have its exact JSON type: a bool is not an integer, nor a string
-        a number, and coordinates are finite."""
+        ``TypeError`` for missing or unknown keys) when the line is not one
+        JSON object or the event refuses its fields."""
         try:
             obj, end = _scan_once(line, 0)
         except StopIteration:
@@ -492,28 +518,7 @@ class DetectionEvent:
             # Not one JSON value and nothing else: json.loads reads what
             # the scan cannot (leading whitespace) or raises its own message.
             obj = json.loads(line)
-        event = cls(**obj)
-        validate_beacon_id(event.beacon_id)
-        validate_receiver_id(event.receiver_id)
-        count, first_seen_s, lat, lon = event.count, event.first_seen_s, event.lat, event.lon
-        if type(count) is not int or count < 1:
-            raise ValueError(f"count {count!r} is not a positive integer")
-        if type(first_seen_s) is not int or first_seen_s < 0:
-            raise ValueError(f"first_seen_s {first_seen_s!r} is not a non-negative integer")
-        if type(event.received_at) is not int:
-            raise ValueError(f"received_at {event.received_at!r} is not an integer")
-        if lat is not None and type(lat) not in _JSON_NUMBERS:
-            raise ValueError(f"lat {lat!r} is neither a number nor null")
-        if lon is not None and type(lon) not in _JSON_NUMBERS:
-            raise ValueError(f"lon {lon!r} is neither a number nor null")
-        # json reads NaN, Infinity and 1e400 as floats.
-        if type(lat) is float and not math.isfinite(lat):
-            raise ValueError(f"lat {lat!r} is not finite")
-        if type(lon) is float and not math.isfinite(lon):
-            raise ValueError(f"lon {lon!r} is not finite")
-        if type(event.quarantined) is not bool:
-            raise ValueError(f"quarantined {event.quarantined!r} is not true or false")
-        return event
+        return cls(**obj)
 
 
 @dataclass
@@ -644,8 +649,9 @@ _FEATURE = """\
 
 def _json_number(value: float | None) -> str:
     """``value`` as json.dumps writes it: ``null``, or the number's repr.
-    Store coordinates are finite (``load`` and ``load_registry`` refuse
-    others), so json's ``NaN`` and ``Infinity`` never arise."""
+    Values check themselves and readers only parse: a ``DetectionEvent``
+    refuses a position off the globe, so json's ``NaN`` and ``Infinity``
+    never arise."""
     if value is None:
         return "null"
     if type(value) is float:

@@ -60,8 +60,8 @@ class AdvertiserConfig:
                 f"interval {self.interval_ms} ms outside "
                 f"[{MIN_INTERVAL_MS:.0f}, {MAX_INTERVAL_MS:.0f}]"
             )
-        if self.event_duration_ms <= 0:
-            raise ValueError("event duration must be positive")
+        if not 0 < self.event_duration_ms < math.inf:  # also rejects NaN
+            raise ValueError("event duration must be positive and finite")
         if self.interval_ms < self.event_duration_ms:
             raise ValueError("interval must cover one advertising event")
 
@@ -91,10 +91,10 @@ class PassGeometry:
     def __post_init__(self) -> None:
         if not 0 < self.speed_ms < math.inf:  # also rejects NaN
             raise ValueError("speed must be positive and finite")
-        if self.lateral_offset_m < 0:
-            raise ValueError("lateral offset cannot be negative")
-        if self.detection_range_m < 0:
-            raise ValueError("detection range cannot be negative")
+        if not 0 <= self.lateral_offset_m < math.inf:  # also rejects NaN
+            raise ValueError("lateral offset must be finite and >= 0")
+        if not 0 <= self.detection_range_m < math.inf:
+            raise ValueError("detection range must be finite and >= 0")
 
 
 def in_range_time(geometry: PassGeometry) -> float:

@@ -20,6 +20,7 @@ from typing import Sequence
 
 from . import power
 from .presets import DEFAULT_PATH_LOSS_PRESET, DriveScenario
+from .protocol import validate_position
 from .rendezvous import ms_to_mph
 
 EARTH_RADIUS_M = 6371000.0
@@ -49,6 +50,8 @@ class Road:
 
     def __post_init__(self) -> None:
         points = tuple((float(lat), float(lon)) for lat, lon in self.polyline)
+        for lat, lon in points:
+            validate_position(lat, lon)
         if len(points) < 2:
             raise ValueError("road needs at least two vertices")
         arcs = [0.0]
@@ -57,8 +60,8 @@ class Road:
             if step == 0.0:
                 raise ValueError("road has a zero-length segment")
             arcs.append(arcs[-1] + step)
-        if self.surface_vmax_mph <= 0:
-            raise ValueError("surface speed cap must be positive")
+        if not 0 < self.surface_vmax_mph < math.inf:  # also rejects NaN
+            raise ValueError("surface speed cap must be positive and finite")
         object.__setattr__(self, "polyline", points)
         object.__setattr__(self, "_arcs", tuple(arcs))
 
@@ -320,10 +323,10 @@ def _object(value, what: str) -> dict:
 
 
 def _is_number(value) -> bool:
-    """A JSON number that is a finite float: ``json.loads`` also reads NaN,
-    Infinity and integers too large to convert."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
+    """A JSON number that converts to a float: not a bool, nor an integer
+    too large for one (``json.loads`` reads any).  NaN and the infinities
+    are floats, which ``Road`` refuses itself."""
+    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
 
 
 def _is_position(value) -> bool:

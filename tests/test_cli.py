@@ -576,7 +576,8 @@ class TestProtocolPipeline:
         ("[1,2]", "must be a mapping, not list"),
         ("{not json", "Expecting property name enclosed in double quotes"),
         # Each field has its exact JSON type, and a count is at least 1.
-        (STORE_LINE.replace('"lat": 5.41', '"lat": "x"'), "lat 'x' is neither a number nor null"),
+        (STORE_LINE.replace('"lat": 5.41', '"lat": "x"'),
+         "lat 'x', lon 118.03: an event not quarantined needs numbers"),
         (STORE_LINE.replace("false", '"no"'), "quarantined 'no' is not true or false"),
         (STORE_LINE.replace('"count": 2', '"count": -4'), "count -4 is not a positive integer"),
         (STORE_LINE.replace('"count": 2', '"count": true'), "count True is not a positive"),
@@ -586,9 +587,15 @@ class TestProtocolPipeline:
          "received_at 1.5 is not an integer"),
         (STORE_LINE.replace('"B-01"', '"bad id!"'), "beacon id 'bad id!' must be"),
         (STORE_LINE.replace('"RX1"', '"rx1"'), "receiver id 'rx1' must be"),
-        # Coordinates are finite.
-        (STORE_LINE.replace('"lat": 5.41', '"lat": NaN'), "lat nan is not finite"),
-        (STORE_LINE.replace('"lon": 118.03', '"lon": -Infinity'), "lon -inf is not finite"),
+        # An event has a position on the globe, or is quarantined and has none.
+        (STORE_LINE.replace('"lat": 5.41', '"lat": NaN'),
+         "lat nan, lon 118.03 is not a position on the globe"),
+        (STORE_LINE.replace('"lon": 118.03', '"lon": -Infinity'),
+         "lat 5.41, lon -inf is not a position on the globe"),
+        (STORE_LINE.replace('"lon": 118.03', '"lon": null'),
+         "lat 5.41, lon None: an event not quarantined needs numbers"),
+        (STORE_LINE.replace('"lat": 5.41, "lon": 118.03', '"lat": null, "lon": null'),
+         "lat None, lon None: an event not quarantined needs numbers"),
         # A store is UTF-8.
         ("\udcff" + STORE_LINE, "'utf-8' codec can't decode byte 0xff in position 0"),
     ])
@@ -786,7 +793,7 @@ def test_matrix_csv_pinned(tmp_path, mount, seed):
     (["guide", "--reliability", "1.5"], "--reliability: 1.5 is outside [0, 1]"),
     (["guide", "--reliability", "nan"], "--reliability: nan is outside [0, 1]"),
     (["encode", "--receiver", "RX1", "B-01:0:10"],
-     "record 'B-01:0:10': count must be at least 1"),
+     "record 'B-01:0:10': count 0 is not a positive integer"),
     (["encode", "--receiver", "RX1", "b01:1:10"], "record 'b01:1:10': beacon id 'b01'"),
     (["encode", "--receiver", "rx1", "B-01:1:10"], "--receiver: receiver id 'rx1'"),
     (["matrix", "--intervals", "50"], "matrix: interval 50 ms outside [100, 10240]"),
@@ -840,17 +847,20 @@ def test_plan_value_out_of_range_is_usage_error(road_geojson, tmp_path, capsys,
     ('{"type": "Feature", "properties": {"surface_vmax_mph": null}, "geometry": '
      '{"type": "LineString", "coordinates": [[110.0, 1.0], [110.0, 1.1]]}}',
      "surface_vmax_mph must be a number"),
-    # json.loads reads NaN, Infinity and any integer; none is a finite float.
+    # json.loads reads NaN, Infinity and any integer: the road refuses the
+    # floats that are not on the globe, the reader an integer beyond a float.
     ('{"type": "LineString", "coordinates": [[NaN, 1.0], [110.0, 1.1]]}',
-     "road coordinates must be positions of at least 2 numbers"),
+     "lat 1.0, lon nan is not a position on the globe"),
     ('{"type": "LineString", "coordinates": [[110.0, 1.0], [110.0, -Infinity]]}',
-     "road coordinates must be positions of at least 2 numbers"),
+     "lat -inf, lon 110.0 is not a position on the globe"),
+    ('{"type": "LineString", "coordinates": [[110.0, 1.0], [110.0, 95.0]]}',
+     "lat 95.0, lon 110.0 is not a position on the globe"),
     pytest.param('{"type": "LineString", "coordinates": [[110.0, 1.0], [110.0, 1%s]]}'
                  % ("0" * 400), "road coordinates must be positions of at least 2 numbers",
                  id="int-beyond-float"),
     ('{"type": "Feature", "properties": {"surface_vmax_mph": NaN}, "geometry": '
      '{"type": "LineString", "coordinates": [[110.0, 1.0], [110.0, 1.1]]}}',
-     "surface_vmax_mph must be a number"),
+     "surface speed cap must be positive and finite"),
 ])
 def test_bad_road_file_is_config_error(tmp_path, capsys, text, detail):
     road = tmp_path / "road.geojson"
@@ -864,14 +874,17 @@ def test_bad_road_file_is_config_error(tmp_path, capsys, text, detail):
     err = capsys.readouterr().err
     assert err.startswith(f"error: road file {str(road)!r} is invalid: {detail}")
     assert len(err.splitlines()) == 1
+    assert not (tmp_path / "p.geojson").exists()
 
 
 @pytest.mark.parametrize("text,detail", [
     ("beacon_id,lon\nB-01,118.03\n", "registry CSV needs columns beacon_id,lat,lon"),
     ("beacon_id,lat,lon\nB-01,north,118.03\n", "could not convert string to float: 'north'"),
     ("beacon_id,lat,lon\nB-01\n", "could not convert string to float: ''"),
-    ("beacon_id,lat,lon\nB-01,nan,inf\n", "beacon B-01 has non-finite coordinates nan, inf"),
-    ("beacon_id,lat,lon\nB-01,5.41,1e400\n", "beacon B-01 has non-finite coordinates 5.41, inf"),
+    ("beacon_id,lat,lon\nB-01,nan,inf\n", "lat nan, lon inf is not a position on the globe"),
+    ("beacon_id,lat,lon\nB-01,5.41,1e400\n", "lat 5.41, lon inf is not a position on the globe"),
+    ("beacon_id,lat,lon\nB-01,1000,-999\n",
+     "lat 1000.0, lon -999.0 is not a position on the globe"),
 ])
 def test_bad_registry_is_config_error(tmp_path, capsys, text, detail):
     registry = tmp_path / "registry.csv"

@@ -1,7 +1,7 @@
 """Design rules of the package, checked on its source: there is one way to
 build a ``DriveScenario``, preset names are resolved only where the
-command line reads them, and numpy is imported by plain imports in one
-module only."""
+command line reads them, numpy is imported by plain imports in one
+module only, and values check their own finiteness and position."""
 
 import ast
 from pathlib import Path
@@ -69,3 +69,14 @@ def test_only_montecarlo_imports_numpy():
 def test_no_import_machinery():
     assert [m for m, names in imported_modules().items() if "importlib" in names] == []
     assert calls_to("__import__") == calls_to("import_module") == []
+
+
+def test_values_own_finiteness_and_position():
+    # A float's finiteness and a position's place on the globe are checked
+    # where the value is built, so readers only parse and values built in
+    # Python are checked too; receiver_step turns a non-finite event time
+    # into a rejection instead.
+    positions = calls_to("validate_position")
+    assert positions and {scope for _, scope in positions} == {"__post_init__"}
+    finite = calls_to("isfinite")
+    assert finite and {scope for _, scope in finite} <= {"__post_init__", "receiver_step"}

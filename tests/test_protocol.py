@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -17,7 +18,6 @@ from trackside.protocol import (
     DetectionStore,
     GsmDown,
     GsmUp,
-    Mode,
     ReceiverState,
     RegistryEntry,
     Sighting,
@@ -89,7 +89,7 @@ class TestReceiverStep:
         result = receiver_step(state, Sighting(10.0, "B-01"))
         assert result.state.buffer == (DetectionRecord("B-01", 10, 1),)
         assert result.payloads == ()
-        assert result.state.mode == Mode.SCANNING
+        assert not result.state.gsm_available
 
     def test_repeat_within_window_dedups(self):
         state = ReceiverState()
@@ -109,7 +109,6 @@ class TestReceiverStep:
     def test_gsm_up_with_empty_buffer_sends_nothing(self):
         result = receiver_step(ReceiverState(), GsmUp(5.0))
         assert result.payloads == ()
-        assert result.state.mode == Mode.IDLE
         assert result.state.gsm_available
 
     def test_gsm_up_flushes_buffer(self):
@@ -123,7 +122,7 @@ class TestReceiverStep:
             DetectionRecord("B-02", 20, 1),
         )
         assert result.state.buffer == ()
-        assert result.state.mode == Mode.IDLE
+        assert result.state.gsm_available
 
     def test_sighting_while_connected_flushes_immediately(self):
         state = receiver_step(ReceiverState(), GsmUp(1.0)).state
@@ -134,7 +133,6 @@ class TestReceiverStep:
     def test_gsm_down_returns_to_scanning(self):
         state = receiver_step(ReceiverState(), GsmUp(1.0)).state
         state = receiver_step(state, GsmDown(2.0)).state
-        assert state.mode == Mode.SCANNING
         assert not state.gsm_available
 
     def test_out_of_order_event_rejected(self):
@@ -520,7 +518,7 @@ class TestStore:
         ("lat", "NaN"), ("lon", "-Infinity"), ("lat", "1e400"),
     ])
     def test_load_checks_json_types(self, tmp_path, field, value):
-        event = DetectionEvent("B-01", "RX1", 2, 10, 1000, 5.41, None, False)
+        event = DetectionEvent("B-01", "RX1", 2, 10, 1000, 5.41, 118.03, False)
         assert DetectionEvent.from_json(event.to_json()) == event
         line = event.to_json().replace(
             f'"{field}": {json.dumps(getattr(event, field))}', f'"{field}": {value}'
@@ -572,23 +570,29 @@ def reference_map(store):
 
 
 big_ints = st.integers(-(10**30), 10**30)
-coordinates = st.one_of(
-    st.none(),
-    big_ints,
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e16, -1e16, 5e-324, 118.03]),
+# Every coordinate on the globe, JSON integers and the extreme floats too.
+_tiny = [0.0, -0.0, 1e-300, -1e-300, 5e-324]
+lats = st.one_of(
+    st.integers(-90, 90),
+    st.floats(-90, 90),
+    st.sampled_from(_tiny + [5.41, 90, -90, 90.0, -90.0]),
 )
-map_events = st.builds(
-    DetectionEvent,
-    # Any text: the writer must escape as json does, not only valid ids.
-    beacon_id=st.one_of(beacon_ids, st.text(max_size=6)),
-    receiver_id=st.one_of(receiver_ids, st.text(max_size=6)),
-    count=big_ints,
-    first_seen_s=big_ints,
+lons = st.one_of(
+    st.integers(-180, 180),
+    st.floats(-180, 180),
+    st.sampled_from(_tiny + [118.03, 180, -180, 180.0, -180.0]),
+)
+event_fields = dict(
+    beacon_id=beacon_ids,
+    receiver_id=receiver_ids,
+    count=st.integers(1, 10**30),
+    first_seen_s=st.integers(0, 10**30),
     received_at=big_ints,
-    lat=coordinates,
-    lon=coordinates,
-    quarantined=st.booleans(),
+)
+# An event is located, or quarantined with no position.
+map_events = st.one_of(
+    st.builds(DetectionEvent, **event_fields, lat=lats, lon=lons),
+    st.builds(DetectionEvent, **event_fields, quarantined=st.just(True)),
 )
 
 
@@ -597,7 +601,7 @@ class TestMapText:
     @given(events=st.lists(map_events, max_size=5))
     @example(events=[])
     @example(events=[DetectionEvent("B-99", "RX1", 1, 5, 1000, quarantined=True)] * 2)
-    @example(events=[DetectionEvent("B-01", "RX1", 1, 5, 1000, None, None, False)])
+    @example(events=[DetectionEvent("B-01", "RX1", 1, 5, 1000, -90, 180.0, False)])
     @example(events=[DetectionEvent("B-01", "RX1", 2**70, 0, -1, 5, -0.0, False)])
     def test_map_is_json_dumps_of_reference(self, events):
         store = DetectionStore(events=events)
@@ -605,28 +609,38 @@ class TestMapText:
         assert store_to_geojson(store) == expected
 
 
+EVENT_FIELDS = [f.name for f in dataclasses.fields(DetectionEvent)]
+REQUIRED_FIELDS = {"beacon_id", "receiver_id", "count", "first_seen_s", "received_at"}
+
+
 def reference_from_json(line):
-    """DetectionEvent.from_json as json.loads and cls(**obj) wrote it."""
-    event = DetectionEvent(**json.loads(line))
-    validate_beacon_id(event.beacon_id)
-    validate_receiver_id(event.receiver_id)
-    count, first_seen_s, lat, lon = event.count, event.first_seen_s, event.lat, event.lon
+    """DetectionEvent.from_json's rules, checked on json.loads's object
+    without the event's own checks.  The constructor only raises the
+    TypeError for a line that is not an object with the event's keys."""
+    obj = json.loads(line)
+    if not isinstance(obj, dict) or not REQUIRED_FIELDS <= obj.keys() <= set(EVENT_FIELDS):
+        DetectionEvent(**obj)
+    obj = {"lat": None, "lon": None, "quarantined": False, **obj}
+    validate_beacon_id(obj["beacon_id"])
+    count, first_seen_s, lat, lon = obj["count"], obj["first_seen_s"], obj["lat"], obj["lon"]
     if type(count) is not int or count < 1:
         raise ValueError(f"count {count!r} is not a positive integer")
     if type(first_seen_s) is not int or first_seen_s < 0:
         raise ValueError(f"first_seen_s {first_seen_s!r} is not a non-negative integer")
-    if type(event.received_at) is not int:
-        raise ValueError(f"received_at {event.received_at!r} is not an integer")
-    if lat is not None and type(lat) not in (int, float):
-        raise ValueError(f"lat {lat!r} is neither a number nor null")
-    if lon is not None and type(lon) not in (int, float):
-        raise ValueError(f"lon {lon!r} is neither a number nor null")
-    if type(lat) is float and not math.isfinite(lat):
-        raise ValueError(f"lat {lat!r} is not finite")
-    if type(lon) is float and not math.isfinite(lon):
-        raise ValueError(f"lon {lon!r} is not finite")
-    if type(event.quarantined) is not bool:
-        raise ValueError(f"quarantined {event.quarantined!r} is not true or false")
+    validate_receiver_id(obj["receiver_id"])
+    if type(obj["received_at"]) is not int:
+        raise ValueError(f"received_at {obj['received_at']!r} is not an integer")
+    if type(obj["quarantined"]) is not bool:
+        raise ValueError(f"quarantined {obj['quarantined']!r} is not true or false")
+    if obj["quarantined"]:
+        if (lat, lon) != (None, None):
+            raise ValueError(f"lat {lat!r}, lon {lon!r}: a quarantined event has no position")
+    elif type(lat) not in (int, float) or type(lon) not in (int, float):
+        raise ValueError(f"lat {lat!r}, lon {lon!r}: an event not quarantined needs numbers")
+    elif not (-90 <= lat <= 90 and -180 <= lon <= 180):
+        raise ValueError(f"lat {lat!r}, lon {lon!r} is not a position on the globe")
+    event = object.__new__(DetectionEvent)
+    event.__dict__.update((name, obj[name]) for name in EVENT_FIELDS)
     return event
 
 
@@ -650,20 +664,24 @@ def reference_load(path):
     return events, not raw.endswith("\n")
 
 
-# A store line's fields; lat, lon and quarantined may be left out.
-store_objects = st.fixed_dictionaries(
-    {
-        "beacon_id": st.sampled_from(["B-01", "B-02", "B-99"]),
-        "receiver_id": st.sampled_from(["RX1", "RX2"]),
-        "count": st.integers(1, 3),
-        "first_seen_s": st.integers(0, 3),
-        "received_at": st.integers(-2, 2**64),
-    },
-    optional={
-        "lat": coordinates,
-        "lon": coordinates,
-        "quarantined": st.booleans(),
-    },
+# A store line's fields: a located event's lat and lon, with quarantined
+# false or left out, or quarantined true, with lat and lon null or left out.
+store_objects = st.builds(
+    lambda fields, where: {**fields, **where},
+    st.fixed_dictionaries(
+        {
+            "beacon_id": st.sampled_from(["B-01", "B-02", "B-99"]),
+            "receiver_id": st.sampled_from(["RX1", "RX2"]),
+            "count": st.integers(1, 3),
+            "first_seen_s": st.integers(0, 3),
+            "received_at": st.integers(-2, 2**64),
+        }
+    ),
+    st.one_of(
+        st.fixed_dictionaries({"lat": lats, "lon": lons}, optional={"quarantined": st.just(False)}),
+        st.fixed_dictionaries({"quarantined": st.just(True)},
+                              optional={"lat": st.none(), "lon": st.none()}),
+    ),
 )
 
 
@@ -705,6 +723,10 @@ BAD_STORE_LINES = [
     GOOD_LINE.replace('"lat": 5.41', '"lat": 1e400'),
     GOOD_LINE.replace('"lon": 118.03', '"lon": NaN'),
     GOOD_LINE.replace("false", "null"),
+    GOOD_LINE.replace('"lon": 118.03', '"lon": null'),
+    GOOD_LINE.replace('"lat": 5.41, "lon": 118.03', '"lat": null, "lon": null'),
+    GOOD_LINE.replace("false", "true"),
+    GOOD_LINE.replace('"lat": 5.41', '"lat": 95'),
     "\ufeff" + GOOD_LINE,
     GOOD_LINE + " 1",
     GOOD_LINE + "{}",
