@@ -25,12 +25,12 @@ def oracle_hits(
     All randomness is drawn up front in a fixed order; chunking only
     batches the overlap arithmetic, so the count does not depend on how the
     computation is scheduled."""
+    offsets = _event_offsets(span, adv.interval_ms)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     phase_adv = rng.uniform(0.0, adv.interval_ms, size=trials)
     phase_scan = rng.uniform(0.0, scan.scan_cycle_ms, size=trials)
 
     hits = 0
-    offsets = _event_offsets(span, adv.interval_ms)
     for lo in range(0, trials, ORACLE_CHUNK):
         hi = min(lo + ORACLE_CHUNK, trials)
         starts = phase_adv[lo:hi, None] + offsets[None, :]
@@ -40,8 +40,16 @@ def oracle_hits(
 
 def _event_offsets(span: float, interval: float) -> np.ndarray:
     """Offsets, from the first event's start, of every event that can start
-    within ``span`` ms of a pass, whatever the advertiser's phase."""
-    return np.arange(int(span // interval) + 1) * interval
+    within ``span`` ms of a pass, whatever the advertiser's phase.  A pass
+    with more events than one block holds is refused before anything is
+    allocated."""
+    events = span // interval + 1
+    if not events <= _BLOCK_EVENTS:  # also refuses the NaN of an infinite span
+        raise ValueError(
+            f"a pass {span:.6g} ms in range at a {interval:g} ms interval holds more than "
+            f"the {_BLOCK_EVENTS} advertising events one Monte Carlo pass can hold"
+        )
+    return np.arange(int(events)) * interval
 
 
 def _any_heard(

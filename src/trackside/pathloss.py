@@ -169,7 +169,12 @@ def detection_range(
             DeadBeaconWarning,
         )
         return 0.0
-    return 10.0 ** ((effective_ref - threshold_dbm) / (10.0 * model.exponent))
+    try:
+        return 10.0 ** ((effective_ref - threshold_dbm) / (10.0 * model.exponent))
+    except OverflowError:
+        raise ValueError(
+            f"a {effective_ref - threshold_dbm:g} dB link margin reaches beyond any distance"
+        ) from None
 
 
 def attenuation_from_ranges(

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .rendezvous import AdvertiserConfig, _arc_length_ms
+from .rendezvous import AdvertiserConfig, _arc_length_ms, _event_split
 
 if TYPE_CHECKING:
     from .presets import DriveScenario
@@ -106,7 +106,7 @@ def derive_guide(
         best = None
         for interval in range(ceiling, GUIDE_INTERVAL_STEP_MS - 1, -GUIDE_INTERVAL_STEP_MS):
             arc = _arc_length_ms(AdvertiserConfig(interval_ms=interval), scenario.scanner)
-            if (int(span_ms / interval) + 1) * arc < needed_ms:
+            if (_event_split(span_ms, interval)[0] + 1) * arc < needed_ms:
                 continue
             if scenario.pass_probability(speed, interval) >= reliability_target:
                 best = interval

@@ -446,7 +446,11 @@ def load_registry(path) -> dict[str, RegistryEntry]:
         if not {"beacon_id", "lat", "lon"}.issubset(reader.fieldnames or ()):
             raise ValueError("registry CSV needs columns beacon_id,lat,lon")
         for row in reader:
-            entry = RegistryEntry(row["beacon_id"].strip(), float(row["lat"]), float(row["lon"]))
+            beacon_id = row["beacon_id"].strip()
+            try:
+                entry = RegistryEntry(beacon_id, float(row["lat"]), float(row["lon"]))
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}, beacon {beacon_id!r}: {exc}") from None
             registry[entry.beacon_id] = entry
     return registry
 

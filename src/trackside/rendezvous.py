@@ -110,26 +110,55 @@ def _arc_length_ms(adv: AdvertiserConfig, scan: ScannerConfig) -> float:
     return min(scan.scan_window_ms + adv.event_duration_ms, scan.scan_cycle_ms)
 
 
+# Arc starts sorted at most per union measure, which bounds its memory and
+# time however long a pass is in range.
+MAX_ARC_STARTS = 1 << 16
+
+
 def _arc_gaps(k: int, interval: float, cycle: float) -> list[float]:
-    """Gaps between the k sorted arc starts, around the circle."""
+    """Gaps between the k sorted arc starts, around the circle; none for
+    k <= 0.
+
+    With a whole-millisecond interval and cycle, ``i * interval`` and ``%``
+    are exact, so the starts repeat exactly with period
+    P = cycle / gcd(interval, cycle) (at most 2500 on the field unit's
+    loop).  Starts past the first P only add gaps of 0.0, which leave
+    every sum over the gaps bit for bit as it was, so they are dropped.
+    Any other pass that needs more than ``MAX_ARC_STARTS`` starts is
+    refused."""
+    if k <= 0:
+        return []
+    if float(interval).is_integer() and float(cycle).is_integer():
+        k = min(k, int(cycle) // math.gcd(int(interval), int(cycle)))
+    if k > MAX_ARC_STARTS:
+        raise ValueError(
+            f"{k} advertising events in range at a {interval:g} ms interval and "
+            f"a {cycle:g} ms scan cycle: more than the {MAX_ARC_STARTS} that can be scored"
+        )
     starts = sorted((i * interval) % cycle for i in range(k))
     return [b - a for a, b in zip(starts, starts[1:] + [starts[0] + cycle])]
 
 
-def _coverage_exact(k: int, interval: float, cycle: float, arc: float) -> float:
-    """Union measure of k same-length arcs spaced ``interval`` apart, / cycle.
+def _union_share(gaps: list[float], cycle: float, arc: float) -> float:
+    """Share of the cycle covered by one arc of length ``arc`` at each of
+    the starts whose ``_arc_gaps`` are ``gaps``: the one union measure.
 
     Each min(gap, arc) is exact and the sum runs left to right, so under
     round-to-nearest the result never decreases as ``arc`` grows; the
     calibration bisects along ascending scan windows on that order."""
-    if k <= 0:
+    if not gaps:
         return 0.0
     if arc >= cycle:
         return 1.0
     covered = 0.0
-    for gap in _arc_gaps(k, interval, cycle):
+    for gap in gaps:
         covered += min(gap, arc)
     return float(min(covered / cycle, 1.0))
+
+
+def _coverage_exact(k: int, interval: float, cycle: float, arc: float) -> float:
+    """Union measure of k same-length arcs spaced ``interval`` apart, / cycle."""
+    return _union_share(_arc_gaps(k, interval, cycle), cycle, arc)
 
 
 def detection_probability(
@@ -148,14 +177,21 @@ def detection_probability(
     )
 
 
-def _expected_coverage(span_ms: float, interval: float, coverage):
-    """floor(span/interval) event starts fit in range, plus one more with
-    probability equal to the fractional remainder; ``coverage(k)`` is the
-    chance k events are heard.  Both weights are fixed and non-negative,
-    so the mix never decreases where both coverages grow."""
+def _event_split(span_ms: float, interval: float) -> tuple[int, float]:
+    """(n, frac): floor(span/interval) event starts fit in range, plus one
+    more with probability equal to the fractional remainder ``frac``."""
     events = span_ms / interval
+    if events == math.inf:  # a pass at a speed of almost nothing
+        raise ValueError(f"a pass {span_ms!r} ms in range holds too many events to count")
     n = int(events)
-    frac = events - n
+    return n, events - n
+
+
+def _expected_coverage(span_ms: float, interval: float, coverage):
+    """The ``_event_split`` mix of ``coverage(k)``, the chance k events are
+    heard.  Both weights are fixed and non-negative, so the mix never
+    decreases where both coverages grow."""
+    n, frac = _event_split(span_ms, interval)
     if frac == 0.0:
         return coverage(n)
     return (1.0 - frac) * coverage(n) + frac * coverage(n + 1)

@@ -50,15 +50,18 @@ class Road:
 
     def __post_init__(self) -> None:
         points = tuple((float(lat), float(lon)) for lat, lon in self.polyline)
-        for lat, lon in points:
-            validate_position(lat, lon)
+        for index, (lat, lon) in enumerate(points):
+            try:
+                validate_position(lat, lon)
+            except ValueError as exc:
+                raise ValueError(f"vertex {index}: {exc}") from None
         if len(points) < 2:
             raise ValueError("road needs at least two vertices")
         arcs = [0.0]
-        for prev, cur in zip(points, points[1:]):
+        for index, (prev, cur) in enumerate(zip(points, points[1:]), start=1):
             step = haversine_m(prev, cur)
             if step == 0.0:
-                raise ValueError("road has a zero-length segment")
+                raise ValueError(f"vertex {index}: road has a zero-length segment")
             arcs.append(arcs[-1] + step)
         if not 0 < self.surface_vmax_mph < math.inf:  # also rejects NaN
             raise ValueError("surface speed cap must be positive and finite")

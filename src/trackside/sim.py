@@ -35,9 +35,10 @@ from .rendezvous import (
     AdvertiserConfig,
     PassGeometry,
     ScannerConfig,
+    _arc_gaps,
     _arc_length_ms,
-    _coverage_exact,
-    _expected_coverage,
+    _event_split,
+    _union_share,
     detection_probability,
     detection_probability_oracle,
     mph_to_ms,
@@ -330,37 +331,50 @@ def _objective_grid(
 
     Every scanner has one scan cycle and every beacon one event duration,
     so the coverage of k events at one interval and window does not depend
-    on the target, bonnet loss or speed: each is computed once, on demand.
-    A cell's probability never decreases along the windows, exactly in
-    floating point (see ``_coverage_exact``), so its band steps up at most
-    three times: the steps are found by bisection and its mismatch added
-    over whole runs of windows.  Cells that see the same detection range
-    under two bonnet losses, as every wheel-arch cell does, are shared."""
+    on the target, bonnet loss or speed.  Each (k, interval) has one row:
+    its arc gaps, sorted once, and its coverage at each window, computed
+    the first time a probe reads it.  A cell's probability never decreases
+    along the windows, exactly in floating point (see ``_union_share``), so
+    its band steps up at most three times: the steps are found by bisection
+    and its mismatch added over whole runs of windows.  Cells that see the
+    same detection range under two bonnet losses, as every wheel-arch cell
+    does, are shared."""
     scanners = [ScannerConfig(scan_window_ms=w) for w in windows]
     cycle = scanners[0].scan_cycle_ms
     axis = range(len(windows))
-    table: dict[tuple[int, float, int], float] = {}
+    rows: dict[tuple[int, float], tuple[list[float], list[float | None]]] = {}
 
-    def coverage(k: int, adv: AdvertiserConfig, i: int) -> float:
-        key = (k, adv.interval_ms, i)
-        value = table.get(key)
-        if value is None:
-            arc = _arc_length_ms(adv, scanners[i])
-            value = table[key] = _coverage_exact(k, adv.interval_ms, cycle, arc)
-        return value
+    def row(k: int, interval: float) -> tuple[list[float], list[float | None]]:
+        found = rows.get((k, interval))
+        if found is None:
+            found = rows[(k, interval)] = (_arc_gaps(k, interval, cycle), [None] * len(axis))
+        return found
 
-    def target_mismatch(target: TargetMatrix, scenario: DriveScenario) -> list[int]:
-        """The target's band mismatch under ``scenario``, one per window."""
+    def target_mismatch(
+        target: TargetMatrix, scenario: DriveScenario, arcs: dict[int, list[float]]
+    ) -> list[int]:
+        """The target's band mismatch under ``scenario``, one per window;
+        ``arcs[interval][i]`` is the arc length at window i."""
         steps = [0] * (len(axis) + 1)
         for speed in target.speeds_mph:
             span_ms = scenario.in_range_time_s(speed) * 1000.0
             for interval in target.intervals_ms:
-                adv = AdvertiserConfig(interval_ms=interval)
+                arc = arcs[interval]
+                n, frac = _event_split(span_ms, interval)
+                gaps_n, cover_n = row(n, interval)
+                gaps_n1, cover_n1 = row(n + 1, interval) if frac != 0.0 else (gaps_n, cover_n)
 
+                # _expected_coverage's mix, read from the two rows.
                 def p(i: int) -> float:
-                    return _expected_coverage(
-                        span_ms, adv.interval_ms, lambda k: coverage(k, adv, i)
-                    )
+                    a = cover_n[i]
+                    if a is None:
+                        a = cover_n[i] = _union_share(gaps_n, cycle, arc[i])
+                    if frac == 0.0:
+                        return a
+                    b = cover_n1[i]
+                    if b is None:
+                        b = cover_n1[i] = _union_share(gaps_n1, cycle, arc[i])
+                    return (1.0 - frac) * a + frac * b
 
                 # In [0, 1] at both ends of the axis, so everywhere between.
                 first = band_of_probability(p(axis[0]))
@@ -378,12 +392,16 @@ def _objective_grid(
 
     total = [[0] * len(bonnets) for _ in windows]
     for target in targets:
+        arcs = {}
+        for interval in target.intervals_ms:
+            adv = AdvertiserConfig(interval_ms=interval)
+            arcs[interval] = [_arc_length_ms(adv, scanner) for scanner in scanners]
         by_range: dict[float, list[int]] = {}
         for j, bonnet in enumerate(bonnets):
             scenario = scenario_for_mount(target.mount, path_loss, bonnet_attenuation_db=bonnet)
             detection_range = scenario.detection_range_m
             if detection_range not in by_range:
-                by_range[detection_range] = target_mismatch(target, scenario)
+                by_range[detection_range] = target_mismatch(target, scenario, arcs)
             for i, mismatch in enumerate(by_range[detection_range]):
                 total[i][j] += mismatch
     return total

@@ -850,11 +850,13 @@ def test_plan_value_out_of_range_is_usage_error(road_geojson, tmp_path, capsys,
     # json.loads reads NaN, Infinity and any integer: the road refuses the
     # floats that are not on the globe, the reader an integer beyond a float.
     ('{"type": "LineString", "coordinates": [[NaN, 1.0], [110.0, 1.1]]}',
-     "lat 1.0, lon nan is not a position on the globe"),
+     "vertex 0: lat 1.0, lon nan is not a position on the globe"),
     ('{"type": "LineString", "coordinates": [[110.0, 1.0], [110.0, -Infinity]]}',
-     "lat -inf, lon 110.0 is not a position on the globe"),
-    ('{"type": "LineString", "coordinates": [[110.0, 1.0], [110.0, 95.0]]}',
-     "lat 95.0, lon 110.0 is not a position on the globe"),
+     "vertex 1: lat -inf, lon 110.0 is not a position on the globe"),
+    ('{"type": "LineString", "coordinates": [[110.0, 1.0], [110.0, 1.1], [110.0, 95.0]]}',
+     "vertex 2: lat 95.0, lon 110.0 is not a position on the globe"),
+    ('{"type": "LineString", "coordinates": [[110.0, 1.0], [110.0, 1.1], [110.0, 1.1]]}',
+     "vertex 2: road has a zero-length segment"),
     pytest.param('{"type": "LineString", "coordinates": [[110.0, 1.0], [110.0, 1%s]]}'
                  % ("0" * 400), "road coordinates must be positions of at least 2 numbers",
                  id="int-beyond-float"),
@@ -879,12 +881,17 @@ def test_bad_road_file_is_config_error(tmp_path, capsys, text, detail):
 
 @pytest.mark.parametrize("text,detail", [
     ("beacon_id,lon\nB-01,118.03\n", "registry CSV needs columns beacon_id,lat,lon"),
-    ("beacon_id,lat,lon\nB-01,north,118.03\n", "could not convert string to float: 'north'"),
-    ("beacon_id,lat,lon\nB-01\n", "could not convert string to float: ''"),
-    ("beacon_id,lat,lon\nB-01,nan,inf\n", "lat nan, lon inf is not a position on the globe"),
-    ("beacon_id,lat,lon\nB-01,5.41,1e400\n", "lat 5.41, lon inf is not a position on the globe"),
+    ("beacon_id,lat,lon\nB-01,north,118.03\n",
+     "line 2, beacon 'B-01': could not convert string to float: 'north'"),
+    ("beacon_id,lat,lon\nB-01\n", "line 2, beacon 'B-01': could not convert string to float: ''"),
+    ("beacon_id,lat,lon\nB-01,nan,inf\n",
+     "line 2, beacon 'B-01': lat nan, lon inf is not a position on the globe"),
+    ("beacon_id,lat,lon\nB-01,5.41,1e400\n",
+     "line 2, beacon 'B-01': lat 5.41, lon inf is not a position on the globe"),
     ("beacon_id,lat,lon\nB-01,1000,-999\n",
-     "lat 1000.0, lon -999.0 is not a position on the globe"),
+     "line 2, beacon 'B-01': lat 1000.0, lon -999.0 is not a position on the globe"),
+    ("beacon_id,lat,lon\nB-01,5.41,118.03\nB-02,1000,-999\n",
+     "line 3, beacon 'B-02': lat 1000.0, lon -999.0 is not a position on the globe"),
 ])
 def test_bad_registry_is_config_error(tmp_path, capsys, text, detail):
     registry = tmp_path / "registry.csv"

@@ -1,7 +1,8 @@
 """Design rules of the package, checked on its source: there is one way to
 build a ``DriveScenario``, preset names are resolved only where the
 command line reads them, numpy is imported by plain imports in one
-module only, and values check their own finiteness and position."""
+module only, values check their own finiteness and position, and the
+union measure of the arcs is summed in one function."""
 
 import ast
 from pathlib import Path
@@ -9,23 +10,49 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "trackside"
 
 
-def calls_to(name: str) -> list[tuple[str, str | None]]:
-    """(module, innermost enclosing function) of every call to ``name``,
-    whether called bare or as an attribute, in ``src/trackside/*.py``."""
+def scoped_nodes() -> list[tuple[str, str | None, ast.AST]]:
+    """(module, innermost enclosing function, node) of every node of
+    ``src/trackside/*.py``."""
     found = []
 
     def visit(node, module, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                func = child.func
-                called = getattr(func, "id", None) or getattr(func, "attr", None)
-                if called == name:
-                    found.append((module, scope))
+            found.append((module, scope, child))
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
             visit(child, module, inner)
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), path.stem, None)
+    return found
+
+
+def called(node) -> str | None:
+    """The name a call calls, bare or as an attribute; None for any other node."""
+    if not isinstance(node, ast.Call):
+        return None
+    return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+
+
+def calls_to(name: str) -> list[tuple[str, str | None]]:
+    """(module, innermost enclosing function) of every call to ``name``,
+    whether called bare or as an attribute, in ``src/trackside/*.py``."""
+    return [(module, scope) for module, scope, node in scoped_nodes() if called(node) == name]
+
+
+def summed_minimums() -> list[tuple[str, str | None]]:
+    """(module, enclosing function) of every running sum of ``min`` calls:
+    an augmented assignment whose value calls ``min``, or a ``sum`` or
+    ``fsum`` whose arguments do."""
+    found = []
+    for module, scope, node in scoped_nodes():
+        if isinstance(node, ast.AugAssign):
+            parts = [node.value]
+        elif called(node) in ("sum", "fsum"):
+            parts = node.args
+        else:
+            continue
+        if any(called(inner) == "min" for part in parts for inner in ast.walk(part)):
+            found.append((module, scope))
     return found
 
 
@@ -80,3 +107,11 @@ def test_values_own_finiteness_and_position():
     assert positions and {scope for _, scope in positions} == {"__post_init__"}
     finite = calls_to("isfinite")
     assert finite and {scope for _, scope in finite} <= {"__post_init__", "receiver_step"}
+
+
+def test_union_measure_summed_in_one_place():
+    # The left-to-right sum of min(gap, arc) is the union measure behind
+    # every analytic probability and the calibration grid; a second copy
+    # could drift from it by one rounding.
+    assert summed_minimums() == [("rendezvous", "_union_share")]
+    assert {module for module, _ in calls_to("_union_share")} == {"rendezvous", "sim"}

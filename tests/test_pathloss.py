@@ -84,6 +84,12 @@ class TestDetectionRange:
         with pytest.warns(DeadBeaconWarning):
             assert detection_range(heavy, -95.0, {Material.BONNET}) == 0.0
 
+    def test_range_beyond_a_float_rejected(self):
+        # A 1e6 dBm reference puts the range at 10 ** 55900 m.
+        assert detection_range(PathLossModel(rssi_ref_dbm=1000.0)) < math.inf
+        with pytest.raises(ValueError, match="beyond any distance"):
+            detection_range(PathLossModel(rssi_ref_dbm=1e6))
+
     @given(models, st.floats(1.0, 200.0))
     @settings(max_examples=200)
     def test_roundtrip_inverse_of_predict(self, model, d):

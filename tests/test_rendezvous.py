@@ -152,6 +152,55 @@ class TestMonotoneInWindow:
         assert ps == sorted(ps)
 
 
+class TestBoundedKernel:
+    """With a whole-millisecond interval and cycle the arc starts repeat
+    exactly with period P = cycle / gcd(interval, cycle), so the kernel
+    sorts at most P of them; any other pass is bounded by a refusal."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        interval=st.integers(100, 10240),
+        cycle=st.one_of(st.just(2500), st.integers(500, 4000)),
+        as_float=st.booleans(),
+        data=st.data(),
+    )
+    def test_capped_sums_bit_equal_uncapped(self, interval, cycle, as_float, data):
+        period = cycle // math.gcd(interval, cycle)
+        k = data.draw(st.integers(1, 3 * period), label="k")
+        arcs = data.draw(st.lists(st.floats(1.0, 1.1 * cycle), min_size=1, max_size=4))
+        interval = float(interval) if as_float else interval
+        gaps = rendezvous._arc_gaps(k, interval, float(cycle))
+        assert len(gaps) == min(k, period)
+        arcs += [g + d for g in gaps[:3] for d in (-1e-9, 0.0, 1e-9) if g + d > 0]
+        for arc in arcs:
+            # loop_coverage sorts all k starts, duplicates included.
+            assert _coverage_exact(k, interval, float(cycle), arc) == loop_coverage(
+                k, interval, float(cycle), arc
+            )
+
+    def test_whole_ms_events_beyond_the_bound_are_scored(self):
+        # Only 5 distinct starts at 1000 ms.  Far longer passes run in
+        # tests/test_bounded_work.py, under a memory limit.
+        k = 3 * rendezvous.MAX_ARC_STARTS
+        assert _coverage_exact(k, 1000, 2500.0, 1173.0) == _coverage_exact(5, 1000, 2500.0, 1173.0)
+
+    @pytest.mark.parametrize("interval,cycle", [
+        (1000.5, 2500.0),  # no exact period
+        (1000, 2500.5),
+        (101, 1e7),  # a whole-ms period beyond the bound
+    ])
+    def test_too_many_starts_refused(self, interval, cycle):
+        limit = rendezvous.MAX_ARC_STARTS
+        assert 0.0 < _coverage_exact(limit, interval, cycle, 1173.0) <= 1.0
+        with pytest.raises(ValueError, match="can be scored"):
+            _coverage_exact(limit + 1, interval, cycle, 1173.0)
+
+    def test_uncountable_pass_refused(self):
+        adv = AdvertiserConfig(interval_ms=1000)
+        with pytest.raises(ValueError, match="too many events to count"):
+            detection_probability(adv, ScannerConfig(scan_window_ms=1170.0), math.inf)
+
+
 class TestDetectionProbability:
     def test_always_listening_is_certain(self):
         adv = AdvertiserConfig(interval_ms=500.0)

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trackside import montecarlo, sim
@@ -177,6 +177,19 @@ class TestRunMatrix:
                 )
                 assert run_matrix(small, scenario).cells[0].detections == sum(hits[:trials])
 
+    def test_pass_beyond_one_block_refused(self):
+        # A pass with more events than one block holds is refused before any
+        # array is built; a pass that fills one block is still simulated.
+        adv = AdvertiserConfig(interval_ms=1000)
+        scanner = default_scanner()
+        limit = montecarlo._BLOCK_EVENTS
+        # span // interval + 1 events: the limit at (limit - 1) s in range.
+        assert montecarlo.cell_detections(1, 0, 1, adv, scanner, float(limit - 1)) == 1
+        with pytest.raises(ValueError, match="one Monte Carlo pass can hold"):
+            montecarlo.cell_detections(1, 0, 1, adv, scanner, float(limit))
+        with pytest.raises(ValueError, match="one Monte Carlo pass can hold"):
+            detection_probability_oracle(adv, scanner, float(limit), trials=1, seed=1)
+
     def test_certain_cell_always_y(self):
         spec = TrialMatrixSpec(
             speeds_mph=(20.0,), intervals_ms=(200,), trials_per_cell=3, seed=3
@@ -343,10 +356,10 @@ class TestCalibrate:
         # The grid range-checks each cell at both ends of its window axis.
         windows = [500.0, 1000.0, 1500.0]
         for coverage in (
-            lambda k, interval, cycle, arc: -0.5 if arc < 600.0 else 0.5,  # smallest arc only
-            lambda k, interval, cycle, arc: 1.5 if arc > 1400.0 else 0.5,  # largest arc only
+            lambda gaps, cycle, arc: -0.5 if arc < 600.0 else 0.5,  # smallest arc only
+            lambda gaps, cycle, arc: 1.5 if arc > 1400.0 else 0.5,  # largest arc only
         ):
-            monkeypatch.setattr(sim, "_coverage_exact", coverage)
+            monkeypatch.setattr(sim, "_union_share", coverage)
             with pytest.raises(ValueError, match="outside"):
                 calibrate(scan_window_grid_ms=windows, bonnet_grid_db=[1.0])
 
@@ -440,14 +453,39 @@ class TestObjectiveGrid:
         assert hashlib.sha256(grid.tobytes()).hexdigest() == digest
 
     def test_each_coverage_computed_once(self, targets, monkeypatch):
-        calls = []
-        real = sim._coverage_exact
+        # The grid sorts the arc starts of each (k, interval) once, and
+        # scores each of them at a window at most once.
+        real_gaps, real_share = sim._arc_gaps, sim._union_share
+        sorts, owner, shares = [], {}, []
 
-        def counted(k, interval, cycle, arc):
-            calls.append((k, interval, arc))
-            return real(k, interval, cycle, arc)
+        def gaps(k, interval, cycle):
+            found = real_gaps(k, interval, cycle)
+            sorts.append((k, interval))
+            owner[id(found)] = (k, interval)
+            return found
 
-        monkeypatch.setattr(sim, "_coverage_exact", counted)
+        def share(found, cycle, arc):
+            shares.append((owner[id(found)], arc))
+            return real_share(found, cycle, arc)
+
+        monkeypatch.setattr(sim, "_arc_gaps", gaps)
+        monkeypatch.setattr(sim, "_union_share", share)
         windows = [float(w) for w in range(100, 2501, 25)]
         _objective_grid(targets, windows, [round(0.25 * i, 2) for i in range(41)], DEFAULT_PATH_LOSS)
-        assert len(calls) == len(set(calls))
+        assert sorts and shares
+        assert len(sorts) == len(set(sorts))
+        assert len(shares) == len(set(shares))
+        assert {key for key, _ in shares} <= set(sorts)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(
+        step=st.sampled_from([5, 25]),
+        ticks=st.sets(st.integers(0, 480), min_size=1, max_size=6),
+        bonnets=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=3, unique=True),
+    )
+    def test_random_grid_matches_report(self, targets, step, ticks, bonnets):
+        # Ascending windows on a 5 or 25 ms lattice from 100 to 2500 ms and
+        # arbitrary bonnet losses, every point against the per-point report.
+        windows = sorted({100.0 + step * (5 * n // step) for n in ticks})
+        points = [(i, j) for i in range(len(windows)) for j in range(len(bonnets))]
+        self.assert_matches_report(targets, windows, bonnets, points)
