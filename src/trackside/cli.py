@@ -83,14 +83,14 @@ def _speeds(text: str | None) -> list[float]:
     return [_number(x, float, "--speeds") for x in text.split(",")]
 
 
-def _setting(config, section: str, key: str, override, fallback=None):
+def _setting(config, section: str, key: str, override):
     if override is not None:
         return override
     if config.has_option(section, key):
         return config.get(section, key)
     if config.has_option("common", key):
         return config.get("common", key)
-    return fallback
+    return None
 
 
 def _resolve_preset(value: str | None, mount: Mount = Mount.WHEEL_ARCH) -> DriveScenario:
@@ -122,14 +122,13 @@ def cmd_calibrate(args, config, out) -> int:
         samples = load_samples_csv(args.rssi)
     except (OSError, ValueError) as exc:
         raise _invalid_file("RSSI samples", args.rssi, exc) from None
-    if not samples:
-        print("error: RSSI CSV has no samples", file=sys.stderr)
-        return EXIT_USAGE
     try:
         fit = fit_exponent(samples)
     except SingularFitError as exc:
         print(f"error: singular fit: {exc}", file=sys.stderr)
         return EXIT_MODEL
+    except ValueError as exc:
+        raise _invalid_file("RSSI samples", args.rssi, exc) from None
 
     targets = (
         sim.load_target_matrix(Mount.WHEEL_ARCH, args.targets_wheelarch),

@@ -8,12 +8,17 @@ path, calibration included, does not pay for numpy's import.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .rendezvous import AdvertiserConfig, ScannerConfig
 
-# Trials decided per array pass, which bounds memory however many are run.
+# Rows (trials) and trial x event entries per array pass: each float array
+# of a block stays within 2 MB, so memory is flat in the trial count, the
+# speed and the interval.
 ORACLE_CHUNK = 20000
+_BLOCK_EVENTS = 1 << 18
 
 
 def oracle_hits(
@@ -22,19 +27,41 @@ def oracle_hits(
     """How many of ``trials`` uniform advertiser and scanner phases hear an
     event during a pass ``span`` ms long.
 
-    All randomness is drawn up front in a fixed order; chunking only
+    All randomness is drawn up front in a fixed order; blocking only
     batches the overlap arithmetic, so the count does not depend on how the
     computation is scheduled."""
     offsets = _event_offsets(span, adv.interval_ms)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     phase_adv = rng.uniform(0.0, adv.interval_ms, size=trials)
     phase_scan = rng.uniform(0.0, scan.scan_cycle_ms, size=trials)
+    return _count_heard(
+        offsets, trials, lambda lo, hi: (phase_adv[lo:hi], phase_scan[lo:hi]), span, adv, scan
+    )
 
+
+def _count_heard(
+    offsets: np.ndarray,
+    trials: int,
+    phases: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
+    span: float,
+    adv: AdvertiserConfig,
+    scan: ScannerConfig,
+) -> int:
+    """How many of ``trials`` hear an event, where ``phases(lo, hi)`` gives
+    the advertiser and scanner phases of trials lo..hi-1.  A trial's events
+    start ``offsets`` ms after its advertiser phase; it hears one if an
+    event starting before ``span`` overlaps a listening window of a scanner
+    whose cycle begins at its scanner phase.  Trials are decided in blocks
+    of at most ``ORACLE_CHUNK`` rows and ``_BLOCK_EVENTS`` entries."""
+    cycle = scan.scan_cycle_ms
+    block = max(1, min(ORACLE_CHUNK, _BLOCK_EVENTS // len(offsets)))
     hits = 0
-    for lo in range(0, trials, ORACLE_CHUNK):
-        hi = min(lo + ORACLE_CHUNK, trials)
-        starts = phase_adv[lo:hi, None] + offsets[None, :]
-        hits += int(_any_heard(starts, phase_scan[lo:hi], span, adv, scan).sum())
+    for lo in range(0, trials, block):
+        phase_adv, phase_scan = phases(lo, min(lo + block, trials))
+        starts = phase_adv[:, None] + offsets[None, :]
+        rel = np.mod(starts - phase_scan[:, None], cycle)
+        heard = (rel < scan.scan_window_ms) | (rel > cycle - adv.event_duration_ms)
+        hits += int(np.any((starts < span) & heard, axis=1).sum())
     return hits
 
 
@@ -50,23 +77,6 @@ def _event_offsets(span: float, interval: float) -> np.ndarray:
             f"the {_BLOCK_EVENTS} advertising events one Monte Carlo pass can hold"
         )
     return np.arange(int(events)) * interval
-
-
-def _any_heard(
-    starts: np.ndarray,
-    phase_scan: np.ndarray,
-    span: float,
-    adv: AdvertiserConfig,
-    scan: ScannerConfig,
-) -> np.ndarray:
-    """One bool per trial (row of ``starts``, event starts in ms): whether
-    an event starting before ``span`` overlaps a listening window of a
-    scanner whose cycle begins at that trial's ``phase_scan``."""
-    cycle = scan.scan_cycle_ms
-    in_range = starts < span
-    rel = np.mod(starts - phase_scan[:, None], cycle)
-    heard = (rel < scan.scan_window_ms) | (rel > cycle - adv.event_duration_ms)
-    return np.any(in_range & heard, axis=1)
 
 
 # numpy.random.SeedSequence's hash: a pool of four 32-bit words and its
@@ -194,11 +204,6 @@ def _trial_uniforms(seed: int, cell_index: int, trials) -> np.ndarray:
     return out
 
 
-# Trial x event entries per block: each float array of a block stays at
-# 2 MB, so memory is flat in the trial count, the speed and the interval.
-_BLOCK_EVENTS = 1 << 18
-
-
 def cell_detections(
     seed: int, cell_index: int, trials: int, adv: AdvertiserConfig,
     scanner: ScannerConfig, t_in_s: float,
@@ -211,11 +216,9 @@ def cell_detections(
     # The oracle's arithmetic: the same event offsets, and its phases are
     # Generator.uniform(0, x) draws, 0.0 + x * u, which is x * u exactly.
     offsets = _event_offsets(span, adv.interval_ms)
-    block = max(1, min(ORACLE_CHUNK, _BLOCK_EVENTS // len(offsets)))
-    detections = 0
-    for lo in range(0, trials, block):
-        u_adv, u_scan = _trial_uniforms(seed, cell_index, np.arange(lo, min(lo + block, trials)))
-        starts = (adv.interval_ms * u_adv)[:, None] + offsets[None, :]
-        heard = _any_heard(starts, scanner.scan_cycle_ms * u_scan, span, adv, scanner)
-        detections += int(heard.sum())
-    return detections
+
+    def phases(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        u_adv, u_scan = _trial_uniforms(seed, cell_index, np.arange(lo, hi))
+        return adv.interval_ms * u_adv, scanner.scan_cycle_ms * u_scan
+
+    return _count_heard(offsets, trials, phases, span, adv, scanner)

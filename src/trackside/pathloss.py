@@ -46,13 +46,6 @@ _MATERIAL_ALIASES = {
     "bag": Material.PLASTIC_BAG,
 }
 
-# Loss-of-signal ranges measured with different obstructions imply two
-# different unobstructed maxima: 45 m at 44% loss gives ~80.4 m while 57 m
-# at 14% loss gives ~66.3 m.  The cardboard-consistent 66.3 m is the
-# default anchor (more conservative); both are exported.
-CLEAR_RANGE_CARDBOARD_M = 66.3
-CLEAR_RANGE_PLASTIC_M = 80.4
-
 # Field anchors: -70 dBm at 1 m, unreliable past -95 dBm, which the
 # BT4 module hits at 25 m and the BT5 one at 41 m.
 RSSI_REF_DBM = -70.0
@@ -61,7 +54,10 @@ EXPONENT_BT4 = 1.7883456975917413  # solves -70 - 10*n*log10(25) = -95
 EXPONENT_BT5 = 1.5501147221827891  # solves -70 - 10*n*log10(41) = -95
 
 # Obstruction attenuations derived from measured loss-of-signal ranges
-# against the 66.3 m clear anchor at the BT4 exponent.  Water was measured
+# against the 66.3 m clear anchor at the BT4 exponent.  Ranges measured
+# with different obstructions imply two unobstructed maxima: 45 m at 44%
+# loss gives ~80.4 m while 57 m at 14% loss gives ~66.3 m; the
+# cardboard-consistent 66.3 m is the more conservative.  Water was measured
 # inside a thin bag at 33 m; the bag's own share comes from the
 # extrapolated 37 m bag-free range.  The bonnet value is the calibrated
 # result of the drive-by matrix fit (see sim.calibrate).
@@ -74,9 +70,6 @@ DEFAULT_ATTENUATION_DB: Mapping[Material, float] = {
     Material.PLASTIC_BAG: 0.89,
     Material.BONNET: BONNET_ATTENUATION_DB,
 }
-
-WATER_RANGE_MEASURED_M = 33.0  # inside the bag, as measured
-WATER_RANGE_EXTRAPOLATED_M = 37.0  # bag effect removed
 
 
 @dataclass(frozen=True)

@@ -127,8 +127,9 @@ class ReceiverState:
     gsm_available: bool = False
     clock_s: float = 0.0
     dedup_window_s: float = DEFAULT_DEDUP_WINDOW_S
-    # Last counted sighting per beacon with an open record in the buffer.
-    open_last_seen: tuple[tuple[str, float], ...] = ()
+    # The last sighting counted in each buffered record, aligned with
+    # ``buffer``.  A beacon's open record is its latest one in the buffer.
+    last_seen: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         validate_receiver_id(self.receiver_id)
@@ -136,6 +137,10 @@ class ReceiverState:
             raise ValueError(f"receiver clock {self.clock_s!r} is not finite")
         if not 0 <= self.dedup_window_s < math.inf:  # also rejects NaN
             raise ValueError(f"dedup window {self.dedup_window_s!r} is not finite and >= 0")
+        if len(self.last_seen) != len(self.buffer):
+            raise ValueError(
+                f"{len(self.last_seen)} last-seen times for {len(self.buffer)} buffered records"
+            )
 
 
 @dataclass(frozen=True)
@@ -163,8 +168,7 @@ def receiver_step(state: ReceiverState, event: ReceiverEvent) -> StepResult:
             rejected=f"event at t={event.t_s} precedes receiver clock {state.clock_s}",
         )
 
-    buffer = state.buffer
-    open_last = dict(state.open_last_seen)
+    buffer, last_seen = state.buffer, state.last_seen
     gsm = state.gsm_available
 
     if isinstance(event, Sighting):
@@ -172,22 +176,16 @@ def receiver_step(state: ReceiverState, event: ReceiverEvent) -> StepResult:
             validate_beacon_id(event.beacon_id)
         except ValueError as exc:
             return StepResult(state=state, rejected=str(exc))
-        last = open_last.get(event.beacon_id)
-        if last is not None and event.t_s - last <= state.dedup_window_s:
-            updated = []
-            bumped = False
-            for record in reversed(buffer):
-                if not bumped and record.beacon_id == event.beacon_id:
-                    updated.append(replace(record, count=record.count + 1))
-                    bumped = True
-                else:
-                    updated.append(record)
-            buffer = tuple(reversed(updated))
+        i = len(buffer) - 1
+        while i >= 0 and buffer[i].beacon_id != event.beacon_id:
+            i -= 1
+        if i >= 0 and event.t_s - last_seen[i] <= state.dedup_window_s:
+            record = buffer[i]
+            buffer = buffer[:i] + (replace(record, count=record.count + 1),) + buffer[i + 1:]
+            last_seen = last_seen[:i] + (event.t_s,) + last_seen[i + 1:]
         else:
-            buffer = buffer + (
-                DetectionRecord(event.beacon_id, int(math.floor(event.t_s)), 1),
-            )
-        open_last[event.beacon_id] = event.t_s
+            buffer += (DetectionRecord(event.beacon_id, int(math.floor(event.t_s)), 1),)
+            last_seen += (event.t_s,)
     elif isinstance(event, GsmUp):
         gsm = True
     elif isinstance(event, GsmDown):
@@ -197,15 +195,14 @@ def receiver_step(state: ReceiverState, event: ReceiverEvent) -> StepResult:
     payloads: tuple[SmsPayload, ...] = ()
     if gsm and buffer:
         payloads = tuple(encode_sms(state.receiver_id, buffer))
-        buffer = ()
-        open_last = {}
+        buffer, last_seen = (), ()
 
     new_state = replace(
         state,
         buffer=buffer,
         gsm_available=gsm,
         clock_s=event.t_s,
-        open_last_seen=tuple(sorted(open_last.items())),
+        last_seen=last_seen,
     )
     return StepResult(state=new_state, payloads=payloads)
 
@@ -381,9 +378,7 @@ def decode_sms(segments: Iterable[str]) -> DecodeResult:
     receiver_id: str | None = None
     total: int | None = None
 
-    any_seen = False
     for raw in segments:
-        any_seen = True
         rid, index, seg_total, body = _parse_segment(raw)
         if receiver_id is None:
             receiver_id, total = rid, seg_total
@@ -400,7 +395,7 @@ def decode_sms(segments: Iterable[str]) -> DecodeResult:
             continue
         parsed[index] = body
 
-    if not any_seen:
+    if receiver_id is None:
         raise WireFormatError("no segments to decode")
 
     records: list[DetectionRecord] = []
@@ -413,9 +408,9 @@ def decode_sms(segments: Iterable[str]) -> DecodeResult:
             except ValueError as exc:
                 diagnostics.append(f"malformed record {token!r} skipped: {exc}")
 
-    missing = tuple(i for i in range(1, (total or 0) + 1) if i not in parsed)
+    missing = tuple(i for i in range(1, total + 1) if i not in parsed)
     return DecodeResult(
-        receiver_id=receiver_id or "",
+        receiver_id=receiver_id,
         records=tuple(records),
         missing_segments=missing,
         diagnostics=tuple(diagnostics),
@@ -439,19 +434,25 @@ class RegistryEntry:
 
 def load_registry(path) -> dict[str, RegistryEntry]:
     """Beacon registry CSV with columns beacon_id,lat,lon.  Other columns,
-    such as a deployment sheet's interval_ms and preset, are ignored."""
+    such as a deployment sheet's interval_ms and preset, are ignored.  A
+    beacon id on two rows is refused: it would move the beacon."""
     registry: dict[str, RegistryEntry] = {}
+    lines: dict[str, int] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh, restval="")
         if not {"beacon_id", "lat", "lon"}.issubset(reader.fieldnames or ()):
             raise ValueError("registry CSV needs columns beacon_id,lat,lon")
         for row in reader:
             beacon_id = row["beacon_id"].strip()
+            where = f"line {reader.line_num}, beacon {beacon_id!r}"
+            if beacon_id in lines:
+                raise ValueError(f"{where}: also on line {lines[beacon_id]}")
             try:
                 entry = RegistryEntry(beacon_id, float(row["lat"]), float(row["lon"]))
             except ValueError as exc:
-                raise ValueError(f"line {reader.line_num}, beacon {beacon_id!r}: {exc}") from None
-            registry[entry.beacon_id] = entry
+                raise ValueError(f"{where}: {exc}") from None
+            registry[beacon_id] = entry
+            lines[beacon_id] = reader.line_num
     return registry
 
 

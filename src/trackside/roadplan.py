@@ -224,7 +224,7 @@ def select_sites(
         chosen.append(arc)
         chosen_speed.append(speeds[idx])
 
-    if not chosen and count_budget >= 1:
+    if not chosen:
         # Uniform speed profile: start from the road midpoint.
         mid = road.length_m / 2.0
         chosen.append(mid)

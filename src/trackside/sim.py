@@ -44,23 +44,6 @@ from .rendezvous import (
     mph_to_ms,
 )
 
-__all__ = [
-    "Mount",
-    "CellLabel",
-    "TrialMatrixSpec",
-    "CellResult",
-    "MatrixResult",
-    "TargetMatrix",
-    "CalibrationResult",
-    "BAND_THRESHOLDS",
-    "band_of_probability",
-    "band_of_label",
-    "simulate_pass",
-    "run_matrix",
-    "calibrate",
-    "load_target_matrix",
-]
-
 DEFAULT_SEED = 1729
 
 # Expected-probability bands: Y >= 0.95, 66% in [0.4, 0.95), 33% in

@@ -17,13 +17,16 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 MEMORY_LIMIT = 1 << 30  # bytes of address space; numpy imports in far less
 TIMEOUT_S = 60
 
-# Sets the limit before anything else runs, then runs one command.
-BOUNDED = """\
+# Sets the limit before anything else runs.
+LIMIT = """\
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
+""".format(limit=MEMORY_LIMIT)
+# Then runs one command.
+BOUNDED = LIMIT + """\
 from trackside.cli import main
 sys.exit(main(sys.argv[1:]))
-""".format(limit=MEMORY_LIMIT)
+"""
 
 PRESET_INI = """\
 [pathloss]
@@ -40,11 +43,12 @@ scan_cycle_ms = {cycle}
 """
 
 
-def run_bounded(argv, cwd):
-    """(exit code, stdout, stderr) of one command in a capped child."""
+def run_bounded(argv, cwd, script=BOUNDED):
+    """(exit code, stdout, stderr) of one command, or of another
+    ``script`` that starts with ``LIMIT``, in a capped child."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
-    proc = subprocess.run([sys.executable, "-c", BOUNDED, *argv], cwd=cwd, env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=TIMEOUT_S)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -114,3 +118,16 @@ def test_unbounded_pass_is_one_error_line(tmp_path, argv, detail):
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and detail in err
     assert len(err.splitlines()) == 1
+
+
+def test_oracle_with_many_events_per_trial(tmp_path):
+    # 2001 events per trial: one block of ORACLE_CHUNK trials would need
+    # 305 MiB per array, so the rows per block shrink with the event count.
+    script = LIMIT + """\
+from trackside.presets import default_scanner
+from trackside.rendezvous import AdvertiserConfig, detection_probability_oracle
+print(detection_probability_oracle(
+    AdvertiserConfig(interval_ms=100), default_scanner(), 200.0, trials=20000, seed=1))
+"""
+    code, out, err = run_bounded([], tmp_path, script=script)
+    assert (code, out, err) == (0, "1.0\n", "")

@@ -176,6 +176,8 @@ class TestCalibrate:
          "sample distance must be positive and finite"),
         ("distance_m,rssi_dbm,materials\n1,nan,\n25,-95,\n", "sample RSSI must be finite"),
         ("distance_m,rssi_dbm,materials\n1,-70,\n25,-inf,\n", "sample RSSI must be finite"),
+        ("distance_m,rssi_dbm,materials\n", "need at least two samples to fit an exponent"),
+        ("distance_m,rssi_dbm,materials\n1,-70,\n", "need at least two samples to fit an exponent"),
     ])
     def test_bad_samples_csv_is_config_error(self, tmp_path, capsys, text, detail):
         rssi = tmp_path / "rssi.csv"
@@ -892,6 +894,8 @@ def test_bad_road_file_is_config_error(tmp_path, capsys, text, detail):
      "line 2, beacon 'B-01': lat 1000.0, lon -999.0 is not a position on the globe"),
     ("beacon_id,lat,lon\nB-01,5.41,118.03\nB-02,1000,-999\n",
      "line 3, beacon 'B-02': lat 1000.0, lon -999.0 is not a position on the globe"),
+    ("beacon_id,lat,lon\nB-01,5.41,118.03\nB-01,5.42,118.04\n",
+     "line 3, beacon 'B-01': also on line 2"),
 ])
 def test_bad_registry_is_config_error(tmp_path, capsys, text, detail):
     registry = tmp_path / "registry.csv"

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from trackside.pathloss import Material, PathLossModel, RssiSample
-from trackside.protocol import DetectionEvent, ReceiverState, RegistryEntry
+from trackside.protocol import DetectionEvent, DetectionRecord, ReceiverState, RegistryEntry
 from trackside.rendezvous import AdvertiserConfig, PassGeometry, ScannerConfig
 from trackside.roadplan import Road
 
@@ -49,3 +49,11 @@ def test_non_finite_float_field_refused(build, valid, x):
     build(valid)  # so that the refusal is the field's own
     with pytest.raises(ValueError):
         build(x)
+
+
+def test_receiver_state_has_one_time_per_buffered_record():
+    # Without its time, the record's next sighting could not be deduped.
+    record = DetectionRecord("B-01", 10)
+    ReceiverState(buffer=(record,), last_seen=(10.5,))
+    with pytest.raises(ValueError, match="0 last-seen times for 1 buffered records"):
+        ReceiverState(buffer=(record,))
