@@ -1,6 +1,6 @@
 """Command-line entry point: calibration, simulation, planning, protocol.
 
-Every subcommand is deterministic for a fixed config and seed; randomized
+Every subcommand is deterministic for fixed inputs and seed; randomized
 commands print the effective seed in their report header.  Exit codes:
 0 success, 1 model or feasibility failure, 2 usage or config error.
 """
@@ -41,17 +41,6 @@ def _invalid_file(kind: str, path: str, exc: Exception) -> ConfigError:
     return ConfigError(f"{kind} {path!r} is invalid: {detail}")
 
 
-def _load_config(path: str | None) -> configparser.ConfigParser:
-    config = configparser.ConfigParser()
-    if path:
-        try:
-            with open(path) as fh:
-                config.read_file(fh)
-        except (OSError, ValueError, configparser.Error) as exc:
-            raise _invalid_file("config file", path, exc) from None
-    return config
-
-
 def _number(token: str, convert, what: str):
     """``convert(token)``, or a usage error naming ``what`` and the token."""
     try:
@@ -83,16 +72,6 @@ def _speeds(text: str | None) -> list[float]:
     return [_number(x, float, "--speeds") for x in text.split(",")]
 
 
-def _setting(config, section: str, key: str, override):
-    if override is not None:
-        return override
-    if config.has_option(section, key):
-        return config.get(section, key)
-    if config.has_option("common", key):
-        return config.get("common", key)
-    return None
-
-
 def _resolve_preset(value: str | None, mount: Mount = Mount.WHEEL_ARCH) -> DriveScenario:
     """The command's one drive-by scenario, from a preset name or a
     calibration INI written by `calibrate`."""
@@ -117,7 +96,7 @@ def _write(path: str | None, text: str, out) -> None:
         out.write(text)
 
 
-def cmd_calibrate(args, config, out) -> int:
+def cmd_calibrate(args, out) -> int:
     try:
         samples = load_samples_csv(args.rssi)
     except (OSError, ValueError) as exc:
@@ -130,11 +109,7 @@ def cmd_calibrate(args, config, out) -> int:
     except ValueError as exc:
         raise _invalid_file("RSSI samples", args.rssi, exc) from None
 
-    targets = (
-        sim.load_target_matrix(Mount.WHEEL_ARCH, args.targets_wheelarch),
-        sim.load_target_matrix(Mount.BONNET, args.targets_bonnet),
-    )
-    result = sim.calibrate(targets=targets, path_loss=fit.model)
+    result = sim.calibrate(path_loss=fit.model)
     calibrated = scenario_for_mount(
         Mount.BONNET, fit.model, result.scanner(), result.bonnet_attenuation_db
     )
@@ -161,9 +136,9 @@ def cmd_calibrate(args, config, out) -> int:
     return EXIT_OK
 
 
-def cmd_matrix(args, config, out) -> int:
+def cmd_matrix(args, out) -> int:
     mount = Mount(args.mount)
-    scenario = _resolve_preset(_setting(config, "matrix", "preset", args.preset), mount)
+    scenario = _resolve_preset(args.preset, mount)
     if args.intervals:
         intervals = [_number(x, int, "--intervals") for x in args.intervals.split(",")]
     else:
@@ -173,8 +148,7 @@ def cmd_matrix(args, config, out) -> int:
             else list(range(700, 1501, 100))
         )
     speeds = _speeds(args.speeds)
-    seed_raw = _setting(config, "matrix", "seed", args.seed)
-    seed = _number(seed_raw, int, "seed") if seed_raw is not None else sim.DEFAULT_SEED
+    seed = args.seed if args.seed is not None else sim.DEFAULT_SEED
     spec = _checked(
         sim.TrialMatrixSpec, "matrix",
         speeds_mph=tuple(speeds),
@@ -191,24 +165,21 @@ def cmd_matrix(args, config, out) -> int:
     return EXIT_OK
 
 
-def cmd_plan(args, config, out) -> int:
+def cmd_plan(args, out) -> int:
     if args.budget < 1:
         raise ConfigError(f"--budget: {args.budget} is below 1")
-    if not args.spacing > 0:  # also rejects NaN
-        raise ConfigError(f"--spacing: {args.spacing!r} is not positive")
     try:
         with open(args.road) as fh:
             road = roadplan.road_from_geojson(fh.read())
     except (OSError, ValueError) as exc:
         raise _invalid_file("road file", args.road, exc) from None
-    preset = _setting(config, "plan", "preset", args.preset) or DEFAULT_PATH_LOSS_PRESET
+    preset = args.preset or DEFAULT_PATH_LOSS_PRESET
     plan = roadplan.plan_deployment(
         road,
         budget=args.budget,
         scenario=_resolve_preset(preset),
         # A calibration INI is labelled by its file name, never its directory.
         beacon_preset=os.path.basename(preset),
-        max_spacing_m=args.spacing,
         reliability_target=_reliability(args.reliability),
     )
     geojson = roadplan.plan_to_geojson(plan)
@@ -233,7 +204,7 @@ def cmd_plan(args, config, out) -> int:
     return EXIT_OK
 
 
-def cmd_guide(args, config, out) -> int:
+def cmd_guide(args, out) -> int:
     if args.reliability is None:
         if args.speeds is not None or args.preset is not None:
             raise ConfigError(
@@ -241,7 +212,7 @@ def cmd_guide(args, config, out) -> int:
             )
         rows = power.published_guide()
     else:
-        scenario = _resolve_preset(_setting(config, "guide", "preset", args.preset))
+        scenario = _resolve_preset(args.preset)
         speeds = _speeds(args.speeds)
         for speed in speeds:
             if not 0.0 < speed < math.inf:
@@ -286,7 +257,7 @@ def _read_segment_lines(source: str) -> list[str]:
         raise _invalid_file("segments", source, exc) from None
 
 
-def cmd_ingest(args, config, out) -> int:
+def cmd_ingest(args, out) -> int:
     lines = _read_segment_lines(args.segments)
     if not lines:
         print("error: no segments to ingest", file=sys.stderr)
@@ -327,7 +298,7 @@ def cmd_ingest(args, config, out) -> int:
     return EXIT_OK if not bad else EXIT_MODEL
 
 
-def cmd_encode(args, config, out) -> int:
+def cmd_encode(args, out) -> int:
     _checked(protocol.validate_receiver_id, "--receiver", args.receiver)
     records = [
         _checked(protocol.parse_record_token, f"record {token!r}", token) for token in args.records
@@ -337,7 +308,7 @@ def cmd_encode(args, config, out) -> int:
     return EXIT_OK
 
 
-def cmd_decode(args, config, out) -> int:
+def cmd_decode(args, out) -> int:
     lines = _read_segment_lines(args.segments)
     if not lines:
         print("error: no segments to decode", file=sys.stderr)
@@ -353,7 +324,7 @@ def cmd_decode(args, config, out) -> int:
     return EXIT_OK if decoded.complete and not decoded.diagnostics else EXIT_MODEL
 
 
-def cmd_export(args, config, out) -> int:
+def cmd_export(args, out) -> int:
     # ingest starts a store where there is none; export would only write
     # an empty map.
     if not os.path.isfile(args.store):
@@ -368,13 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="trackside",
         description="BLE checkpoint-tracking simulator and deployment planner",
     )
-    parser.add_argument("--config", help="INI config with [common] and per-command sections")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("calibrate", help="fit the radio model and scanner duty")
     p.add_argument("--rssi", required=True, help="RSSI samples CSV")
-    p.add_argument("--targets-wheelarch", help="wheel-arch target matrix CSV")
-    p.add_argument("--targets-bonnet", help="bonnet target matrix CSV")
     p.add_argument("--out", required=True, help="preset INI to write")
     p.add_argument("--report", help="write report here instead of stdout")
     p.set_defaults(func=cmd_calibrate)
@@ -394,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--road", required=True, help="road GeoJSON (LineString)")
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--preset", help="preset name or calibration INI path")
-    p.add_argument("--spacing", type=float, default=roadplan.DEFAULT_MAX_SPACING_M)
     p.add_argument("--reliability", type=float, help="derive intervals from the model")
     p.add_argument("--out", required=True, help="plan GeoJSON path")
     p.add_argument("--summary", help="write the text summary here")
@@ -438,8 +405,7 @@ def main(argv=None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config)
-        return args.func(args, config, out)
+        return args.func(args, out)
     except (ConfigError, OSError, KeyError) as exc:
         # An OSError comes from opening a path given on the command line
         # (missing, a directory, unreadable); its message names the file.
@@ -447,7 +413,7 @@ def main(argv=None, out=None) -> int:
         return EXIT_USAGE
     except ValueError as exc:
         # Values check themselves and readers only parse; a refused
-        # command-line value or config, preset, RSSI samples, road or registry
+        # command-line value or preset, RSSI samples, road or registry
         # file fails as ConfigError above, where it is read.  What is left is
         # a model, feasibility or wire-format failure, or a bad store file.
         print(f"error: {exc}", file=sys.stderr)

@@ -101,11 +101,12 @@ def derive_guide(
     rows = []
     ceiling = GUIDE_MAX_INTERVAL_MS
     needed_ms = reliability_target * scenario.scanner.scan_cycle_ms * (1.0 - 1e-9)
+    # The arc of one event does not depend on the interval.
+    arc = _arc_length_ms(AdvertiserConfig(interval_ms=ceiling), scenario.scanner)
     for speed in sorted(speeds_mph):
         span_ms = scenario.in_range_time_s(speed) * 1000.0
         best = None
         for interval in range(ceiling, GUIDE_INTERVAL_STEP_MS - 1, -GUIDE_INTERVAL_STEP_MS):
-            arc = _arc_length_ms(AdvertiserConfig(interval_ms=interval), scenario.scanner)
             if (_event_split(span_ms, interval)[0] + 1) * arc < needed_ms:
                 continue
             if scenario.pass_probability(speed, interval) >= reliability_target:

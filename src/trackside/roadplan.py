@@ -26,7 +26,7 @@ from .rendezvous import ms_to_mph
 EARTH_RADIUS_M = 6371000.0
 DEFAULT_SURFACE_VMAX_MPH = 45.0
 DEFAULT_LATERAL_ACCEL_MS2 = 2.0  # rough dirt-road comfort limit
-DEFAULT_MAX_SPACING_M = 400.0
+MAX_SPACING_M = 400.0  # sites farther apart than this leave a coverage gap
 MIN_SITE_SEPARATION_M = 50.0
 
 
@@ -161,44 +161,41 @@ def _local_minima(speeds: Sequence[float]) -> list[int]:
     to their first vertex."""
     n = len(speeds)
     candidates = []
-    for i in range(1, n - 1):
-        left = speeds[i - 1]
+    i = 1
+    while i < n - 1:
         j = i
         while j + 1 < n and speeds[j + 1] == speeds[i]:
             j += 1
         if j >= n - 1:
             break
-        right = speeds[j + 1]
-        if speeds[i] < left and speeds[i] < right:
+        if speeds[i] < speeds[i - 1] and speeds[i] < speeds[j + 1]:
             candidates.append(i)
+        # The rest of the plateau i..j has an equal left neighbour.
+        i = j + 1
     candidates.sort(key=lambda i: (speeds[i], i))
     return candidates
 
 
 def _coverage_gaps(
-    length_m: float, site_arcs: Sequence[float], max_spacing_m: float
+    length_m: float, site_arcs: Sequence[float]
 ) -> tuple[tuple[float, float], ...]:
-    """Road stretches farther than max_spacing/2 from every site."""
+    """Road stretches farther than MAX_SPACING_M/2 from every site."""
     if not site_arcs:
-        return ((0.0, length_m),) if length_m > max_spacing_m else ()
-    reach = max_spacing_m / 2.0
+        return ((0.0, length_m),) if length_m > MAX_SPACING_M else ()
+    reach = MAX_SPACING_M / 2.0
     gaps = []
     arcs = sorted(site_arcs)
     if arcs[0] - reach > 0.0:
         gaps.append((0.0, arcs[0] - reach))
     for a, b in zip(arcs, arcs[1:]):
-        if b - a > max_spacing_m:
+        if b - a > MAX_SPACING_M:
             gaps.append((a + reach, b - reach))
     if arcs[-1] + reach < length_m:
         gaps.append((arcs[-1] + reach, length_m))
     return tuple(gaps)
 
 
-def select_sites(
-    road: Road,
-    max_spacing_m: float = DEFAULT_MAX_SPACING_M,
-    count_budget: int = 1,
-) -> list[tuple[float, float]]:
+def select_sites(road: Road, count_budget: int = 1) -> list[tuple[float, float]]:
     """Greedy siting: slowest local minima first, then gap filling.
 
     Returns (arc_m, local_vmax_mph) per site, in road order.  Runs out of
@@ -207,8 +204,6 @@ def select_sites(
     """
     if count_budget < 1:
         raise ValueError("count budget must be at least one beacon")
-    if not max_spacing_m > 0:  # also rejects NaN
-        raise ValueError("max spacing must be positive")
 
     speeds = speed_profile(road)
     arcs = road.arc_lengths()
@@ -231,7 +226,7 @@ def select_sites(
         chosen_speed.append(_speed_at(road, speeds, mid))
 
     while len(chosen) < count_budget:
-        gaps = _coverage_gaps(road.length_m, chosen, max_spacing_m)
+        gaps = _coverage_gaps(road.length_m, chosen)
         if not gaps:
             break
         start, end = max(gaps, key=lambda g: g[1] - g[0])
@@ -254,7 +249,6 @@ def plan_deployment(
     budget: int,
     scenario: DriveScenario,
     beacon_preset: str = DEFAULT_PATH_LOSS_PRESET,
-    max_spacing_m: float = DEFAULT_MAX_SPACING_M,
     reliability_target: float | None = None,
 ) -> DeploymentPlan:
     """Assemble sites, intervals, battery life and pass probabilities.
@@ -267,7 +261,7 @@ def plan_deployment(
     sites = []
     # Sites on one straight share a speed; each speed is searched once.
     guide_rows: dict[float, power.GuideRow] = {}
-    for rank, (arc, speed) in enumerate(select_sites(road, max_spacing_m, budget), start=1):
+    for rank, (arc, speed) in enumerate(select_sites(road, budget), start=1):
         if reliability_target is not None and speed not in guide_rows:
             guide_rows[speed] = power.derive_guide(reliability_target, [speed], scenario)[0]
         row = guide_rows.get(speed)
@@ -287,7 +281,7 @@ def plan_deployment(
                 detection_probability=scenario.pass_probability(speed, interval),
             )
         )
-    gaps = _coverage_gaps(road.length_m, [s.arc_m for s in sites], max_spacing_m)
+    gaps = _coverage_gaps(road.length_m, [s.arc_m for s in sites])
     return DeploymentPlan(road=road, sites=tuple(sites), coverage_gaps=gaps)
 
 

@@ -98,6 +98,9 @@ class TrialMatrixSpec:
         # fails when the spec is built rather than partway through a run.
         for interval in self.intervals_ms:
             AdvertiserConfig(interval_ms=interval)
+            if interval != int(interval):
+                raise ValueError(f"interval {interval!r} ms is not a whole number of ms")
+        object.__setattr__(self, "intervals_ms", tuple(int(i) for i in self.intervals_ms))
         for speed in self.speeds_mph:
             PassGeometry(speed_ms=mph_to_ms(speed))
         if self.trials_per_cell < 1:
@@ -193,7 +196,7 @@ def run_matrix(spec: TrialMatrixSpec, scenario: DriveScenario) -> MatrixResult:
             cells.append(
                 CellResult(
                     speed_mph=speed,
-                    interval_ms=int(interval),
+                    interval_ms=interval,
                     detections=detections,
                     trials=spec.trials_per_cell,
                     label=_label_from_counts(detections, spec.trials_per_cell),

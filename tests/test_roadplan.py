@@ -2,14 +2,17 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trackside.pathloss import PathLossModel
 from trackside.power import recommend_interval
 from trackside.presets import path_loss_preset, scenario_for_mount
 from trackside.rendezvous import AdvertiserConfig, detection_probability_oracle, mph_to_ms
 from trackside.roadplan import (
-    DEFAULT_MAX_SPACING_M,
+    MAX_SPACING_M,
     Road,
+    _local_minima,
     _speed_at,
     haversine_m,
     plan_deployment,
@@ -152,16 +155,60 @@ class TestSelectSites:
         assert len({s.beacon_id for s in sites}) == len(sites)
 
 
+def local_minima_by_definition(speeds):
+    """Each interior vertex rescans its plateau: the quadratic reference."""
+    n = len(speeds)
+    candidates = []
+    for i in range(1, n - 1):
+        j = i
+        while j + 1 < n and speeds[j + 1] == speeds[i]:
+            j += 1
+        if j >= n - 1:
+            break
+        if speeds[i] < speeds[i - 1] and speeds[i] < speeds[j + 1]:
+            candidates.append(i)
+    candidates.sort(key=lambda i: (speeds[i], i))
+    return candidates
+
+
+class CountedReads(list):
+    """Speeds that count how often they are read."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+# Few distinct values, so that plateaus are common, some reaching the last
+# vertex.  Each speed is read a bounded number of times, however long its
+# plateau.
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([5.0, 10.0, 20.0]), max_size=24))
+@example([20.0, 5.0, 5.0, 5.0])
+@example([20.0, 5.0, 5.0, 10.0, 10.0])
+@example([20.0, 10.0, 10.0, 5.0, 20.0, 5.0, 5.0])
+@example([20.0] * 20 + [5.0, 20.0])
+def test_local_minima_match_the_definition(speeds):
+    counted = CountedReads(speeds)
+    assert _local_minima(counted) == local_minima_by_definition(speeds)
+    assert counted.reads <= 8 * len(speeds)
+
+
 class TestPlanDeployment:
     def test_straight_km_three_sites_no_gaps(self):
-        plan = plan_deployment(straight_road(1000.0), 3, SCENARIO, max_spacing_m=400.0)
+        plan = plan_deployment(straight_road(1000.0), 3, SCENARIO)
         assert len(plan.sites) == 3
         assert plan.coverage_gaps == ()
 
     def test_underbudget_reports_gaps(self):
-        plan = plan_deployment(straight_road(2000.0), 1, SCENARIO, max_spacing_m=400.0)
+        plan = plan_deployment(straight_road(2000.0), 1, SCENARIO)
         assert len(plan.sites) == 1
-        assert plan.coverage_gaps
+        mid = plan.sites[0].arc_m
+        assert plan.coverage_gaps == (
+            (0.0, mid - MAX_SPACING_M / 2), (mid + MAX_SPACING_M / 2, plan.road.length_m)
+        )
 
     def test_two_point_road_plans(self):
         plan = plan_deployment(road_from_meters([(0, 0), (300, 0)]), 1, SCENARIO)

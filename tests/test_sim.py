@@ -226,6 +226,10 @@ class TestRunMatrix:
             TrialMatrixSpec(speeds_mph=(20.0,), intervals_ms=(700,), trials_per_cell=0)
         with pytest.raises(ValueError, match="negative"):
             TrialMatrixSpec(speeds_mph=(20.0,), intervals_ms=(700,), seed=-1)
+        with pytest.raises(ValueError, match=r"interval 1000\.5 ms is not a whole number"):
+            TrialMatrixSpec(speeds_mph=(20.0,), intervals_ms=(1000.5,), trials_per_cell=5, seed=1)
+        spec = TrialMatrixSpec(speeds_mph=(20.0,), intervals_ms=(1000.0,))
+        assert spec.intervals_ms == (1000,) and type(spec.intervals_ms[0]) is int
 
     def test_expected_probability_is_pass_probability(self, small_spec):
         for cell in run_matrix(small_spec, WHEEL_ARCH).cells:
