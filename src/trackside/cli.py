@@ -65,11 +65,12 @@ def _reliability(value: float | None) -> float | None:
     return value
 
 
-def _speeds(text: str | None) -> list[float]:
-    """``--speeds`` in mph; every 5 mph from 5 to 45 when it is omitted."""
-    if not text:
-        return [float(s) for s in range(5, 46, 5)]
-    return [_number(x, float, "--speeds") for x in text.split(",")]
+def _numbers(text: str | None, convert, what: str, default) -> list:
+    """A comma-separated list flag; ``default`` only when it is omitted,
+    so an empty list is a malformed number like any other."""
+    if text is None:
+        return list(default)
+    return [_number(x, convert, what) for x in text.split(",")]
 
 
 def _resolve_preset(value: str | None, mount: Mount = Mount.WHEEL_ARCH) -> DriveScenario:
@@ -77,7 +78,10 @@ def _resolve_preset(value: str | None, mount: Mount = Mount.WHEEL_ARCH) -> Drive
     calibration INI written by `calibrate`."""
     name = value or DEFAULT_PATH_LOSS_PRESET
     if not os.path.exists(name):
-        return scenario_for_mount(mount, path_loss_preset(name))
+        try:
+            return scenario_for_mount(mount, path_loss_preset(name))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     try:
         return scenario_for_mount(mount, *read_preset_ini(name))
     except KeyError as exc:
@@ -104,8 +108,7 @@ def cmd_calibrate(args, out) -> int:
     try:
         fit = fit_exponent(samples)
     except SingularFitError as exc:
-        print(f"error: singular fit: {exc}", file=sys.stderr)
-        return EXIT_MODEL
+        raise SingularFitError(f"singular fit: {exc}") from None
     except ValueError as exc:
         raise _invalid_file("RSSI samples", args.rssi, exc) from None
 
@@ -139,15 +142,10 @@ def cmd_calibrate(args, out) -> int:
 def cmd_matrix(args, out) -> int:
     mount = Mount(args.mount)
     scenario = _resolve_preset(args.preset, mount)
-    if args.intervals:
-        intervals = [_number(x, int, "--intervals") for x in args.intervals.split(",")]
-    else:
-        intervals = (
-            list(range(1000, 1601, 100))
-            if mount is Mount.WHEEL_ARCH
-            else list(range(700, 1501, 100))
-        )
-    speeds = _speeds(args.speeds)
+    # By default, the grid of the mount's field trials.
+    field = sim.load_target_matrix(mount)
+    intervals = _numbers(args.intervals, int, "--intervals", field.intervals_ms)
+    speeds = _numbers(args.speeds, float, "--speeds", field.speeds_mph)
     seed = args.seed if args.seed is not None else sim.DEFAULT_SEED
     spec = _checked(
         sim.TrialMatrixSpec, "matrix",
@@ -213,7 +211,7 @@ def cmd_guide(args, out) -> int:
         rows = power.published_guide()
     else:
         scenario = _resolve_preset(args.preset)
-        speeds = _speeds(args.speeds)
+        speeds = _numbers(args.speeds, float, "--speeds", map(float, power.GUIDE_INTERVALS_MS))
         for speed in speeds:
             if not 0.0 < speed < math.inf:
                 raise ConfigError(f"--speeds: {speed!r} is not a positive, finite speed")
@@ -260,8 +258,7 @@ def _read_segment_lines(source: str) -> list[str]:
 def cmd_ingest(args, out) -> int:
     lines = _read_segment_lines(args.segments)
     if not lines:
-        print("error: no segments to ingest", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("no segments to ingest")
     try:
         registry = protocol.load_registry(args.registry)
     except (OSError, ValueError) as exc:
@@ -311,8 +308,7 @@ def cmd_encode(args, out) -> int:
 def cmd_decode(args, out) -> int:
     lines = _read_segment_lines(args.segments)
     if not lines:
-        print("error: no segments to decode", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("no segments to decode")
     decoded = protocol.decode_sms(lines)
     out.write(f"receiver: {decoded.receiver_id}\n")
     for record in decoded.records:
@@ -406,7 +402,7 @@ def main(argv=None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, out)
-    except (ConfigError, OSError, KeyError) as exc:
+    except (ConfigError, OSError) as exc:
         # An OSError comes from opening a path given on the command line
         # (missing, a directory, unreadable); its message names the file.
         print(f"error: {exc}", file=sys.stderr)

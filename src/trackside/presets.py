@@ -48,7 +48,7 @@ def path_loss_preset(name: str) -> PathLossModel:
         return PATH_LOSS_PRESETS[name]
     except KeyError:
         known = ", ".join(sorted(PATH_LOSS_PRESETS))
-        raise KeyError(f"unknown path-loss preset {name!r} (known: {known})") from None
+        raise ValueError(f"unknown path-loss preset {name!r} (known: {known})") from None
 
 
 def default_scanner() -> ScannerConfig:

@@ -534,12 +534,18 @@ class DetectionStore:
     never rewritten."""
 
     events: list[DetectionEvent] = field(default_factory=list)
-    _keys: set[tuple] = field(default_factory=set)
+    _keys: set[tuple] = field(default_factory=set, init=False)
     # How many of ``events`` the file already holds; None while there is
     # no file behind the store, so save writes all of them.
     _saved: int | None = field(default=None, init=False)
     # Whether the file's last line lacks its line end.
     _unterminated: bool = field(default=False, init=False)
+
+    def __post_init__(self) -> None:
+        # Events given to the constructor are deduplicated as a merge is.
+        events, self.events = self.events, []
+        for event in events:
+            self._append(event)
 
     @classmethod
     def load(cls, path) -> "DetectionStore":

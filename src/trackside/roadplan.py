@@ -258,12 +258,14 @@ def plan_deployment(
     the site's speed); without one, or where no interval meets it, from
     the published speed guide.  ``beacon_preset`` only labels the sites.
     """
-    sites = []
-    # Sites on one straight share a speed; each speed is searched once.
+    chosen = select_sites(road, budget)
     guide_rows: dict[float, power.GuideRow] = {}
-    for rank, (arc, speed) in enumerate(select_sites(road, budget), start=1):
-        if reliability_target is not None and speed not in guide_rows:
-            guide_rows[speed] = power.derive_guide(reliability_target, [speed], scenario)[0]
+    if reliability_target is not None:
+        # One search prices every distinct site speed, slowest first.
+        speeds = sorted({speed for _, speed in chosen})
+        guide_rows = dict(zip(speeds, power.derive_guide(reliability_target, speeds, scenario)))
+    sites = []
+    for rank, (arc, speed) in enumerate(chosen, start=1):
         row = guide_rows.get(speed)
         if row is not None and row.feasible:
             interval, days = row.interval_ms, row.battery_days

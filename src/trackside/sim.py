@@ -155,10 +155,12 @@ class MatrixResult:
         width = 2 + max(6, *(len(f"{i}ms") for i in intervals))
         head = "speed".ljust(8) + "".join(f"{i}ms".rjust(width) for i in intervals)
         lines = [head, "-" * len(head)]
+        # A repeated speed or interval shows its first cell, as cell() finds.
+        labels = {(c.speed_mph, c.interval_ms): c.label.value for c in reversed(self.cells)}
         for speed in self.spec.speeds_mph:
             row = f"{speed:g} mph".ljust(8)
             for interval in intervals:
-                row += self.cell(speed, interval).label.value.rjust(width)
+                row += labels[speed, interval].rjust(width)
             lines.append(row)
         lines.append("")
         lines.append("Y: every pass detected; 66%/33%: that share of passes; N: none.")
@@ -219,23 +221,21 @@ class TargetMatrix:
         return self.labels[(speed_mph, interval_ms)]
 
 
-def load_target_matrix(mount: Mount, path=None) -> TargetMatrix:
-    """Load a target matrix from a CSV (packaged field-trial data by default)."""
-    if path is None:
-        path = Path(__file__).with_name("data") / f"drive_matrix_{mount.value}.csv"
-    with open(path) as fh:
-        text = fh.read()
+def load_target_matrix(mount: Mount) -> TargetMatrix:
+    """The field trials' detection matrix for a mount, from the packaged CSV."""
+    path = Path(__file__).with_name("data") / f"drive_matrix_{mount.value}.csv"
     labels: dict[tuple[float, int], CellLabel] = {}
     speeds: list[float] = []
     intervals: list[int] = []
-    for row in csv.DictReader(io.StringIO(text)):
-        speed = float(row["speed_mph"])
-        interval = int(row["interval_ms"])
-        labels[(speed, interval)] = CellLabel(row["label"])
-        if speed not in speeds:
-            speeds.append(speed)
-        if interval not in intervals:
-            intervals.append(interval)
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            speed = float(row["speed_mph"])
+            interval = int(row["interval_ms"])
+            labels[(speed, interval)] = CellLabel(row["label"])
+            if speed not in speeds:
+                speeds.append(speed)
+            if interval not in intervals:
+                intervals.append(interval)
     if len(labels) != len(speeds) * len(intervals):
         raise ValueError("target matrix is not a full speed x interval grid")
     return TargetMatrix(

@@ -769,6 +769,10 @@ def test_removed_option_is_unknown(capsys, argv, option):
     (["guide", "--reliability", "0.95", "--speeds", "10,fast"], "--speeds", "fast", "float"),
     (["encode", "--receiver", "RX1", "B-01:x:10"], "record 'B-01:x:10'", "x", "int"),
     (["encode", "--receiver", "RX1", "B-01:1:soon"], "record 'B-01:1:soon'", "soon", "int"),
+    # Only an omitted list means the default grid.
+    (["guide", "--reliability", "0.9", "--speeds", ""], "--speeds", "", "float"),
+    (["matrix", "--speeds", ""], "--speeds", "", "float"),
+    (["matrix", "--speeds", "", "--intervals", ""], "--intervals", "", "int"),
 ])
 def test_malformed_number_is_usage_error(capsys, argv, what, bad, kind):
     code, out = run(argv)
@@ -795,6 +799,42 @@ def test_matrix_csv_pinned(tmp_path, mount, seed):
                    "--out-csv", str(out_csv)])
     assert code == 0
     assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == MATRIX_200_SHA256[(mount, seed)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["guide", "--reliability", "0.9", "--preset", "nosuch"],
+    ["matrix", "--preset", "nosuch"],
+    ["plan", "--road", "road.geojson", "--budget", "1", "--preset", "nosuch",
+     "--out", "p.geojson"],
+], ids=["guide", "matrix", "plan"])
+def test_unknown_preset_line(road_geojson, tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out = run(argv)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: unknown path-loss preset 'nosuch' (known: hm10-bt4, otsb-bt5)\n"
+    )
+    assert not (tmp_path / "p.geojson").exists()
+
+
+@pytest.mark.parametrize("command,text,code,message", [
+    ("calibrate", "distance_m,rssi_dbm,materials\n10,-88,\n10,-90,\n", 1,
+     "singular fit: all samples at one distance: exponent unconstrained"),
+    ("ingest", "\n", 2, "no segments to ingest"),
+    ("decode", "", 2, "no segments to decode"),
+], ids=["calibrate", "ingest", "decode"])
+def test_command_failure_is_one_error_line(tmp_path, capsys, command, text, code, message):
+    given = tmp_path / "input.txt"
+    given.write_text(text)
+    argv = {
+        "calibrate": ["calibrate", "--rssi", str(given), "--out", str(tmp_path / "p.ini")],
+        "ingest": ["ingest", "--segments", str(given), "--registry", str(given),
+                   "--store", str(tmp_path / "s.ndjson")],
+        "decode": ["decode", "--segments", str(given)],
+    }[command]
+    assert run(argv) == (code, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["input.txt"]
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -1,8 +1,9 @@
 """Design rules of the package, checked on its source: there is one way to
 build a ``DriveScenario``, preset names are resolved only where the
 command line reads them, numpy is imported by plain imports in one
-module only, values check their own finiteness and position, and the
-union measure of the arcs is summed in one function."""
+module only, values check their own finiteness and position, the
+union measure of the arcs is summed in one function, the guide search
+only asks the scenario for probabilities, and only ``main`` prints."""
 
 import ast
 from pathlib import Path
@@ -107,6 +108,19 @@ def test_values_own_finiteness_and_position():
     assert positions and {scope for _, scope in positions} == {"__post_init__"}
     finite = calls_to("isfinite")
     assert finite and {scope for _, scope in finite} <= {"__post_init__", "receiver_step"}
+
+
+def test_guide_search_uses_no_rendezvous_internals():
+    # derive_guide probes pass_probability alone; no bound of its own can
+    # drift from the coverage it would have to bound.
+    tree = ast.parse((SRC / "power.py").read_text())
+    relative = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level}
+    assert relative == {"presets"}
+
+
+def test_only_main_prints():
+    # A command raises its failure; main writes the one ``error:`` line.
+    assert set(calls_to("print")) == {("cli", "main")}
 
 
 def test_union_measure_summed_in_one_place():

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trackside import pathloss
@@ -16,7 +16,7 @@ from trackside.power import (
     published_guide,
     recommend_interval,
 )
-from trackside.presets import DriveScenario, Mount, scenario_for_mount
+from trackside.presets import Mount, scenario_for_mount
 
 PUBLISHED = [
     (5, 1400, 262.5),
@@ -125,12 +125,12 @@ class TestDeriveGuide:
 
 
 def brute_force_guide(target, speeds, scenario):
-    """The guide search that probes every interval from the ceiling down."""
-    rows, ceiling = [], GUIDE_MAX_INTERVAL_MS
+    """One full search per speed: every interval from the longest down."""
+    rows = []
     for speed in sorted(speeds):
         best = next(
             (interval
-             for interval in range(ceiling, GUIDE_INTERVAL_STEP_MS - 1, -GUIDE_INTERVAL_STEP_MS)
+             for interval in range(GUIDE_MAX_INTERVAL_MS, 0, -GUIDE_INTERVAL_STEP_MS)
              if scenario.pass_probability(speed, interval) >= target),
             None,
         )
@@ -138,12 +138,16 @@ def brute_force_guide(target, speeds, scenario):
             rows.append(GuideRow(speed, 0, 0.0, feasible=False))
         else:
             rows.append(GuideRow(speed, best, battery_life(best)))
-            ceiling = best
     return rows
 
 
+_rnd = random.Random(10)
+MIXED_SPEEDS = [45.0] + [45.0 - _rnd.uniform(0.0, 45.0) for _ in range(24)]
+
+
 class TestPrunedSearch:
-    """derive_guide skips intervals whose coverage bound misses the target."""
+    """derive_guide searches each speed from the interval the previous,
+    slower speed got, and never probes a longer one."""
 
     TARGETS = [0.0, 0.1, 0.5, 0.9, 0.95, 0.99, 1.0 - 1e-9, 1.0]
 
@@ -151,47 +155,10 @@ class TestPrunedSearch:
     def mounted(self, request):
         return scenario_for_mount(request.param)
 
-    @pytest.fixture(scope="class")
-    def speeds(self):
-        rnd = random.Random(10)
-        return [45.0] + [45.0 - rnd.uniform(0.0, 45.0) for _ in range(24)]
-
-    def probed(self, monkeypatch, scenario):
-        probes = []
-        real = DriveScenario.pass_probability
-        monkeypatch.setattr(
-            DriveScenario, "pass_probability",
-            lambda self, speed, interval: probes.append((speed, interval)) or real(
-                self, speed, interval
-            ),
-        )
-        return probes
-
     @pytest.mark.parametrize("target", TARGETS)
-    def test_matches_brute_force(self, mounted, speeds, target):
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @given(speeds=st.lists(st.floats(0.5, 60.0), min_size=1, max_size=12))
+    @example(speeds=MIXED_SPEEDS)
+    def test_matches_brute_force(self, mounted, target, speeds):
+        # One pass over the list gives the rows of one full search per speed.
         assert derive_guide(target, speeds, mounted) == brute_force_guide(target, speeds, mounted)
-        for speed in speeds:
-            assert derive_guide(target, [speed], mounted) == brute_force_guide(
-                target, [speed], mounted
-            )
-
-    @pytest.mark.parametrize("target", TARGETS)
-    def test_skipped_intervals_fail(self, mounted, speeds, target, monkeypatch):
-        probes = self.probed(monkeypatch, mounted)
-        for speed in speeds:
-            probes.clear()
-            row, = derive_guide(target, [speed], mounted)
-            probed = {interval for _, interval in probes}
-            lowest = row.interval_ms if row.feasible else GUIDE_INTERVAL_STEP_MS
-            skipped = [
-                interval
-                for interval in range(GUIDE_MAX_INTERVAL_MS, lowest - 1, -GUIDE_INTERVAL_STEP_MS)
-                if interval not in probed
-            ]
-            assert all(mounted.pass_probability(speed, i) < target for i in skipped)
-
-    def test_few_probes_at_45mph(self, scenario, monkeypatch):
-        probes = self.probed(monkeypatch, scenario)
-        row, = derive_guide(0.95, [45], scenario)
-        assert row.feasible
-        assert len(probes) <= 10

@@ -450,6 +450,16 @@ class TestStore:
         assert again == 0
         assert len(store.events) == 1
 
+    def test_store_built_with_events_dedups_them(self, registry):
+        decoded = DecodeResult("RX1", (DetectionRecord("B-01", 10, 2),))
+        merged = DetectionStore()
+        merge_detections(merged, decoded, registry, received_at=1000)
+        event, = merged.events
+        store = DetectionStore(events=[event, event])
+        assert store.events == [event]
+        assert merge_detections(store, decoded, registry, received_at=1000) == 0
+        assert store.events == [event]
+
     def test_unknown_beacon_quarantined(self, registry):
         store = DetectionStore()
         decoded = DecodeResult("RX1", (DetectionRecord("B-99", 5, 1),))

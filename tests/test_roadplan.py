@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trackside.pathloss import PathLossModel
+from trackside import power
 from trackside.power import recommend_interval
-from trackside.presets import path_loss_preset, scenario_for_mount
+from trackside.presets import Mount, path_loss_preset, scenario_for_mount
 from trackside.rendezvous import AdvertiserConfig, detection_probability_oracle, mph_to_ms
 from trackside.roadplan import (
     MAX_SPACING_M,
@@ -37,6 +38,18 @@ def road_from_meters(points_m, vmax=45.0):
 def straight_road(length_m=1000.0, step_m=100.0, vmax=45.0):
     n = int(length_m / step_m)
     return road_from_meters([(i * step_m, 0.0) for i in range(n + 1)], vmax)
+
+
+def winding_road():
+    """2.4 km of 20 m steps with four bends of different sharpness."""
+    x = y = heading = 0.0
+    points = [(x, y)]
+    for i in range(120):
+        if 12 <= i % 30 < 18:
+            heading += (0.35, -0.2, 0.1, -0.3)[i // 30]
+        x, y = x + 20.0 * math.cos(heading), y + 20.0 * math.sin(heading)
+        points.append((x, y))
+    return road_from_meters(points)
 
 
 def hairpin_road():
@@ -240,6 +253,29 @@ class TestPlanDeployment:
             )
             assert abs(mc - site.detection_probability) < 0.02
 
+    @pytest.mark.parametrize("target", [0.5, 0.9, 0.95])
+    @pytest.mark.parametrize("mount", list(Mount), ids=lambda m: m.value)
+    def test_one_guide_search_prices_every_site(self, monkeypatch, mount, target):
+        # Each site gets the row a search of its speed alone gives.
+        scenario = scenario_for_mount(mount)
+        searched = []
+        real = power.derive_guide
+        monkeypatch.setattr(
+            power, "derive_guide", lambda target, speeds, scenario: searched.append(speeds)
+            or real(target, speeds, scenario)
+        )
+        plan = plan_deployment(winding_road(), 8, scenario, reliability_target=target)
+        speeds = sorted({site.local_vmax_mph for site in plan.sites})
+        assert len(speeds) > 2
+        assert searched == [speeds]
+        for site in plan.sites:
+            row, = real(target, [site.local_vmax_mph], scenario)
+            assert (site.interval_ms, site.predicted_battery_days) == (
+                row.interval_ms, row.battery_days
+            )
+        plan_deployment(winding_road(), 8, scenario)
+        assert len(searched) == 1
+
     def test_expected_detections_sum(self):
         plan = plan_deployment(straight_road(1000.0), 2, SCENARIO)
         assert plan.expected_detections_per_traverse == pytest.approx(
@@ -249,7 +285,7 @@ class TestPlanDeployment:
     def test_unknown_preset_rejected(self):
         # Names are resolved where the command line reads them; below it,
         # ``beacon_preset`` is only a label.
-        with pytest.raises(KeyError, match="nope"):
+        with pytest.raises(ValueError, match="nope"):
             path_loss_preset("nope")
         plan = plan_deployment(straight_road(), 1, SCENARIO, beacon_preset="nope")
         assert plan.sites[0].beacon_preset == "nope"

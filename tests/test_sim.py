@@ -113,6 +113,24 @@ class TestRunMatrix:
         assert a.to_csv() == b.to_csv()
         assert a.to_text() == b.to_text()
 
+    def test_text_of_repeated_values_shows_the_first_cell(self):
+        # The third row's own cells are all Y; like cell(), the table shows
+        # the first cell of each (speed, interval).
+        spec = TrialMatrixSpec(
+            speeds_mph=(30.0, 45.0, 30.0), intervals_ms=(1300, 1500, 1300), seed=4
+        )
+        result = run_matrix(spec, WHEEL_ARCH)
+        assert [c.label.value for c in result.cells[6:]] == ["Y", "Y", "Y"]
+        assert result.to_text() == (
+            "speed     1300ms  1500ms  1300ms\n"
+            "--------------------------------\n"
+            "30 mph       66%       Y     66%\n"
+            "45 mph         Y     66%       Y\n"
+            "30 mph       66%       Y     66%\n"
+            "\n"
+            "Y: every pass detected; 66%/33%: that share of passes; N: none.\n"
+        )
+
     def test_schedule_independent_trials(self, small_spec):
         # Re-deriving each trial from (seed, cell_index, trial_index) in a
         # scrambled order must reproduce the matrix exactly: for the small
@@ -280,11 +298,15 @@ class TestTargets:
         assert wheel.label(45.0, 1200) is CellLabel.P66
         assert bonnet.label(45.0, 700) is CellLabel.Y
 
-    def test_partial_grid_rejected(self, tmp_path):
-        path = tmp_path / "broken.csv"
-        path.write_text("speed_mph,interval_ms,label\n5,700,Y\n5,800,Y\n10,700,Y\n")
-        with pytest.raises(ValueError):
-            load_target_matrix(Mount.WHEEL_ARCH, path)
+    def test_partial_grid_rejected(self, tmp_path, monkeypatch):
+        # The loader reads data/ beside the module: point it at a copy.
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "drive_matrix_wheelarch.csv").write_text(
+            "speed_mph,interval_ms,label\n5,700,Y\n5,800,Y\n10,700,Y\n"
+        )
+        monkeypatch.setattr(sim, "__file__", str(tmp_path / "sim.py"))
+        with pytest.raises(ValueError, match="not a full speed x interval grid"):
+            load_target_matrix(Mount.WHEEL_ARCH)
 
 
 def synthetic_targets(window_ms: float, bonnet_db: float):
