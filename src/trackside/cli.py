@@ -284,13 +284,25 @@ def cmd_ingest(args, out) -> int:
     for line in bad:
         report.append(f"  ! unparseable segment skipped: {line}")
 
-    store.save(args.store)
+    # Open the map before the store changes, so that a map that cannot be
+    # written leaves the store as it was, and fill it once the store is
+    # saved, so that a store that cannot be saved leaves an earlier map as
+    # it was and removes only the empty one opened here.
+    new_map = bool(args.geojson) and not os.path.exists(args.geojson)
+    if args.geojson:
+        open(args.geojson, "a").close()
+    try:
+        store.save(args.store)
+    except BaseException:
+        if new_map:
+            os.remove(args.geojson)
+        raise
+    if args.geojson:
+        _write(args.geojson, protocol.store_to_geojson(store), out)
     quarantined = len(store.quarantined())
     report.append(
         f"store: {len(store.events)} events ({quarantined} quarantined), {added_total} new"
     )
-    if args.geojson:
-        _write(args.geojson, protocol.store_to_geojson(store), out)
     _write(None, "\n".join(report) + "\n", out)
     return EXIT_OK if not bad else EXIT_MODEL
 

@@ -12,8 +12,9 @@ import csv
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
+
+from .value import Value
 
 
 class NearFieldWarning(UserWarning):
@@ -72,59 +73,68 @@ DEFAULT_ATTENUATION_DB: Mapping[Material, float] = {
 }
 
 
-@dataclass(frozen=True)
-class PathLossModel:
-    """Radio propagation parameters; immutable after construction."""
+class PathLossModel(Value):
+    """Radio propagation parameters; immutable after construction.  The
+    model keeps its own copy of the attenuation table."""
 
-    rssi_ref_dbm: float = RSSI_REF_DBM
-    exponent: float = EXPONENT_BT4
-    reliability_threshold_dbm: float = RELIABILITY_THRESHOLD_DBM
-    attenuation_db: Mapping[Material, float] = field(
-        default_factory=lambda: dict(DEFAULT_ATTENUATION_DB)
-    )
+    __slots__ = ("rssi_ref_dbm", "exponent", "reliability_threshold_dbm", "attenuation_db")
 
-    def __post_init__(self) -> None:
-        if not 0.5 < self.exponent < 6.0:
-            raise ValueError(f"path-loss exponent {self.exponent} outside (0.5, 6.0)")
-        if not (math.isfinite(self.rssi_ref_dbm) and math.isfinite(self.reliability_threshold_dbm)):
+    def __init__(
+        self,
+        rssi_ref_dbm: float = RSSI_REF_DBM,
+        exponent: float = EXPONENT_BT4,
+        reliability_threshold_dbm: float = RELIABILITY_THRESHOLD_DBM,
+        attenuation_db: Mapping[Material, float] = DEFAULT_ATTENUATION_DB,
+    ) -> None:
+        if not 0.5 < exponent < 6.0:
+            raise ValueError(f"path-loss exponent {exponent} outside (0.5, 6.0)")
+        if not (math.isfinite(rssi_ref_dbm) and math.isfinite(reliability_threshold_dbm)):
             raise ValueError("reference RSSI and reliability threshold must be finite")
-        if self.rssi_ref_dbm <= self.reliability_threshold_dbm:
+        if rssi_ref_dbm <= reliability_threshold_dbm:
             raise ValueError("reference RSSI must sit above the reliability threshold")
-        table = dict(self.attenuation_db)
+        table = dict(attenuation_db)
         for material, loss in table.items():
             if not math.isfinite(loss) or loss < 0:
                 raise ValueError(f"attenuation for {material.value} must be finite and >= 0")
         if table.get(Material.NONE, 0.0) != 0.0:
             raise ValueError("Material.NONE must carry zero attenuation")
+        object.__setattr__(self, "rssi_ref_dbm", rssi_ref_dbm)
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "reliability_threshold_dbm", reliability_threshold_dbm)
         object.__setattr__(self, "attenuation_db", table)
 
     def total_attenuation_db(self, materials: Iterable[Material]) -> float:
         return sum(self.attenuation_db.get(m, 0.0) for m in set(materials))
 
 
-@dataclass(frozen=True)
-class RssiSample:
+class RssiSample(Value):
     """One calibration measurement."""
 
-    distance_m: float
-    rssi_dbm: float
-    materials: frozenset[Material] = frozenset()
+    __slots__ = ("distance_m", "rssi_dbm", "materials")
 
-    def __post_init__(self) -> None:
-        if not 0 < self.distance_m < math.inf:  # also rejects NaN
+    def __init__(
+        self, distance_m: float, rssi_dbm: float, materials: Iterable[Material] = frozenset()
+    ) -> None:
+        if not 0 < distance_m < math.inf:  # also rejects NaN
             raise ValueError("sample distance must be positive and finite")
-        if not math.isfinite(self.rssi_dbm):
+        if not math.isfinite(rssi_dbm):
             raise ValueError("sample RSSI must be finite")
-        object.__setattr__(self, "materials", frozenset(self.materials))
+        object.__setattr__(self, "distance_m", distance_m)
+        object.__setattr__(self, "rssi_dbm", rssi_dbm)
+        object.__setattr__(self, "materials", frozenset(materials))
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Value):
     """Least-squares exponent fit plus its residual report."""
 
-    model: PathLossModel
-    residuals_db: tuple[float, ...]
-    stderr: float
+    __slots__ = ("model", "residuals_db", "stderr")
+
+    def __init__(
+        self, model: PathLossModel, residuals_db: tuple[float, ...], stderr: float
+    ) -> None:
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "residuals_db", residuals_db)
+        object.__setattr__(self, "stderr", stderr)
 
 
 def predict_rssi(
@@ -238,7 +248,7 @@ def load_samples_csv(path) -> list[RssiSample]:
     """Read RSSI samples from a ``distance_m,rssi_dbm,materials`` CSV."""
     samples = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
         required = {"distance_m", "rssi_dbm"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError("RSSI CSV needs header distance_m,rssi_dbm[,materials]")

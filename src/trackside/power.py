@@ -7,8 +7,9 @@ or per-event charge model is attempted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
+
+from .value import Value
 
 if TYPE_CHECKING:
     from .presets import DriveScenario
@@ -41,12 +42,16 @@ class SpeedEnvelopeError(ValueError):
     """Requested speed exceeds the validated 45 mph envelope."""
 
 
-@dataclass(frozen=True)
-class GuideRow:
-    max_speed_mph: float
-    interval_ms: int
-    battery_days: float
-    feasible: bool = True
+class GuideRow(Value):
+    __slots__ = ("max_speed_mph", "interval_ms", "battery_days", "feasible")
+
+    def __init__(
+        self, max_speed_mph: float, interval_ms: int, battery_days: float, feasible: bool = True
+    ) -> None:
+        object.__setattr__(self, "max_speed_mph", max_speed_mph)
+        object.__setattr__(self, "interval_ms", interval_ms)
+        object.__setattr__(self, "battery_days", battery_days)
+        object.__setattr__(self, "feasible", feasible)
 
 
 def battery_life(interval_ms: float) -> float:

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import configparser
 import enum
-from dataclasses import dataclass, replace
-from functools import cached_property
 
 from . import pathloss
 from .pathloss import Material, PathLossModel
@@ -18,6 +16,7 @@ from .rendezvous import (
     in_range_time,
     mph_to_ms,
 )
+from .value import Value
 
 # Scanner duty is not directly measurable in the field; this window is the
 # drive-by matrix calibration result (see sim.calibrate) against the 2500 ms
@@ -57,21 +56,35 @@ def default_scanner() -> ScannerConfig:
     )
 
 
-@dataclass(frozen=True)
-class DriveScenario:
+class DriveScenario(Value):
     """Everything needed to score one drive-by: radio model plus timing.
     The beacon is the field unit, with the defaults of ``PassGeometry``
     (2 m off the road) and ``AdvertiserConfig`` (3 ms events).  Build it
     with ``scenario_for_mount``."""
 
-    path_loss: PathLossModel
-    scanner: ScannerConfig
-    materials: frozenset[Material] = frozenset()
+    __slots__ = ("path_loss", "scanner", "materials", "_range_m")
 
-    @cached_property
+    def __init__(
+        self,
+        path_loss: PathLossModel,
+        scanner: ScannerConfig,
+        materials: frozenset[Material] = frozenset(),
+    ) -> None:
+        object.__setattr__(self, "path_loss", path_loss)
+        object.__setattr__(self, "scanner", scanner)
+        object.__setattr__(self, "materials", materials)
+        object.__setattr__(self, "_range_m", None)
+
+    @property
     def detection_range_m(self) -> float:
-        """Computed once per scenario: every speed and probe shares it."""
-        return pathloss.detection_range(self.path_loss, materials=self.materials)
+        """Computed once per scenario, when first read: every speed and
+        probe shares it."""
+        if self._range_m is None:
+            object.__setattr__(
+                self, "_range_m",
+                pathloss.detection_range(self.path_loss, materials=self.materials),
+            )
+        return self._range_m
 
     def in_range_time_s(self, speed_mph: float) -> float:
         geometry = PassGeometry(
@@ -97,7 +110,9 @@ def scenario_for_mount(
     """
     if bonnet_attenuation_db is not None:
         table = {**path_loss.attenuation_db, Material.BONNET: bonnet_attenuation_db}
-        path_loss = replace(path_loss, attenuation_db=table)
+        path_loss = PathLossModel(
+            path_loss.rssi_ref_dbm, path_loss.exponent, path_loss.reliability_threshold_dbm, table
+        )
     return DriveScenario(
         path_loss=path_loss,
         scanner=scanner if scanner is not None else default_scanner(),

@@ -19,10 +19,10 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from . import gsm7
+from .value import Value
 
 VERSION_TAG = "T1"
 # Most segments in one payload; a trip needs a few dozen.
@@ -80,74 +80,101 @@ def _validate_record(beacon_id: str, count: int, first_seen_s: int) -> None:
         raise ValueError(f"first_seen_s {first_seen_s!r} is not a non-negative integer")
 
 
-@dataclass(frozen=True)
-class DetectionRecord:
+class DetectionRecord(Value):
     """One beacon encounter: id, first sighting (s since boot), sightings."""
 
-    beacon_id: str
-    first_seen_s: int
-    count: int = 1
+    __slots__ = ("beacon_id", "first_seen_s", "count")
 
-    def __post_init__(self) -> None:
-        _validate_record(self.beacon_id, self.count, self.first_seen_s)
+    def __init__(self, beacon_id: str, first_seen_s: int, count: int = 1) -> None:
+        _validate_record(beacon_id, count, first_seen_s)
+        object.__setattr__(self, "beacon_id", beacon_id)
+        object.__setattr__(self, "first_seen_s", first_seen_s)
+        object.__setattr__(self, "count", count)
 
 
 # ---------------------------------------------------------------------------
 # Receiver state machine
 
 
-@dataclass(frozen=True)
-class Sighting:
-    t_s: float
-    beacon_id: str
+class Sighting(Value):
+    __slots__ = ("t_s", "beacon_id")
+
+    def __init__(self, t_s: float, beacon_id: str) -> None:
+        object.__setattr__(self, "t_s", t_s)
+        object.__setattr__(self, "beacon_id", beacon_id)
 
 
-@dataclass(frozen=True)
-class GsmUp:
-    t_s: float
+class GsmUp(Value):
+    __slots__ = ("t_s",)
+
+    def __init__(self, t_s: float) -> None:
+        object.__setattr__(self, "t_s", t_s)
 
 
-@dataclass(frozen=True)
-class GsmDown:
-    t_s: float
+class GsmDown(Value):
+    __slots__ = ("t_s",)
+
+    def __init__(self, t_s: float) -> None:
+        object.__setattr__(self, "t_s", t_s)
 
 
-@dataclass(frozen=True)
-class Tick:
-    t_s: float
+class Tick(Value):
+    __slots__ = ("t_s",)
+
+    def __init__(self, t_s: float) -> None:
+        object.__setattr__(self, "t_s", t_s)
 
 
 ReceiverEvent = Sighting | GsmUp | GsmDown | Tick
 
 
-@dataclass(frozen=True)
-class ReceiverState:
-    receiver_id: str = "RX1"
-    buffer: tuple[DetectionRecord, ...] = ()
-    gsm_available: bool = False
-    clock_s: float = 0.0
-    dedup_window_s: float = DEFAULT_DEDUP_WINDOW_S
-    # The last sighting counted in each buffered record, aligned with
-    # ``buffer``.  A beacon's open record is its latest one in the buffer.
-    last_seen: tuple[float, ...] = ()
+class ReceiverState(Value):
+    """``last_seen`` holds the last sighting counted in each buffered
+    record, aligned with ``buffer``.  A beacon's open record is its latest
+    one in the buffer."""
 
-    def __post_init__(self) -> None:
-        validate_receiver_id(self.receiver_id)
-        if not math.isfinite(self.clock_s):
-            raise ValueError(f"receiver clock {self.clock_s!r} is not finite")
-        if not 0 <= self.dedup_window_s < math.inf:  # also rejects NaN
-            raise ValueError(f"dedup window {self.dedup_window_s!r} is not finite and >= 0")
-        if len(self.last_seen) != len(self.buffer):
+    __slots__ = (
+        "receiver_id", "buffer", "gsm_available", "clock_s", "dedup_window_s", "last_seen"
+    )
+
+    def __init__(
+        self,
+        receiver_id: str = "RX1",
+        buffer: tuple[DetectionRecord, ...] = (),
+        gsm_available: bool = False,
+        clock_s: float = 0.0,
+        dedup_window_s: float = DEFAULT_DEDUP_WINDOW_S,
+        last_seen: tuple[float, ...] = (),
+    ) -> None:
+        validate_receiver_id(receiver_id)
+        if not math.isfinite(clock_s):
+            raise ValueError(f"receiver clock {clock_s!r} is not finite")
+        if not 0 <= dedup_window_s < math.inf:  # also rejects NaN
+            raise ValueError(f"dedup window {dedup_window_s!r} is not finite and >= 0")
+        if len(last_seen) != len(buffer):
             raise ValueError(
-                f"{len(self.last_seen)} last-seen times for {len(self.buffer)} buffered records"
+                f"{len(last_seen)} last-seen times for {len(buffer)} buffered records"
             )
+        object.__setattr__(self, "receiver_id", receiver_id)
+        object.__setattr__(self, "buffer", buffer)
+        object.__setattr__(self, "gsm_available", gsm_available)
+        object.__setattr__(self, "clock_s", clock_s)
+        object.__setattr__(self, "dedup_window_s", dedup_window_s)
+        object.__setattr__(self, "last_seen", last_seen)
 
 
-@dataclass(frozen=True)
-class StepResult:
-    state: ReceiverState
-    payloads: tuple["SmsPayload", ...] = ()
-    rejected: str | None = None
+class StepResult(Value):
+    __slots__ = ("state", "payloads", "rejected")
+
+    def __init__(
+        self,
+        state: ReceiverState,
+        payloads: tuple[SmsPayload, ...] = (),
+        rejected: str | None = None,
+    ) -> None:
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "payloads", payloads)
+        object.__setattr__(self, "rejected", rejected)
 
 
 def receiver_step(state: ReceiverState, event: ReceiverEvent) -> StepResult:
@@ -181,7 +208,8 @@ def receiver_step(state: ReceiverState, event: ReceiverEvent) -> StepResult:
             i -= 1
         if i >= 0 and event.t_s - last_seen[i] <= state.dedup_window_s:
             record = buffer[i]
-            buffer = buffer[:i] + (replace(record, count=record.count + 1),) + buffer[i + 1:]
+            record = DetectionRecord(record.beacon_id, record.first_seen_s, record.count + 1)
+            buffer = buffer[:i] + (record,) + buffer[i + 1:]
             last_seen = last_seen[:i] + (event.t_s,) + last_seen[i + 1:]
         else:
             buffer += (DetectionRecord(event.beacon_id, int(math.floor(event.t_s)), 1),)
@@ -197,12 +225,8 @@ def receiver_step(state: ReceiverState, event: ReceiverEvent) -> StepResult:
         payloads = tuple(encode_sms(state.receiver_id, buffer))
         buffer, last_seen = (), ()
 
-    new_state = replace(
-        state,
-        buffer=buffer,
-        gsm_available=gsm,
-        clock_s=event.t_s,
-        last_seen=last_seen,
+    new_state = ReceiverState(
+        state.receiver_id, buffer, gsm, event.t_s, state.dedup_window_s, last_seen
     )
     return StepResult(state=new_state, payloads=payloads)
 
@@ -211,12 +235,20 @@ def receiver_step(state: ReceiverState, event: ReceiverEvent) -> StepResult:
 # SMS codec
 
 
-@dataclass(frozen=True)
-class SmsPayload:
-    receiver_id: str
-    records: tuple[DetectionRecord, ...]
-    segment_index: int
-    segment_total: int
+class SmsPayload(Value):
+    __slots__ = ("receiver_id", "records", "segment_index", "segment_total")
+
+    def __init__(
+        self,
+        receiver_id: str,
+        records: tuple[DetectionRecord, ...],
+        segment_index: int,
+        segment_total: int,
+    ) -> None:
+        object.__setattr__(self, "receiver_id", receiver_id)
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "segment_index", segment_index)
+        object.__setattr__(self, "segment_total", segment_total)
 
     @property
     def text(self) -> str:
@@ -341,12 +373,20 @@ def group_segments(
     return groups, bad
 
 
-@dataclass(frozen=True)
-class DecodeResult:
-    receiver_id: str
-    records: tuple[DetectionRecord, ...]
-    missing_segments: tuple[int, ...] = ()
-    diagnostics: tuple[str, ...] = ()
+class DecodeResult(Value):
+    __slots__ = ("receiver_id", "records", "missing_segments", "diagnostics")
+
+    def __init__(
+        self,
+        receiver_id: str,
+        records: tuple[DetectionRecord, ...],
+        missing_segments: tuple[int, ...] = (),
+        diagnostics: tuple[str, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "receiver_id", receiver_id)
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "missing_segments", missing_segments)
+        object.__setattr__(self, "diagnostics", diagnostics)
 
     @property
     def complete(self) -> bool:
@@ -421,15 +461,15 @@ def decode_sms(segments: Iterable[str]) -> DecodeResult:
 # Server-side store
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
-    beacon_id: str
-    lat: float
-    lon: float
+class RegistryEntry(Value):
+    __slots__ = ("beacon_id", "lat", "lon")
 
-    def __post_init__(self) -> None:
-        validate_beacon_id(self.beacon_id)
-        validate_position(self.lat, self.lon)
+    def __init__(self, beacon_id: str, lat: float, lon: float) -> None:
+        validate_beacon_id(beacon_id)
+        validate_position(lat, lon)
+        object.__setattr__(self, "beacon_id", beacon_id)
+        object.__setattr__(self, "lat", lat)
+        object.__setattr__(self, "lon", lon)
 
 
 def load_registry(path) -> dict[str, RegistryEntry]:
@@ -456,35 +496,47 @@ def load_registry(path) -> dict[str, RegistryEntry]:
     return registry
 
 
-@dataclass(frozen=True)
-class DetectionEvent:
-    beacon_id: str
-    receiver_id: str
-    count: int
-    first_seen_s: int
-    received_at: int
-    lat: float | None = None
-    lon: float | None = None
-    quarantined: bool = False
+class DetectionEvent(Value):
+    __slots__ = (
+        "beacon_id", "receiver_id", "count", "first_seen_s", "received_at",
+        "lat", "lon", "quarantined",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        beacon_id: str,
+        receiver_id: str,
+        count: int,
+        first_seen_s: int,
+        received_at: int,
+        lat: float | None = None,
+        lon: float | None = None,
+        quarantined: bool = False,
+    ) -> None:
         """Each field has its exact JSON type, as in a store line: a bool is
         not an integer, nor a string a number.  An event is quarantined and
         has no position, or has one on the globe."""
-        _validate_record(self.beacon_id, self.count, self.first_seen_s)
-        validate_receiver_id(self.receiver_id)
-        if type(self.received_at) is not int:
-            raise ValueError(f"received_at {self.received_at!r} is not an integer")
-        if type(self.quarantined) is not bool:
-            raise ValueError(f"quarantined {self.quarantined!r} is not true or false")
-        lat, lon = self.lat, self.lon
-        if self.quarantined:
+        _validate_record(beacon_id, count, first_seen_s)
+        validate_receiver_id(receiver_id)
+        if type(received_at) is not int:
+            raise ValueError(f"received_at {received_at!r} is not an integer")
+        if type(quarantined) is not bool:
+            raise ValueError(f"quarantined {quarantined!r} is not true or false")
+        if quarantined:
             if lat is not None or lon is not None:
                 raise ValueError(f"lat {lat!r}, lon {lon!r}: a quarantined event has no position")
         elif type(lat) not in _JSON_NUMBERS or type(lon) not in _JSON_NUMBERS:
             raise ValueError(f"lat {lat!r}, lon {lon!r}: an event not quarantined needs numbers")
         else:
             validate_position(lat, lon)
+        object.__setattr__(self, "beacon_id", beacon_id)
+        object.__setattr__(self, "receiver_id", receiver_id)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "first_seen_s", first_seen_s)
+        object.__setattr__(self, "received_at", received_at)
+        object.__setattr__(self, "lat", lat)
+        object.__setattr__(self, "lon", lon)
+        object.__setattr__(self, "quarantined", quarantined)
 
     def key(self) -> tuple:
         return (
@@ -526,26 +578,36 @@ class DetectionEvent:
         return cls(**obj)
 
 
-@dataclass
 class DetectionStore:
     """Detection log, one JSON event per line in file order; merges are
     idempotent by event key.  ``save`` appends the events added since
     ``load`` to the file and fsyncs it: lines already in the file are
     never rewritten."""
 
-    events: list[DetectionEvent] = field(default_factory=list)
-    _keys: set[tuple] = field(default_factory=set, init=False)
-    # How many of ``events`` the file already holds; None while there is
-    # no file behind the store, so save writes all of them.
-    _saved: int | None = field(default=None, init=False)
-    # Whether the file's last line lacks its line end.
-    _unterminated: bool = field(default=False, init=False)
+    __slots__ = ("events", "_keys", "_saved", "_unterminated")
 
-    def __post_init__(self) -> None:
+    def __init__(self, events: Iterable[DetectionEvent] = ()) -> None:
+        self.events: list[DetectionEvent] = []
+        self._keys: set[tuple] = set()
+        # How many of ``events`` the file already holds; None while there is
+        # no file behind the store, so save writes all of them.
+        self._saved: int | None = None
+        # Whether the file's last line lacks its line end.
+        self._unterminated = False
         # Events given to the constructor are deduplicated as a merge is.
-        events, self.events = self.events, []
         for event in events:
             self._append(event)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # The keys follow from the events.
+        return (self.events, self._saved, self._unterminated) == (
+            other.events, other._saved, other._unterminated
+        )
+
+    def __repr__(self) -> str:
+        return f"DetectionStore(events={self.events!r})"
 
     @classmethod
     def load(cls, path) -> "DetectionStore":

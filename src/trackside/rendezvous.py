@@ -30,7 +30,8 @@ arithmetic lives in ``montecarlo``, the one module that imports numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .value import Value
 
 MPH_TO_MS = 0.44704
 
@@ -47,54 +48,56 @@ def ms_to_mph(ms: float) -> float:
     return ms / MPH_TO_MS
 
 
-@dataclass(frozen=True)
-class AdvertiserConfig:
+class AdvertiserConfig(Value):
     """Beacon-side timing; the field beacon's events last 3 ms."""
 
-    interval_ms: float
-    event_duration_ms: float = 3.0
+    __slots__ = ("interval_ms", "event_duration_ms")
 
-    def __post_init__(self) -> None:
-        if not MIN_INTERVAL_MS <= self.interval_ms <= MAX_INTERVAL_MS:
+    def __init__(self, interval_ms: float, event_duration_ms: float = 3.0) -> None:
+        if not MIN_INTERVAL_MS <= interval_ms <= MAX_INTERVAL_MS:
             raise ValueError(
-                f"interval {self.interval_ms} ms outside "
+                f"interval {interval_ms} ms outside "
                 f"[{MIN_INTERVAL_MS:.0f}, {MAX_INTERVAL_MS:.0f}]"
             )
-        if not 0 < self.event_duration_ms < math.inf:  # also rejects NaN
+        if not 0 < event_duration_ms < math.inf:  # also rejects NaN
             raise ValueError("event duration must be positive and finite")
-        if self.interval_ms < self.event_duration_ms:
+        if interval_ms < event_duration_ms:
             raise ValueError("interval must cover one advertising event")
+        object.__setattr__(self, "interval_ms", interval_ms)
+        object.__setattr__(self, "event_duration_ms", event_duration_ms)
 
 
-@dataclass(frozen=True)
-class ScannerConfig:
+class ScannerConfig(Value):
     """Receiver-side timing; the loop cycle is 2500 ms on the field unit."""
 
-    scan_window_ms: float
-    scan_cycle_ms: float = DEFAULT_SCAN_CYCLE_MS
+    __slots__ = ("scan_window_ms", "scan_cycle_ms")
 
-    def __post_init__(self) -> None:
-        if not 0 < self.scan_window_ms < math.inf:  # also rejects NaN
+    def __init__(self, scan_window_ms: float, scan_cycle_ms: float = DEFAULT_SCAN_CYCLE_MS) -> None:
+        if not 0 < scan_window_ms < math.inf:  # also rejects NaN
             raise ValueError("scan window must be positive and finite")
-        if not self.scan_window_ms <= self.scan_cycle_ms < math.inf:
+        if not scan_window_ms <= scan_cycle_ms < math.inf:
             raise ValueError("scan cycle must be finite and no shorter than the scan window")
+        object.__setattr__(self, "scan_window_ms", scan_window_ms)
+        object.__setattr__(self, "scan_cycle_ms", scan_cycle_ms)
 
 
-@dataclass(frozen=True)
-class PassGeometry:
+class PassGeometry(Value):
     """One straight drive past a roadside beacon, 2 m off the road by default."""
 
-    speed_ms: float
-    lateral_offset_m: float = 2.0
-    detection_range_m: float = 0.0
+    __slots__ = ("speed_ms", "lateral_offset_m", "detection_range_m")
 
-    def __post_init__(self) -> None:
-        if not 0 < self.speed_ms < math.inf:  # also rejects NaN
+    def __init__(
+        self, speed_ms: float, lateral_offset_m: float = 2.0, detection_range_m: float = 0.0
+    ) -> None:
+        if not 0 < speed_ms < math.inf:  # also rejects NaN
             raise ValueError("speed must be positive and finite")
-        if not 0 <= self.lateral_offset_m < math.inf:  # also rejects NaN
+        if not 0 <= lateral_offset_m < math.inf:  # also rejects NaN
             raise ValueError("lateral offset must be finite and >= 0")
-        if not 0 <= self.detection_range_m < math.inf:
+        if not 0 <= detection_range_m < math.inf:
             raise ValueError("detection range must be finite and >= 0")
+        object.__setattr__(self, "speed_ms", speed_ms)
+        object.__setattr__(self, "lateral_offset_m", lateral_offset_m)
+        object.__setattr__(self, "detection_range_m", detection_range_m)
 
 
 def in_range_time(geometry: PassGeometry) -> float:

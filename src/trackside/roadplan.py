@@ -15,13 +15,13 @@ import json
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import power
 from .presets import DEFAULT_PATH_LOSS_PRESET, DriveScenario
 from .protocol import validate_position
 from .rendezvous import ms_to_mph
+from .value import Value
 
 EARTH_RADIUS_M = 6371000.0
 DEFAULT_SURFACE_VMAX_MPH = 45.0
@@ -40,16 +40,17 @@ def haversine_m(a: tuple[float, float], b: tuple[float, float]) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
 
 
-@dataclass(frozen=True)
-class Road:
+class Road(Value):
     """Ordered polyline of (lat, lon) vertices with a surface speed cap."""
 
-    polyline: tuple[tuple[float, float], ...]
-    surface_vmax_mph: float = DEFAULT_SURFACE_VMAX_MPH
-    _arcs: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("polyline", "surface_vmax_mph", "_arcs")
 
-    def __post_init__(self) -> None:
-        points = tuple((float(lat), float(lon)) for lat, lon in self.polyline)
+    def __init__(
+        self,
+        polyline: Sequence[tuple[float, float]],
+        surface_vmax_mph: float = DEFAULT_SURFACE_VMAX_MPH,
+    ) -> None:
+        points = tuple((float(lat), float(lon)) for lat, lon in polyline)
         for index, (lat, lon) in enumerate(points):
             try:
                 validate_position(lat, lon)
@@ -63,9 +64,10 @@ class Road:
             if step == 0.0:
                 raise ValueError(f"vertex {index}: road has a zero-length segment")
             arcs.append(arcs[-1] + step)
-        if not 0 < self.surface_vmax_mph < math.inf:  # also rejects NaN
+        if not 0 < surface_vmax_mph < math.inf:  # also rejects NaN
             raise ValueError("surface speed cap must be positive and finite")
         object.__setattr__(self, "polyline", points)
+        object.__setattr__(self, "surface_vmax_mph", surface_vmax_mph)
         object.__setattr__(self, "_arcs", tuple(arcs))
 
     def arc_lengths(self) -> tuple[float, ...]:
@@ -133,23 +135,45 @@ def speed_profile(
     return tuple(speeds)
 
 
-@dataclass(frozen=True)
-class BeaconSite:
-    beacon_id: str
-    position: tuple[float, float]
-    arc_m: float
-    beacon_preset: str
-    interval_ms: int
-    predicted_battery_days: float
-    local_vmax_mph: float
-    detection_probability: float
+class BeaconSite(Value):
+    __slots__ = (
+        "beacon_id", "position", "arc_m", "beacon_preset", "interval_ms",
+        "predicted_battery_days", "local_vmax_mph", "detection_probability",
+    )
+
+    def __init__(
+        self,
+        beacon_id: str,
+        position: tuple[float, float],
+        arc_m: float,
+        beacon_preset: str,
+        interval_ms: int,
+        predicted_battery_days: float,
+        local_vmax_mph: float,
+        detection_probability: float,
+    ) -> None:
+        object.__setattr__(self, "beacon_id", beacon_id)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "arc_m", arc_m)
+        object.__setattr__(self, "beacon_preset", beacon_preset)
+        object.__setattr__(self, "interval_ms", interval_ms)
+        object.__setattr__(self, "predicted_battery_days", predicted_battery_days)
+        object.__setattr__(self, "local_vmax_mph", local_vmax_mph)
+        object.__setattr__(self, "detection_probability", detection_probability)
 
 
-@dataclass(frozen=True)
-class DeploymentPlan:
-    road: Road
-    sites: tuple[BeaconSite, ...]
-    coverage_gaps: tuple[tuple[float, float], ...] = ()
+class DeploymentPlan(Value):
+    __slots__ = ("road", "sites", "coverage_gaps")
+
+    def __init__(
+        self,
+        road: Road,
+        sites: tuple[BeaconSite, ...],
+        coverage_gaps: tuple[tuple[float, float], ...] = (),
+    ) -> None:
+        object.__setattr__(self, "road", road)
+        object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "coverage_gaps", coverage_gaps)
 
     @property
     def expected_detections_per_traverse(self) -> float:

@@ -25,7 +25,6 @@ import csv
 import enum
 import io
 import itertools
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -43,6 +42,7 @@ from .rendezvous import (
     detection_probability_oracle,
     mph_to_ms,
 )
+from .value import Value
 
 DEFAULT_SEED = 1729
 
@@ -82,47 +82,65 @@ def _label_from_counts(detections: int, trials: int) -> CellLabel:
     return CellLabel.P66 if detections / trials >= 0.5 else CellLabel.P33
 
 
-@dataclass(frozen=True)
-class TrialMatrixSpec:
-    speeds_mph: tuple[float, ...]
-    intervals_ms: tuple[int, ...]
-    trials_per_cell: int = 3
-    seed: int = DEFAULT_SEED
+class TrialMatrixSpec(Value):
+    __slots__ = ("speeds_mph", "intervals_ms", "trials_per_cell", "seed")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "speeds_mph", tuple(self.speeds_mph))
-        object.__setattr__(self, "intervals_ms", tuple(self.intervals_ms))
-        if not self.speeds_mph or not self.intervals_ms:
+    def __init__(
+        self,
+        speeds_mph: Iterable[float],
+        intervals_ms: Iterable[int],
+        trials_per_cell: int = 3,
+        seed: int = DEFAULT_SEED,
+    ) -> None:
+        speeds_mph, intervals_ms = tuple(speeds_mph), tuple(intervals_ms)
+        if not speeds_mph or not intervals_ms:
             raise ValueError("speeds and intervals must be nonempty")
         # The radio model's own range checks, run here so that a bad value
         # fails when the spec is built rather than partway through a run.
-        for interval in self.intervals_ms:
+        for interval in intervals_ms:
             AdvertiserConfig(interval_ms=interval)
             if interval != int(interval):
                 raise ValueError(f"interval {interval!r} ms is not a whole number of ms")
-        object.__setattr__(self, "intervals_ms", tuple(int(i) for i in self.intervals_ms))
-        for speed in self.speeds_mph:
+        for speed in speeds_mph:
             PassGeometry(speed_ms=mph_to_ms(speed))
-        if self.trials_per_cell < 1:
+        if trials_per_cell < 1:
             raise ValueError("need at least one trial per cell")
-        if self.seed < 0:
-            raise ValueError(f"seed {self.seed} is negative; seeds are non-negative integers")
+        if seed < 0:
+            raise ValueError(f"seed {seed} is negative; seeds are non-negative integers")
+        object.__setattr__(self, "speeds_mph", speeds_mph)
+        object.__setattr__(self, "intervals_ms", tuple(int(i) for i in intervals_ms))
+        object.__setattr__(self, "trials_per_cell", trials_per_cell)
+        object.__setattr__(self, "seed", seed)
 
 
-@dataclass(frozen=True)
-class CellResult:
-    speed_mph: float
-    interval_ms: int
-    detections: int
-    trials: int
-    label: CellLabel
-    expected_probability: float
+class CellResult(Value):
+    __slots__ = (
+        "speed_mph", "interval_ms", "detections", "trials", "label", "expected_probability"
+    )
+
+    def __init__(
+        self,
+        speed_mph: float,
+        interval_ms: int,
+        detections: int,
+        trials: int,
+        label: CellLabel,
+        expected_probability: float,
+    ) -> None:
+        object.__setattr__(self, "speed_mph", speed_mph)
+        object.__setattr__(self, "interval_ms", interval_ms)
+        object.__setattr__(self, "detections", detections)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "expected_probability", expected_probability)
 
 
-@dataclass(frozen=True)
-class MatrixResult:
-    spec: TrialMatrixSpec
-    cells: tuple[CellResult, ...]
+class MatrixResult(Value):
+    __slots__ = ("spec", "cells")
+
+    def __init__(self, spec: TrialMatrixSpec, cells: tuple[CellResult, ...]) -> None:
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "cells", cells)
 
     def cell(self, speed_mph: float, interval_ms: int) -> CellResult:
         for c in self.cells:
@@ -208,14 +226,22 @@ def run_matrix(spec: TrialMatrixSpec, scenario: DriveScenario) -> MatrixResult:
     return MatrixResult(spec=spec, cells=tuple(cells))
 
 
-@dataclass(frozen=True)
-class TargetMatrix:
+class TargetMatrix(Value):
     """A published detection matrix used as a calibration target."""
 
-    mount: Mount
-    speeds_mph: tuple[float, ...]
-    intervals_ms: tuple[int, ...]
-    labels: Mapping[tuple[float, int], CellLabel]
+    __slots__ = ("mount", "speeds_mph", "intervals_ms", "labels")
+
+    def __init__(
+        self,
+        mount: Mount,
+        speeds_mph: tuple[float, ...],
+        intervals_ms: tuple[int, ...],
+        labels: Mapping[tuple[float, int], CellLabel],
+    ) -> None:
+        object.__setattr__(self, "mount", mount)
+        object.__setattr__(self, "speeds_mph", speeds_mph)
+        object.__setattr__(self, "intervals_ms", intervals_ms)
+        object.__setattr__(self, "labels", labels)
 
     def label(self, speed_mph: float, interval_ms: int) -> CellLabel:
         return self.labels[(speed_mph, interval_ms)]
@@ -246,27 +272,49 @@ def load_target_matrix(mount: Mount) -> TargetMatrix:
     )
 
 
-@dataclass(frozen=True)
-class CellReport:
-    mount: Mount
-    speed_mph: float
-    interval_ms: int
-    target: CellLabel
-    expected_probability: float
-    band_expected: int
-    band_target: int
+class CellReport(Value):
+    __slots__ = (
+        "mount", "speed_mph", "interval_ms", "target", "expected_probability",
+        "band_expected", "band_target",
+    )
+
+    def __init__(
+        self,
+        mount: Mount,
+        speed_mph: float,
+        interval_ms: int,
+        target: CellLabel,
+        expected_probability: float,
+        band_expected: int,
+        band_target: int,
+    ) -> None:
+        object.__setattr__(self, "mount", mount)
+        object.__setattr__(self, "speed_mph", speed_mph)
+        object.__setattr__(self, "interval_ms", interval_ms)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "expected_probability", expected_probability)
+        object.__setattr__(self, "band_expected", band_expected)
+        object.__setattr__(self, "band_target", band_target)
 
     @property
     def off_by(self) -> int:
         return abs(self.band_expected - self.band_target)
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
-    scan_window_ms: float
-    bonnet_attenuation_db: float
-    objective: int
-    per_cell: tuple[CellReport, ...]
+class CalibrationResult(Value):
+    __slots__ = ("scan_window_ms", "bonnet_attenuation_db", "objective", "per_cell")
+
+    def __init__(
+        self,
+        scan_window_ms: float,
+        bonnet_attenuation_db: float,
+        objective: int,
+        per_cell: tuple[CellReport, ...],
+    ) -> None:
+        object.__setattr__(self, "scan_window_ms", scan_window_ms)
+        object.__setattr__(self, "bonnet_attenuation_db", bonnet_attenuation_db)
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "per_cell", per_cell)
 
     def mismatches(self) -> tuple[CellReport, ...]:
         return tuple(r for r in self.per_cell if r.off_by)

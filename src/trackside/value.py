@@ -1,0 +1,48 @@
+"""The immutable-value base class every model and protocol value derives from.
+
+A value class lists its fields in ``__slots__``, in constructor order, and
+writes its own ``__init__``: that checks the arguments, then stores each
+field with ``object.__setattr__``.  ``Value`` supplies the rest from the
+slots, without generating code at import time, which ``dataclasses`` does
+for every class in every process.  A slot whose name starts with ``_``
+holds state derived from the fields, such as a cache; it is not a field.
+"""
+
+from __future__ import annotations
+
+
+class Value:
+    """Immutable; equal, and hashing equal, when the fields are equal."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # Copy and pickle rebuild through the constructor, which checks
+        # the value again; setting slots one by one would be refused.
+        return self.__class__, self._astuple()

@@ -14,10 +14,12 @@ per-cell analysis; the README discusses the limit.
 """
 
 import io
+import itertools
 import json
 import math
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -177,6 +179,54 @@ def test_acceptance_4_matrix_band_reproduction():
         f"calibrated window {result.scan_window_ms:g} ms, {elapsed:.1f}s",
     )
     assert ok and elapsed < 300, line
+
+
+def cells_off_distribution(probabilities, passes=3):
+    """Exact distribution of acceptance 4's count of cells off, were the
+    field matrix drawn from the model itself: in each cell, ``passes``
+    independent passes each detected with the cell's probability p, and
+    labelled as the field trials label counts.  Returns P(k cells off)
+    for k = 0 .. len(probabilities), as Fractions.
+
+    A label is off when p lies outside its window: Y (every pass heard)
+    needs p >= 0.95, 66% and 33% (some heard) need 0.1 <= p <= 0.9, and
+    N (none heard) needs p < 0.1."""
+    dist = [Fraction(1)]
+    for p in probabilities:
+        exact = Fraction(p)
+        heard = [math.comb(passes, d) * exact**d * (1 - exact) ** (passes - d)
+                 for d in range(passes + 1)]
+        off = (heard[passes] * (p < 0.95)
+               + sum(heard[1:passes]) * (not 0.1 <= p <= 0.9)
+               + heard[0] * (p >= 0.1))
+        dist = [a * (1 - off) + b * off for a, b in zip(dist + [0], [0] + dist)]
+    return dist
+
+
+def test_acceptance_4_odds_under_the_model():
+    # Information only: how many cells acceptance 4 would count off if the
+    # calibrated model itself had produced the 3-pass field matrix.
+    result = calibrate()
+    scenario = scenario_for_mount(
+        Mount.WHEEL_ARCH, scanner=ScannerConfig(scan_window_ms=result.scan_window_ms)
+    )
+    target = load_target_matrix(Mount.WHEEL_ARCH)
+    dist = cells_off_distribution(
+        [scenario.pass_probability(s, i) for s in target.speeds_mph for i in target.intervals_ms]
+    )
+    assert sum(dist) == 1
+    mean = sum(k * p for k, p in enumerate(dist))
+    below = list(itertools.accumulate(dist))
+    low = next(k for k, c in enumerate(below) if c >= Fraction(5, 100))
+    high = next(k for k, c in enumerate(below) if c >= Fraction(95, 100))
+    at_least_13 = 1 - below[12]
+    print(
+        f"ACCEPTANCE 4 odds (cells off were the model the field): mean {float(mean):.2f}, "
+        f"90% range {low}-{high}, P(>=13) {float(at_least_13):.2f}, never 4 or fewer"
+    )
+    # Seven cells lie in (0.9, 0.95), which no label's window reaches.
+    assert below[4] == 0
+    assert round(float(mean), 2) == 12.98 and (low, high) == (10, 16)
 
 
 def test_acceptance_5_bonnet_shift():

@@ -7,9 +7,13 @@ and ``--trials`` is at most 2.  The inputs that need a memory limit live in
 
 - no exception escapes ``main``, and the exit code is 0, 1 or 2;
 - argparse's own usage errors keep argparse's format;
-- a command's exit 2 prints exactly one ``error:`` line and writes no
-  output file;
+- a command's exit 2 prints exactly one ``error:`` line, writes no
+  output file and leaves an existing store as it was;
 - exit 0 writes outputs that parse.
+
+The same holds for files with one fault each, of every kind a command
+reads: preset INI, RSSI CSV, road GeoJSON, registry CSV, segment dump and
+detection store.
 """
 
 import contextlib
@@ -17,6 +21,7 @@ import csv
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -150,11 +155,13 @@ def check_parses(path: Path) -> None:
         assert text.endswith("\n")
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(argv=COMMANDS)
-def test_generated_argv_keep_the_error_contract(folders, argv):
-    inputs, outputs = folders
+def check_contract(argv, inputs: Path, outputs: Path, kept: bytes | None = None) -> None:
+    """Run ``argv`` through ``main`` and check the contract, then empty
+    ``outputs``.  ``kept`` is the text of an existing store the test wrote
+    to ``@out/store.ndjson``, which an exit 2 must leave as it was."""
     argv = [a.replace("@in/", f"{inputs}/").replace("@out/", f"{outputs}/") for a in argv]
+    store = outputs / "store.ndjson"
+    before = [store] if kept is not None else []
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stderr(err):
@@ -164,7 +171,7 @@ def test_generated_argv_keep_the_error_contract(folders, argv):
         assert exc.code == 2
         assert err.getvalue().startswith("usage: trackside")
         assert err.getvalue().splitlines()[-1].startswith("trackside ")
-        assert not any(outputs.iterdir())
+        assert sorted(outputs.iterdir()) == before
         return
     written = sorted(outputs.iterdir())
     try:
@@ -173,7 +180,9 @@ def test_generated_argv_keep_the_error_contract(folders, argv):
         assert len(errors) <= 1
         if code == 2:
             assert errors == err.getvalue().splitlines() and len(errors) == 1
-            assert (out.getvalue(), written) == ("", [])
+            assert (out.getvalue(), written) == ("", before)
+            if kept is not None:
+                assert store.read_bytes() == kept
         if code == 0:
             assert errors == []
             for path in written:
@@ -185,3 +194,99 @@ def test_generated_argv_keep_the_error_contract(folders, argv):
     finally:
         for path in written:
             path.unlink()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(argv=COMMANDS)
+def test_generated_argv_keep_the_error_contract(folders, argv):
+    check_contract(argv, *folders)
+
+
+# The file half: each command reads a file of one kind, drawn as a valid
+# file with one fault.  The faults come from a fixed pool, and no number
+# in it is a tiny positive speed or a large link margin, so every case
+# stays small (test_bounded_work.py runs those under a memory limit).
+VALID_FILES = {
+    "preset": "[pathloss]\nrssi_ref_dbm = -70.0\nexponent = 1.7883456975917413\n"
+              "reliability_threshold_dbm = -95.0\n\n[attenuation_db]\nbonnet = 2.5\n"
+              "none = 0.0\n\n[scanner]\nscan_window_ms = 1170.0\nscan_cycle_ms = 2500.0\n",
+    "rssi": "distance_m,rssi_dbm,materials\n1,-70,\n25,-95,\n10,-90.9,plastic_case\n",
+    "road": json.dumps({
+        "type": "Feature",
+        "properties": {"surface_vmax_mph": 45},
+        "geometry": {"type": "LineString",
+                     "coordinates": [[i * 100.0 / M_PER_DEG, 0.5] for i in range(6)]},
+    }),
+    "registry": "beacon_id,lat,lon\nB-01,5.41,118.03\nB-07,5.42,118.04\n",
+    "segments": "T1|RX1|1/2|B-01:2:10;B-07:1:55\nT1|RX1|2/2|B-99:3:70\n",
+    "store": '{"beacon_id": "B-01", "count": 2, "first_seen_s": 10, "lat": 5.41, '
+             '"lon": 118.03, "quarantined": false, "received_at": 1, "receiver_id": "RX1"}\n'
+             '{"beacon_id": "B-99", "count": 1, "first_seen_s": 55, "lat": null, '
+             '"lon": null, "quarantined": true, "received_at": 1, "receiver_id": "RX1"}\n',
+}
+# "@file" is the drawn file; a store is drawn into the output directory.
+FILE_COMMANDS = {
+    "preset": [["guide", "--reliability=0.95", "--speeds=10,45", "--preset=@file",
+                "--out-csv=@out/guide.csv"]],
+    "rssi": [["calibrate", "--rssi=@file", "--out=@out/preset.ini",
+              "--report=@out/report.txt"]],
+    "road": [["plan", "--road=@file", "--budget=3", "--reliability=0.95",
+              "--out=@out/plan.geojson", "--summary=@out/plan.txt"]],
+    "registry": [["ingest", "--segments=@in/dump.txt", "--registry=@file",
+                  "--store=@out/store.ndjson", "--received-at=2"]],
+    "segments": [
+        ["ingest", "--segments=@file", "--registry=@in/registry.csv",
+         "--store=@out/store.ndjson", "--received-at=2", "--geojson=@out/map.geojson"],
+        ["decode", "--segments=@file"],
+    ],
+    "store": [
+        ["ingest", "--segments=@in/dump.txt", "--registry=@in/registry.csv",
+         "--store=@out/store.ndjson", "--received-at=2", "--geojson=@out/map.geojson"],
+        ["export", "--store=@out/store.ndjson", "--out=@out/map.geojson"],
+    ],
+}
+NUMBER = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
+FAULTY_NUMBERS = [*MALFORMED, "NaN", "Infinity", "null", "true", '"x"', "1e400"]
+
+
+@st.composite
+def faulty(draw, text: str) -> bytes:
+    """``text`` with one fault: a number replaced, a cut, a line dropped
+    or repeated, or a byte that is not UTF-8."""
+    fault = draw(st.sampled_from(["number", "cut", "drop", "repeat", "byte"]))
+    if fault == "number":
+        spans = [m.span() for m in NUMBER.finditer(text)]
+        start, end = draw(st.sampled_from(spans))
+        text = text[:start] + draw(st.sampled_from(FAULTY_NUMBERS)) + text[end:]
+    elif fault == "cut":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    elif fault in ("drop", "repeat"):
+        lines = text.splitlines(keepends=True)
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i:i + 1] = [] if fault == "drop" else [lines[i]] * 2
+        text = "".join(lines)
+    data = text.encode("utf-8")
+    if fault == "byte":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@pytest.mark.parametrize("kind, examples", [
+    ("preset", 50), ("rssi", 20), ("road", 50), ("registry", 40), ("segments", 50),
+    ("store", 50),
+])
+def test_faulty_files_keep_the_error_contract(folders, kind, examples):
+    inputs, outputs = folders
+
+    @settings(derandomize=True, max_examples=examples, deadline=None)
+    @given(data=faulty(VALID_FILES[kind]), argv=st.sampled_from(FILE_COMMANDS[kind]))
+    def case(data, argv):
+        if kind == "store":
+            path, kept = outputs / "store.ndjson", data
+        else:
+            path, kept = inputs / f"faulty-{kind}", None
+        path.write_bytes(data)
+        check_contract([a.replace("@file", str(path)) for a in argv], inputs, outputs, kept)
+
+    case()

@@ -702,6 +702,44 @@ class TestProtocolPipeline:
         err = capsys.readouterr().err
         assert err == f"error: [Errno 21] Is a directory: {str(directory)!r}\n"
 
+    @pytest.mark.parametrize("existing", [STORE_LINE + "\n", None], ids=["store", "no-store"])
+    def test_unwritable_map_leaves_the_store_as_it_was(
+        self, registry_csv, tmp_path, capsys, existing
+    ):
+        segments = tmp_path / "segments.txt"
+        segments.write_text("T1|RX1|1/1|B-01:2:10;B-07:1:55\n")
+        store = tmp_path / "store.ndjson"
+        if existing is not None:
+            store.write_text(existing)
+        directory = tmp_path / "map"
+        directory.mkdir()
+        code, out = run(["ingest", "--segments", str(segments), "--registry", str(registry_csv),
+                         "--store", str(store), "--received-at", "2",
+                         "--geojson", str(directory)])
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 21] Is a directory: {str(directory)!r}\n"
+        assert (store.read_text() if store.exists() else None) == existing
+
+    @pytest.mark.parametrize("earlier", [None, b'{"type": "FeatureCollection"}\n'],
+                             ids=["no-map", "earlier-map"])
+    def test_unwritable_store_leaves_the_map_as_it_was(
+        self, registry_csv, tmp_path, capsys, earlier
+    ):
+        segments = tmp_path / "segments.txt"
+        segments.write_text("T1|RX1|1/1|B-01:2:10\n")
+        store, geo = tmp_path / "missing" / "store.ndjson", tmp_path / "map.geojson"
+        if earlier is not None:
+            geo.write_bytes(earlier)
+        code, out = run(["ingest", "--segments", str(segments), "--registry", str(registry_csv),
+                         "--store", str(store), "--received-at", "2", "--geojson", str(geo)])
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: {str(store)!r}\n"
+        assert (geo.read_bytes() if geo.exists() else None) == earlier
+        assert sorted(tmp_path.iterdir()) == sorted({registry_csv, segments, geo}
+                                                    if earlier else {registry_csv, segments})
+
     @pytest.mark.skipif(
         not hasattr(os, "geteuid") or os.geteuid() == 0,
         reason="file permissions do not bind the superuser",

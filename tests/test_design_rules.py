@@ -1,7 +1,8 @@
 """Design rules of the package, checked on its source: there is one way to
 build a ``DriveScenario``, preset names are resolved only where the
 command line reads them, numpy is imported by plain imports in one
-module only, values check their own finiteness and position, the
+module only, no module uses dataclasses, values check their own
+finiteness and position, the
 union measure of the arcs is summed in one function, the guide search
 only asks the scenario for probabilities, and only ``main`` prints."""
 
@@ -99,15 +100,21 @@ def test_no_import_machinery():
     assert calls_to("__import__") == calls_to("import_module") == []
 
 
+def test_no_dataclasses():
+    # Value classes derive from trackside.value.Value: dataclasses would
+    # generate and compile their methods again in every process.
+    assert [m for m, names in imported_modules().items() if "dataclasses" in names] == []
+
+
 def test_values_own_finiteness_and_position():
     # A float's finiteness and a position's place on the globe are checked
     # where the value is built, so readers only parse and values built in
     # Python are checked too; receiver_step turns a non-finite event time
     # into a rejection instead.
     positions = calls_to("validate_position")
-    assert positions and {scope for _, scope in positions} == {"__post_init__"}
+    assert positions and {scope for _, scope in positions} == {"__init__"}
     finite = calls_to("isfinite")
-    assert finite and {scope for _, scope in finite} <= {"__post_init__", "receiver_step"}
+    assert finite and {scope for _, scope in finite} <= {"__init__", "receiver_step"}
 
 
 def test_guide_search_uses_no_rendezvous_internals():
@@ -115,7 +122,7 @@ def test_guide_search_uses_no_rendezvous_internals():
     # drift from the coverage it would have to bound.
     tree = ast.parse((SRC / "power.py").read_text())
     relative = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level}
-    assert relative == {"presets"}
+    assert relative == {"presets", "value"}
 
 
 def test_only_main_prints():

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -619,7 +618,7 @@ class TestMapText:
         assert store_to_geojson(store) == expected
 
 
-EVENT_FIELDS = [f.name for f in dataclasses.fields(DetectionEvent)]
+EVENT_FIELDS = list(DetectionEvent.__slots__)
 REQUIRED_FIELDS = {"beacon_id", "receiver_id", "count", "first_seen_s", "received_at"}
 
 
@@ -650,7 +649,8 @@ def reference_from_json(line):
     elif not (-90 <= lat <= 90 and -180 <= lon <= 180):
         raise ValueError(f"lat {lat!r}, lon {lon!r} is not a position on the globe")
     event = object.__new__(DetectionEvent)
-    event.__dict__.update((name, obj[name]) for name in EVENT_FIELDS)
+    for name in EVENT_FIELDS:
+        object.__setattr__(event, name, obj[name])
     return event
 
 
@@ -761,8 +761,8 @@ class TestLoadEquivalence:
             events, unterminated = reference_load(path)
             store = DetectionStore.load(path)
         assert store.events == events
-        assert [type(v) for e in store.events for v in vars(e).values()] == [
-            type(v) for e in events for v in vars(e).values()
+        assert [type(getattr(e, name)) for e in store.events for name in EVENT_FIELDS] == [
+            type(getattr(e, name)) for e in events for name in EVENT_FIELDS
         ]
         assert store._keys == {e.key() for e in events}
         assert (store._saved, store._unterminated) == (len(events), unterminated)

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -240,14 +239,14 @@ class TestDetectionProbability:
                 scan_cycle_ms=scan.scan_cycle_ms,
             )
             assert detection_probability(adv, wider, t) >= p - 1e-9
-            longer = replace(adv, event_duration_ms=adv.event_duration_ms + 5.0)
+            longer = AdvertiserConfig(adv.interval_ms, adv.event_duration_ms + 5.0)
             assert detection_probability(longer, scan, t) >= p - 1e-9
 
     def test_independent_monotone_in_interval(self):
         rnd = random.Random(13)
         for _ in range(40):
             adv, scan, t = random_config(rnd)
-            slower = replace(adv, interval_ms=adv.interval_ms * 1.5)
+            slower = AdvertiserConfig(adv.interval_ms * 1.5, adv.event_duration_ms)
             assert (
                 detection_probability_independent(slower, scan, t)
                 <= detection_probability_independent(adv, scan, t) + 1e-12
