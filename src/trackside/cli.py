@@ -268,6 +268,10 @@ def cmd_ingest(args, out) -> int:
 
     groups, bad = protocol.group_segments(lines)
     report = [f"# ingest  received_at={received_at}"]
+    if store.torn:
+        report.append(
+            f"  ! unfinished last store line dropped, {len(store.torn)} bytes: {store.torn!r}"
+        )
     added_total = 0
     for (receiver, total), segs in sorted(groups.items()):
         decoded = protocol.decode_sms(segs)

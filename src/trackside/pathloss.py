@@ -129,13 +129,6 @@ class FitResult(Value):
 
     __slots__ = ("model", "residuals_db", "stderr")
 
-    def __init__(
-        self, model: PathLossModel, residuals_db: tuple[float, ...], stderr: float
-    ) -> None:
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "residuals_db", residuals_db)
-        object.__setattr__(self, "stderr", stderr)
-
 
 def predict_rssi(
     model: PathLossModel, distance_m: float, materials: Iterable[Material] = ()
@@ -178,17 +171,6 @@ def detection_range(
         raise ValueError(
             f"a {effective_ref - threshold_dbm:g} dB link margin reaches beyond any distance"
         ) from None
-
-
-def attenuation_from_ranges(
-    range_clear_m: float, range_obstructed_m: float, exponent: float
-) -> float:
-    """Attenuation in dB implied by a shrunken loss-of-signal range."""
-    if range_obstructed_m <= 0:
-        raise ValueError("obstructed range must be positive")
-    if range_obstructed_m > range_clear_m:
-        raise ValueError("obstructed range cannot exceed the clear range")
-    return 10.0 * exponent * math.log10(range_clear_m / range_obstructed_m)
 
 
 def fit_exponent(samples: Sequence[RssiSample]) -> FitResult:

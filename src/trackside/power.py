@@ -44,14 +44,7 @@ class SpeedEnvelopeError(ValueError):
 
 class GuideRow(Value):
     __slots__ = ("max_speed_mph", "interval_ms", "battery_days", "feasible")
-
-    def __init__(
-        self, max_speed_mph: float, interval_ms: int, battery_days: float, feasible: bool = True
-    ) -> None:
-        object.__setattr__(self, "max_speed_mph", max_speed_mph)
-        object.__setattr__(self, "interval_ms", interval_ms)
-        object.__setattr__(self, "battery_days", battery_days)
-        object.__setattr__(self, "feasible", feasible)
+    _defaults = {"feasible": True}
 
 
 def battery_life(interval_ms: float) -> float:

@@ -99,30 +99,17 @@ class DetectionRecord(Value):
 class Sighting(Value):
     __slots__ = ("t_s", "beacon_id")
 
-    def __init__(self, t_s: float, beacon_id: str) -> None:
-        object.__setattr__(self, "t_s", t_s)
-        object.__setattr__(self, "beacon_id", beacon_id)
-
 
 class GsmUp(Value):
     __slots__ = ("t_s",)
-
-    def __init__(self, t_s: float) -> None:
-        object.__setattr__(self, "t_s", t_s)
 
 
 class GsmDown(Value):
     __slots__ = ("t_s",)
 
-    def __init__(self, t_s: float) -> None:
-        object.__setattr__(self, "t_s", t_s)
-
 
 class Tick(Value):
     __slots__ = ("t_s",)
-
-    def __init__(self, t_s: float) -> None:
-        object.__setattr__(self, "t_s", t_s)
 
 
 ReceiverEvent = Sighting | GsmUp | GsmDown | Tick
@@ -165,16 +152,7 @@ class ReceiverState(Value):
 
 class StepResult(Value):
     __slots__ = ("state", "payloads", "rejected")
-
-    def __init__(
-        self,
-        state: ReceiverState,
-        payloads: tuple[SmsPayload, ...] = (),
-        rejected: str | None = None,
-    ) -> None:
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "payloads", payloads)
-        object.__setattr__(self, "rejected", rejected)
+    _defaults = {"payloads": (), "rejected": None}
 
 
 def receiver_step(state: ReceiverState, event: ReceiverEvent) -> StepResult:
@@ -237,18 +215,6 @@ def receiver_step(state: ReceiverState, event: ReceiverEvent) -> StepResult:
 
 class SmsPayload(Value):
     __slots__ = ("receiver_id", "records", "segment_index", "segment_total")
-
-    def __init__(
-        self,
-        receiver_id: str,
-        records: tuple[DetectionRecord, ...],
-        segment_index: int,
-        segment_total: int,
-    ) -> None:
-        object.__setattr__(self, "receiver_id", receiver_id)
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "segment_index", segment_index)
-        object.__setattr__(self, "segment_total", segment_total)
 
     @property
     def text(self) -> str:
@@ -375,18 +341,7 @@ def group_segments(
 
 class DecodeResult(Value):
     __slots__ = ("receiver_id", "records", "missing_segments", "diagnostics")
-
-    def __init__(
-        self,
-        receiver_id: str,
-        records: tuple[DetectionRecord, ...],
-        missing_segments: tuple[int, ...] = (),
-        diagnostics: tuple[str, ...] = (),
-    ) -> None:
-        object.__setattr__(self, "receiver_id", receiver_id)
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "missing_segments", missing_segments)
-        object.__setattr__(self, "diagnostics", diagnostics)
+    _defaults = {"missing_segments": (), "diagnostics": ()}
 
     @property
     def complete(self) -> bool:
@@ -581,13 +536,15 @@ class DetectionEvent(Value):
 class DetectionStore:
     """Detection log, one JSON event per line in file order; merges are
     idempotent by event key.  ``save`` appends the events added since
-    ``load`` to the file and fsyncs it: lines already in the file are
-    never rewritten."""
+    ``load`` to the file and fsyncs it: complete lines already in the file
+    are never rewritten.  ``torn`` holds the bytes of the unfinished last
+    line, if any, that a crash during an append left and ``load`` dropped."""
 
-    __slots__ = ("events", "_keys", "_saved", "_unterminated")
+    __slots__ = ("events", "torn", "_keys", "_saved", "_unterminated")
 
     def __init__(self, events: Iterable[DetectionEvent] = ()) -> None:
         self.events: list[DetectionEvent] = []
+        self.torn = b""
         self._keys: set[tuple] = set()
         # How many of ``events`` the file already holds; None while there is
         # no file behind the store, so save writes all of them.
@@ -602,8 +559,8 @@ class DetectionStore:
         if other.__class__ is not self.__class__:
             return NotImplemented
         # The keys follow from the events.
-        return (self.events, self._saved, self._unterminated) == (
-            other.events, other._saved, other._unterminated
+        return (self.events, self.torn, self._saved, self._unterminated) == (
+            other.events, other.torn, other._saved, other._unterminated
         )
 
     def __repr__(self) -> str:
@@ -613,7 +570,9 @@ class DetectionStore:
     def load(cls, path) -> "DetectionStore":
         """The store saved at ``path``, or an empty one if there is no such
         file.  A line that is not one UTF-8 encoded detection event raises
-        ``ValueError`` naming the file and the line."""
+        ``ValueError`` naming the file and the line, unless it is the last
+        line and has no line end: that is an append cut short, and it is
+        kept in ``torn`` instead."""
         store = cls()
         raw = "\n"
         try:
@@ -628,6 +587,10 @@ class DetectionStore:
                         if line:
                             store._append(DetectionEvent.from_json(line))
                     except (TypeError, ValueError) as exc:
+                        # Only the last line can lack its line end.
+                        if not raw.endswith("\n"):
+                            store.torn = raw.encode("utf-8", "surrogateescape")
+                            break
                         raise ValueError(
                             f"detection store {str(path)!r} line {number} is not "
                             f"a detection event: {exc}"
@@ -642,22 +605,25 @@ class DetectionStore:
     def save(self, path) -> None:
         """Append the events added since ``load`` to ``path``, the file
         the store was loaded from, in one write, and fsync it; with none
-        added the file is not opened.  A store with no file behind it
-        writes ``path`` whole."""
+        added and no torn line to cut the file is not opened.  A torn line
+        is cut back to the line end before it first.  A store with no file
+        behind it writes ``path`` whole."""
         if self._saved is None:
             mode, new = "w", self.events
         else:
             mode, new = "a", self.events[self._saved:]
-            if not new:
+            if not new and not self.torn:
                 return
         text = "".join(event.to_json() + "\n" for event in new)
-        if self._unterminated:
-            text = "\n" + text
         with open(path, mode) as fh:
+            if self.torn:
+                fh.truncate(os.fstat(fh.fileno()).st_size - len(self.torn))
+            elif self._unterminated:
+                text = "\n" + text
             fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
-        self._saved, self._unterminated = len(self.events), False
+        self._saved, self._unterminated, self.torn = len(self.events), False, b""
 
     def _append(self, event: DetectionEvent) -> bool:
         key = event.key()

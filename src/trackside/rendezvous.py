@@ -19,9 +19,10 @@ The beacon is the field unit: 3 ms events with no random per-event delay
 ``detection_probability`` evaluates that union measure exactly.  Note the
 phase coupling between events makes P genuinely non-monotone in the
 interval near interval/cycle resonances; that is physics, not a bug.
-``detection_probability_independent`` is the textbook approximation that
-treats events as independent Bernoulli trials: smooth and monotone, exact
-for at most one event, and off by up to ~0.2 at moderate duty cycles.
+The textbook approximation that treats events as independent Bernoulli
+trials is smooth and monotone, exact for at most one event, and off by up
+to ~0.2 at moderate duty cycles; ``tests/test_rendezvous.py`` keeps it
+as ``detection_probability_independent`` to show that gap.
 ``detection_probability_oracle`` brute-forces the same process by Monte
 Carlo and is the reference the analytic path is tested against; its array
 arithmetic lives in ``montecarlo``, the one module that imports numpy.
@@ -198,26 +199,6 @@ def _expected_coverage(span_ms: float, interval: float, coverage):
     if frac == 0.0:
         return coverage(n)
     return (1.0 - frac) * coverage(n) + frac * coverage(n + 1)
-
-
-def detection_probability_independent(
-    adv: AdvertiserConfig, scan: ScannerConfig, t_in_s: float
-) -> float:
-    """Independent-events approximation: P = 1 - (1-q)^N * (1 - q*frac).
-
-    q is the per-event hit chance (scan_window + event_duration)/scan_cycle
-    and N the whole number of events fitting in the pass; the fractional
-    remainder contributes one extra event with matching probability, which
-    removes staircase artifacts at band edges.  Exact when at most one
-    event fits; ignores the phase coupling between events beyond that.
-    """
-    if t_in_s < 0:
-        raise ValueError("in-range time cannot be negative")
-    q = _arc_length_ms(adv, scan) / scan.scan_cycle_ms
-    events = t_in_s * 1000.0 / adv.interval_ms
-    n = int(events)
-    frac = events - n
-    return 1.0 - (1.0 - q) ** n * (1.0 - q * frac)
 
 
 def detection_probability_oracle(

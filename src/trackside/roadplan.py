@@ -141,39 +141,10 @@ class BeaconSite(Value):
         "predicted_battery_days", "local_vmax_mph", "detection_probability",
     )
 
-    def __init__(
-        self,
-        beacon_id: str,
-        position: tuple[float, float],
-        arc_m: float,
-        beacon_preset: str,
-        interval_ms: int,
-        predicted_battery_days: float,
-        local_vmax_mph: float,
-        detection_probability: float,
-    ) -> None:
-        object.__setattr__(self, "beacon_id", beacon_id)
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "arc_m", arc_m)
-        object.__setattr__(self, "beacon_preset", beacon_preset)
-        object.__setattr__(self, "interval_ms", interval_ms)
-        object.__setattr__(self, "predicted_battery_days", predicted_battery_days)
-        object.__setattr__(self, "local_vmax_mph", local_vmax_mph)
-        object.__setattr__(self, "detection_probability", detection_probability)
-
 
 class DeploymentPlan(Value):
     __slots__ = ("road", "sites", "coverage_gaps")
-
-    def __init__(
-        self,
-        road: Road,
-        sites: tuple[BeaconSite, ...],
-        coverage_gaps: tuple[tuple[float, float], ...] = (),
-    ) -> None:
-        object.__setattr__(self, "road", road)
-        object.__setattr__(self, "sites", sites)
-        object.__setattr__(self, "coverage_gaps", coverage_gaps)
+    _defaults = {"coverage_gaps": ()}
 
     @property
     def expected_detections_per_traverse(self) -> float:

@@ -26,7 +26,7 @@ import enum
 import io
 import itertools
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .pathloss import PathLossModel
 from .presets import DEFAULT_PATH_LOSS, DriveScenario, Mount, scenario_for_mount
@@ -118,35 +118,9 @@ class CellResult(Value):
         "speed_mph", "interval_ms", "detections", "trials", "label", "expected_probability"
     )
 
-    def __init__(
-        self,
-        speed_mph: float,
-        interval_ms: int,
-        detections: int,
-        trials: int,
-        label: CellLabel,
-        expected_probability: float,
-    ) -> None:
-        object.__setattr__(self, "speed_mph", speed_mph)
-        object.__setattr__(self, "interval_ms", interval_ms)
-        object.__setattr__(self, "detections", detections)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "expected_probability", expected_probability)
-
 
 class MatrixResult(Value):
     __slots__ = ("spec", "cells")
-
-    def __init__(self, spec: TrialMatrixSpec, cells: tuple[CellResult, ...]) -> None:
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "cells", cells)
-
-    def cell(self, speed_mph: float, interval_ms: int) -> CellResult:
-        for c in self.cells:
-            if c.speed_mph == speed_mph and c.interval_ms == interval_ms:
-                return c
-        raise KeyError((speed_mph, interval_ms))
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -173,7 +147,7 @@ class MatrixResult(Value):
         width = 2 + max(6, *(len(f"{i}ms") for i in intervals))
         head = "speed".ljust(8) + "".join(f"{i}ms".rjust(width) for i in intervals)
         lines = [head, "-" * len(head)]
-        # A repeated speed or interval shows its first cell, as cell() finds.
+        # A repeated speed or interval shows its first cell.
         labels = {(c.speed_mph, c.interval_ms): c.label.value for c in reversed(self.cells)}
         for speed in self.spec.speeds_mph:
             row = f"{speed:g} mph".ljust(8)
@@ -231,18 +205,6 @@ class TargetMatrix(Value):
 
     __slots__ = ("mount", "speeds_mph", "intervals_ms", "labels")
 
-    def __init__(
-        self,
-        mount: Mount,
-        speeds_mph: tuple[float, ...],
-        intervals_ms: tuple[int, ...],
-        labels: Mapping[tuple[float, int], CellLabel],
-    ) -> None:
-        object.__setattr__(self, "mount", mount)
-        object.__setattr__(self, "speeds_mph", speeds_mph)
-        object.__setattr__(self, "intervals_ms", intervals_ms)
-        object.__setattr__(self, "labels", labels)
-
     def label(self, speed_mph: float, interval_ms: int) -> CellLabel:
         return self.labels[(speed_mph, interval_ms)]
 
@@ -278,24 +240,6 @@ class CellReport(Value):
         "band_expected", "band_target",
     )
 
-    def __init__(
-        self,
-        mount: Mount,
-        speed_mph: float,
-        interval_ms: int,
-        target: CellLabel,
-        expected_probability: float,
-        band_expected: int,
-        band_target: int,
-    ) -> None:
-        object.__setattr__(self, "mount", mount)
-        object.__setattr__(self, "speed_mph", speed_mph)
-        object.__setattr__(self, "interval_ms", interval_ms)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "expected_probability", expected_probability)
-        object.__setattr__(self, "band_expected", band_expected)
-        object.__setattr__(self, "band_target", band_target)
-
     @property
     def off_by(self) -> int:
         return abs(self.band_expected - self.band_target)
@@ -303,18 +247,6 @@ class CellReport(Value):
 
 class CalibrationResult(Value):
     __slots__ = ("scan_window_ms", "bonnet_attenuation_db", "objective", "per_cell")
-
-    def __init__(
-        self,
-        scan_window_ms: float,
-        bonnet_attenuation_db: float,
-        objective: int,
-        per_cell: tuple[CellReport, ...],
-    ) -> None:
-        object.__setattr__(self, "scan_window_ms", scan_window_ms)
-        object.__setattr__(self, "bonnet_attenuation_db", bonnet_attenuation_db)
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "per_cell", per_cell)
 
     def mismatches(self) -> tuple[CellReport, ...]:
         return tuple(r for r in self.per_cell if r.off_by)

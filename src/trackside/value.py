@@ -1,11 +1,14 @@
 """The immutable-value base class every model and protocol value derives from.
 
-A value class lists its fields in ``__slots__``, in constructor order, and
-writes its own ``__init__``: that checks the arguments, then stores each
-field with ``object.__setattr__``.  ``Value`` supplies the rest from the
-slots, without generating code at import time, which ``dataclasses`` does
-for every class in every process.  A slot whose name starts with ``_``
-holds state derived from the fields, such as a cache; it is not a field.
+A value class lists its fields in ``__slots__``, in constructor order.
+``Value.__init__`` binds them as a call binds parameters: positionally in
+field order, then by keyword, then from the class's ``_defaults``.  A
+class writes its own ``__init__`` only when it checks or converts its
+arguments; that one stores each field with ``object.__setattr__``.
+``Value`` supplies the rest from the slots, without generating code at
+import time, which ``dataclasses`` does for every class in every process.
+A slot whose name starts with ``_`` holds state derived from the fields,
+such as a cache; it is not a field.
 """
 
 from __future__ import annotations
@@ -16,10 +19,35 @@ class Value:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    # Field name -> the value a constructor call may leave out.
+    _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{self.__class__.__name__} takes {len(fields)} fields "
+                            f"{fields} but {len(args)} were given")
+        for field, value in zip(fields, args):
+            object.__setattr__(self, field, value)
+        missing = None
+        for field in fields[len(args):]:
+            if field in kwargs:
+                object.__setattr__(self, field, kwargs.pop(field))
+            elif field in self._defaults:
+                object.__setattr__(self, field, self._defaults[field])
+            elif missing is None:
+                missing = field
+        # As in a call, a wrong keyword is named before a missing field.
+        for field in kwargs:
+            if field in fields:
+                raise TypeError(f"{self.__class__.__name__} got field {field!r} twice")
+            raise TypeError(f"{self.__class__.__name__} has no field {field!r}")
+        if missing is not None:
+            raise TypeError(f"{self.__class__.__name__} is missing field {missing!r}")
 
     def _astuple(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

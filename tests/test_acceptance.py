@@ -50,10 +50,11 @@ from trackside.rendezvous import (
     AdvertiserConfig,
     ScannerConfig,
     detection_probability,
-    detection_probability_independent,
     detection_probability_oracle,
 )
 from trackside.sim import CellLabel, calibrate, load_target_matrix
+
+from test_rendezvous import detection_probability_independent
 
 M_PER_DEG = math.pi * 6371000.0 / 180.0
 

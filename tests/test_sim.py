@@ -114,8 +114,8 @@ class TestRunMatrix:
         assert a.to_text() == b.to_text()
 
     def test_text_of_repeated_values_shows_the_first_cell(self):
-        # The third row's own cells are all Y; like cell(), the table shows
-        # the first cell of each (speed, interval).
+        # The third row's own cells are all Y; the table shows the first
+        # cell of each (speed, interval).
         spec = TrialMatrixSpec(
             speeds_mph=(30.0, 45.0, 30.0), intervals_ms=(1300, 1500, 1300), seed=4
         )
@@ -230,11 +230,9 @@ class TestRunMatrix:
             seed=5,
         )
         result = run_matrix(spec, WHEEL_ARCH)
+        cells = {(c.speed_mph, c.interval_ms): c for c in result.cells}
         for interval in spec.intervals_ms:
-            col = [
-                result.cell(speed, interval).expected_probability
-                for speed in spec.speeds_mph
-            ]
+            col = [cells[speed, interval].expected_probability for speed in spec.speeds_mph]
             assert all(a >= b - 1e-12 for a, b in zip(col, col[1:]))
 
     def test_spec_validation(self):

@@ -4,20 +4,28 @@ fields compare (and, where the fields can be hashed, hash) equal; its
 fields cannot be assigned or deleted; its repr names the class and its
 fields; and copy and pickle rebuild an equal value.  ``DetectionStore``
 is the one mutable class: it compares by content and is never hashed.
+Every value class of the package is held to this.
+
+``Value.__init__`` binds arguments as a call binds parameters, with the
+class's ``_defaults`` for fields left out, and refuses a call that does
+not bind each field once with ``TypeError``.
 
 A fresh interpreter also shows that importing the command line loads no
 code generation: value classes are plain classes."""
 
 import copy
+import importlib
 import json
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import trackside
 from trackside.pathloss import FitResult, Material, PathLossModel, RssiSample
 from trackside.power import GuideRow
 from trackside.presets import DriveScenario, Mount, default_scanner
@@ -46,6 +54,7 @@ from trackside.sim import (
     TargetMatrix,
     TrialMatrixSpec,
 )
+from trackside.value import Value
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -255,3 +264,66 @@ def test_cli_import_loads_no_code_generation():
                           text=True, check=True)
     loaded = set(json.loads(proc.stdout))
     assert {"dataclasses", "inspect", "ast", "dis", "tokenize"} & loaded == set()
+
+
+def value_classes() -> set[type]:
+    """Every subclass of ``Value`` that a module of the package defines."""
+    for module in pkgutil.iter_modules(trackside.__path__):
+        importlib.import_module(f"trackside.{module.name}")
+    found, todo = set(), [Value]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("trackside."):
+                found.add(cls)
+    return found
+
+
+def test_every_value_class_is_checked_here():
+    assert value_classes() - CLASSES.keys() == set()
+
+
+def test_defaults_are_fields_and_immutable():
+    # One default value serves every instance, so it must not change.
+    for cls in value_classes():
+        assert set(cls._defaults) <= set(cls._fields), cls
+        for default in cls._defaults.values():
+            hash(default)
+
+
+DEFAULTED = [cls for cls in VALUES if cls._defaults]
+
+
+@pytest.mark.parametrize("cls", DEFAULTED, ids=ids)
+def test_fields_left_out_take_their_defaults(cls):
+    fields, _ = CLASSES[cls]
+    given = {name: value for name, value in fields.items() if name not in cls._defaults}
+    value = cls(**given)
+    assert {name: getattr(value, name) for name in cls._defaults} == cls._defaults
+    assert cls(*given.values()) == value
+
+
+# A class with no defaults and one with some; each call binds a field
+# twice, names one the class lacks, or leaves one out.
+BAD_CALLS = [
+    (Sighting, (12.5, "B-01", 3), {}, r"Sighting takes 2 fields \('t_s', 'beacon_id'\) "
+                                      r"but 3 were given"),
+    (Sighting, (12.5,), {"beacon_id": "B-01", "speed": 3}, "Sighting has no field 'speed'"),
+    (Sighting, (12.5,), {"t_s": 13.0, "beacon_id": "B-01"}, "Sighting got field 't_s' twice"),
+    (Sighting, (), {"beacon_id": "B-01"}, "Sighting is missing field 't_s'"),
+    (DecodeResult, ("RX2", (RECORD,), (), (), 1), {}, "DecodeResult takes 4 fields"),
+    (DecodeResult, ("RX2", (RECORD,)), {"missing": (2,)}, "DecodeResult has no field 'missing'"),
+    (DecodeResult, ("RX2", (RECORD,), (2,)), {"missing_segments": (2,)},
+     "DecodeResult got field 'missing_segments' twice"),
+    (DecodeResult, (), {"receiver_id": "RX2", "diagnostics": ()},
+     "DecodeResult is missing field 'records'"),
+]
+
+
+@pytest.mark.parametrize("cls, args, kwargs, message", BAD_CALLS, ids=[
+    f"{call[0].__name__}-{kind}"
+    for call, kind in zip(BAD_CALLS, ["too-many", "unknown", "twice", "missing"] * 2)
+])
+def test_a_call_that_does_not_bind_each_field_once_is_refused(cls, args, kwargs, message):
+    with pytest.raises(TypeError, match=message):
+        cls(*args, **kwargs)
