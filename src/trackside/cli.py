@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import math
 import os
 import sys
 import time
@@ -21,6 +20,7 @@ from .presets import (
     DEFAULT_PATH_LOSS_PRESET,
     DriveScenario,
     Mount,
+    pass_speed_ms,
     path_loss_preset,
     read_preset_ini,
     scenario_for_mount,
@@ -213,8 +213,10 @@ def cmd_guide(args, out) -> int:
         scenario = _resolve_preset(args.preset)
         speeds = _numbers(args.speeds, float, "--speeds", map(float, power.GUIDE_INTERVALS_MS))
         for speed in speeds:
-            if not 0.0 < speed < math.inf:
-                raise ConfigError(f"--speeds: {speed!r} is not a positive, finite speed")
+            try:
+                pass_speed_ms(speed)
+            except ValueError:
+                raise ConfigError(f"--speeds: {speed!r} is not a positive, finite speed") from None
         rows = power.derive_guide(_reliability(args.reliability), speeds, scenario)
 
     csv_lines = ["max_speed_mph,interval_ms,battery_days"]
@@ -288,21 +290,7 @@ def cmd_ingest(args, out) -> int:
     for line in bad:
         report.append(f"  ! unparseable segment skipped: {line}")
 
-    # Open the map before the store changes, so that a map that cannot be
-    # written leaves the store as it was, and fill it once the store is
-    # saved, so that a store that cannot be saved leaves an earlier map as
-    # it was and removes only the empty one opened here.
-    new_map = bool(args.geojson) and not os.path.exists(args.geojson)
-    if args.geojson:
-        open(args.geojson, "a").close()
-    try:
-        store.save(args.store)
-    except BaseException:
-        if new_map:
-            os.remove(args.geojson)
-        raise
-    if args.geojson:
-        _write(args.geojson, protocol.store_to_geojson(store), out)
+    store.save(args.store)
     quarantined = len(store.quarantined())
     report.append(
         f"store: {len(store.events)} events ({quarantined} quarantined), {added_total} new"
@@ -343,6 +331,12 @@ def cmd_export(args, out) -> int:
         raise ConfigError(f"detection store {args.store!r} is not a file")
     store = protocol.DetectionStore.load(args.store)
     _write(args.out, protocol.store_to_geojson(store), out)
+    # The map holds the complete lines; the next ingest cuts the torn one.
+    if store.torn:
+        raise ValueError(
+            f"detection store {args.store!r} ends in an unfinished line of "
+            f"{len(store.torn)} bytes, left out of the map"
+        )
     return EXIT_OK
 
 
@@ -392,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--registry", required=True, help="beacon registry CSV")
     p.add_argument("--store", required=True, help="detection store NDJSON path")
     p.add_argument("--received-at", type=int, help="wall-clock receipt time (epoch s)")
-    p.add_argument("--geojson", help="also export the store as GeoJSON")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("encode", help="encode detection records into SMS segments")

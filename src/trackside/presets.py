@@ -4,16 +4,15 @@ from __future__ import annotations
 
 import configparser
 import enum
+import math
 
 from . import pathloss
 from .pathloss import Material, PathLossModel
 from .rendezvous import (
     DEFAULT_SCAN_CYCLE_MS,
     AdvertiserConfig,
-    PassGeometry,
     ScannerConfig,
     detection_probability,
-    in_range_time,
     mph_to_ms,
 )
 from .value import Value
@@ -22,6 +21,9 @@ from .value import Value
 # drive-by matrix calibration result (see sim.calibrate) against the 2500 ms
 # receiver loop.
 CALIBRATED_SCAN_WINDOW_MS = 1170.0
+
+# The field beacon stands this far to the side of the vehicle's path.
+LATERAL_OFFSET_M = 2.0
 
 PATH_LOSS_PRESETS: dict[str, PathLossModel] = {
     # BT4 module: -95 dBm reached at 25 m.
@@ -50,6 +52,15 @@ def path_loss_preset(name: str) -> PathLossModel:
         raise ValueError(f"unknown path-loss preset {name!r} (known: {known})") from None
 
 
+def pass_speed_ms(speed_mph: float) -> float:
+    """A drive-by speed in m/s, the unit an in-range time divides by;
+    refused unless positive and finite there (5e-324 mph is 0 m/s)."""
+    speed_ms = mph_to_ms(speed_mph)
+    if not 0 < speed_ms < math.inf:  # also rejects NaN
+        raise ValueError("speed must be positive and finite")
+    return speed_ms
+
+
 def default_scanner() -> ScannerConfig:
     return ScannerConfig(
         scan_window_ms=CALIBRATED_SCAN_WINDOW_MS, scan_cycle_ms=DEFAULT_SCAN_CYCLE_MS
@@ -58,9 +69,9 @@ def default_scanner() -> ScannerConfig:
 
 class DriveScenario(Value):
     """Everything needed to score one drive-by: radio model plus timing.
-    The beacon is the field unit, with the defaults of ``PassGeometry``
-    (2 m off the road) and ``AdvertiserConfig`` (3 ms events).  Build it
-    with ``scenario_for_mount``."""
+    The beacon is the field unit, ``LATERAL_OFFSET_M`` off the road with
+    the default of ``AdvertiserConfig`` (3 ms events).  Build it with
+    ``scenario_for_mount``."""
 
     __slots__ = ("path_loss", "scanner", "materials", "_range_m")
 
@@ -87,10 +98,13 @@ class DriveScenario(Value):
         return self._range_m
 
     def in_range_time_s(self, speed_mph: float) -> float:
-        geometry = PassGeometry(
-            speed_ms=mph_to_ms(speed_mph), detection_range_m=self.detection_range_m
-        )
-        return in_range_time(geometry)
+        """Seconds inside the detection disc on a straight pass: its chord
+        ``LATERAL_OFFSET_M`` from the beacon, over the speed in m/s."""
+        r = self.detection_range_m
+        speed_ms = pass_speed_ms(speed_mph)
+        if LATERAL_OFFSET_M >= r:
+            return 0.0
+        return 2.0 * math.sqrt(r * r - LATERAL_OFFSET_M * LATERAL_OFFSET_M) / speed_ms
 
     def pass_probability(self, speed_mph: float, interval_ms: float) -> float:
         """Single-pass detection probability at this speed and interval."""

@@ -542,7 +542,7 @@ class DetectionStore:
 
     __slots__ = ("events", "torn", "_keys", "_saved", "_unterminated")
 
-    def __init__(self, events: Iterable[DetectionEvent] = ()) -> None:
+    def __init__(self) -> None:
         self.events: list[DetectionEvent] = []
         self.torn = b""
         self._keys: set[tuple] = set()
@@ -551,9 +551,6 @@ class DetectionStore:
         self._saved: int | None = None
         # Whether the file's last line lacks its line end.
         self._unterminated = False
-        # Events given to the constructor are deduplicated as a merge is.
-        for event in events:
-            self._append(event)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -82,34 +82,6 @@ class ScannerConfig(Value):
         object.__setattr__(self, "scan_cycle_ms", scan_cycle_ms)
 
 
-class PassGeometry(Value):
-    """One straight drive past a roadside beacon, 2 m off the road by default."""
-
-    __slots__ = ("speed_ms", "lateral_offset_m", "detection_range_m")
-
-    def __init__(
-        self, speed_ms: float, lateral_offset_m: float = 2.0, detection_range_m: float = 0.0
-    ) -> None:
-        if not 0 < speed_ms < math.inf:  # also rejects NaN
-            raise ValueError("speed must be positive and finite")
-        if not 0 <= lateral_offset_m < math.inf:  # also rejects NaN
-            raise ValueError("lateral offset must be finite and >= 0")
-        if not 0 <= detection_range_m < math.inf:
-            raise ValueError("detection range must be finite and >= 0")
-        object.__setattr__(self, "speed_ms", speed_ms)
-        object.__setattr__(self, "lateral_offset_m", lateral_offset_m)
-        object.__setattr__(self, "detection_range_m", detection_range_m)
-
-
-def in_range_time(geometry: PassGeometry) -> float:
-    """Seconds spent inside the detection disc: chord length over speed."""
-    r = geometry.detection_range_m
-    o = geometry.lateral_offset_m
-    if o >= r:
-        return 0.0
-    return 2.0 * math.sqrt(r * r - o * o) / geometry.speed_ms
-
-
 def _arc_length_ms(adv: AdvertiserConfig, scan: ScannerConfig) -> float:
     return min(scan.scan_window_ms + adv.event_duration_ms, scan.scan_cycle_ms)
 

@@ -25,7 +25,7 @@ from .value import Value
 
 EARTH_RADIUS_M = 6371000.0
 DEFAULT_SURFACE_VMAX_MPH = 45.0
-DEFAULT_LATERAL_ACCEL_MS2 = 2.0  # rough dirt-road comfort limit
+LATERAL_ACCEL_MS2 = 2.0  # rough dirt-road comfort limit
 MAX_SPACING_M = 400.0  # sites farther apart than this leave a coverage gap
 MIN_SITE_SEPARATION_M = 50.0
 
@@ -109,17 +109,14 @@ def _circumradius_m(a, b, c) -> float:
     return ab * bc * ca / (4.0 * area)
 
 
-def speed_profile(
-    road: Road, lateral_accel_ms2: float = DEFAULT_LATERAL_ACCEL_MS2
-) -> tuple[float, ...]:
-    """Per-vertex achievable speed in mph: v = sqrt(a_lat * radius), capped.
+def speed_profile(road: Road) -> tuple[float, ...]:
+    """Per-vertex achievable speed in mph: v = sqrt(a_lat * radius), capped,
+    with a_lat = ``LATERAL_ACCEL_MS2``.
 
     Curvature comes from the circumradius of consecutive vertex triples;
     endpoint vertices copy their neighbour.  Two-vertex roads are flat at
     the surface cap.
     """
-    if lateral_accel_ms2 <= 0:
-        raise ValueError("lateral acceleration limit must be positive")
     points = road.polyline
     vmax = road.surface_vmax_mph
     if len(points) == 2:
@@ -129,7 +126,7 @@ def speed_profile(
         radius = _circumradius_m(points[i - 1], points[i], points[i + 1])
         if math.isinf(radius):
             continue
-        speeds[i] = min(vmax, ms_to_mph(math.sqrt(lateral_accel_ms2 * radius)))
+        speeds[i] = min(vmax, ms_to_mph(math.sqrt(LATERAL_ACCEL_MS2 * radius)))
     speeds[0] = speeds[1]
     speeds[-1] = speeds[-2]
     return tuple(speeds)

@@ -29,10 +29,9 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .pathloss import PathLossModel
-from .presets import DEFAULT_PATH_LOSS, DriveScenario, Mount, scenario_for_mount
+from .presets import DEFAULT_PATH_LOSS, DriveScenario, Mount, pass_speed_ms, scenario_for_mount
 from .rendezvous import (
     AdvertiserConfig,
-    PassGeometry,
     ScannerConfig,
     _arc_gaps,
     _arc_length_ms,
@@ -40,7 +39,6 @@ from .rendezvous import (
     _union_share,
     detection_probability,
     detection_probability_oracle,
-    mph_to_ms,
 )
 from .value import Value
 
@@ -102,7 +100,7 @@ class TrialMatrixSpec(Value):
             if interval != int(interval):
                 raise ValueError(f"interval {interval!r} ms is not a whole number of ms")
         for speed in speeds_mph:
-            PassGeometry(speed_ms=mph_to_ms(speed))
+            pass_speed_ms(speed)
         if trials_per_cell < 1:
             raise ValueError("need at least one trial per cell")
         if seed < 0:

@@ -471,9 +471,9 @@ def test_acceptance_9_determinism(tmp_path):
         store.unlink(missing_ok=True)  # rerun from the same initial state
         code, text = _run_cli([
             "ingest", "--segments", str(segments), "--registry", str(registry),
-            "--store", str(store), "--received-at", "1754650000",
-            "--geojson", str(geo)])
+            "--store", str(store), "--received-at", "1754650000"])
         assert code == 0
+        assert _run_cli(["export", "--store", str(store), "--out", str(geo)]) == (0, "")
         outputs["ingest"] = store.read_bytes() + geo.read_bytes() + text.encode()
         return outputs
 

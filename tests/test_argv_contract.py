@@ -107,7 +107,7 @@ COMMANDS = st.one_of(
     ),
     st.tuples(
         st.sampled_from(["dump", "partial", "garbage", "empty"]),
-        options(received_at=values("1754650000"), geojson=st.just("@out/map.geojson")),
+        options(received_at=values("1754650000")),
     ).map(lambda t: ["ingest", f"--segments=@in/{t[0]}.txt", "--registry=@in/registry.csv",
                      "--store=@out/store.ndjson", *t[1]]),
     st.tuples(
@@ -185,11 +185,10 @@ def check_contract(argv, inputs: Path, outputs: Path, kept: bytes | None = None)
                 assert store.read_bytes() == kept
         if code == 0:
             assert errors == []
+            # A store the command only read parses too: export of a store
+            # whose last line was cut short exits 1.
             for path in written:
-                # A store the command only read is an input, not an output:
-                # export reads a store whose last line was cut short.
-                if path != store or store.read_bytes() != kept:
-                    check_parses(path)
+                check_parses(path)
             if argv[0] == "encode":
                 assert protocol.decode_sms(out.getvalue().splitlines()).complete
             elif argv[0] == "export" and not written:
@@ -239,12 +238,12 @@ FILE_COMMANDS = {
                   "--store=@out/store.ndjson", "--received-at=2"]],
     "segments": [
         ["ingest", "--segments=@file", "--registry=@in/registry.csv",
-         "--store=@out/store.ndjson", "--received-at=2", "--geojson=@out/map.geojson"],
+         "--store=@out/store.ndjson", "--received-at=2"],
         ["decode", "--segments=@file"],
     ],
     "store": [
         ["ingest", "--segments=@in/dump.txt", "--registry=@in/registry.csv",
-         "--store=@out/store.ndjson", "--received-at=2", "--geojson=@out/map.geojson"],
+         "--store=@out/store.ndjson", "--received-at=2"],
         ["export", "--store=@out/store.ndjson", "--out=@out/map.geojson"],
     ],
 }

@@ -427,14 +427,14 @@ class TestPlan:
         assert digests == self.WINDING_PLAN_SHA256[reliability]
 
 
-# sha256 of the store and `--geojson` file that ingesting the dump of
-# test_ingest_idempotent_and_export writes.
+# sha256 of the store that ingesting the dump of
+# test_ingest_idempotent_and_export writes, and of its `export`.
 INGEST_STORE_SHA256 = "1df0fbc49e7bf291f846998cd460dfaf725cad65d3b17385df855f31d5fd8adf"
 INGEST_GEOJSON_SHA256 = "f19d03293066c04e5a894ddecce91e8fb95966f8585d5b1418ff50c8c762ff5f"
 
 
-# sha256 of `export` and of `ingest --geojson` (one more dump) on the
-# 2000-event seeded_store, as json.dumps(..., sort_keys=True, indent=2)
+# sha256 of `export` on the 2000-event seeded_store, before and after
+# one more dump is ingested, as json.dumps(..., sort_keys=True, indent=2)
 # wrote the map.
 SEEDED_EXPORT_SHA256 = "3b2f587adef445bbba304d294853495e8ba754b284863d8990b6a7162be96f46"
 SEEDED_INGEST_GEOJSON_SHA256 = "8c98f553659cce134849502d2fb265e656b84754bf1b205ee17c94403b541fa0"
@@ -549,15 +549,17 @@ class TestProtocolPipeline:
         segments.write_text(text)
         store = tmp_path / "store.ndjson"
         geo = tmp_path / "detections.geojson"
+        export = ["export", "--store", str(store), "--out", str(geo)]
 
         args = [
             "ingest", "--segments", str(segments), "--registry", str(registry_csv),
-            "--store", str(store), "--received-at", "1754650000", "--geojson", str(geo),
+            "--store", str(store), "--received-at", "1754650000",
         ]
         code, report = run(args)
         assert code == 0
         assert "2 new" in report
         assert "(1 quarantined)" in report
+        assert run(export) == (0, "")
         first_store = store.read_bytes()
         first_geo = geo.read_bytes()
         assert hashlib.sha256(first_store).hexdigest() == INGEST_STORE_SHA256
@@ -570,7 +572,6 @@ class TestProtocolPipeline:
         assert "0 new" in report
         assert store.read_bytes() == first_store
         assert store.stat().st_mtime_ns == 10**18
-        assert geo.read_bytes() == first_geo
 
         code, text = run(["export", "--store", str(store), "--out", str(tmp_path / "e.geojson")])
         assert code == 0
@@ -587,9 +588,9 @@ class TestProtocolPipeline:
         segments = tmp_path / "segments.txt"
         segments.write_text("T1|RX1|1/1|B-01:2:10;B-99:1:55\n")
         code, _ = run(["ingest", "--segments", str(segments), "--registry", str(registry_csv),
-                       "--store", str(store), "--received-at", "1754800000",
-                       "--geojson", str(geo)])
+                       "--store", str(store), "--received-at", "1754800000"])
         assert code == 0
+        assert run(["export", "--store", str(store), "--out", str(geo)]) == (0, "")
         assert hashlib.sha256(geo.read_bytes()).hexdigest() == SEEDED_INGEST_GEOJSON_SHA256
 
     def test_export_of_missing_store_is_usage_error(self, tmp_path, capsys):
@@ -598,6 +599,27 @@ class TestProtocolPipeline:
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == f"error: detection store {str(store)!r} is not a file\n"
         assert not geo.exists()
+
+    def test_export_maps_the_lines_before_a_torn_one(self, tmp_path, capsys):
+        # export writes the map of the complete lines, leaves the torn one
+        # for the next ingest to cut, and says so with exit 1.
+        lines = [STORE_LINE.replace('"received_at": 1', f'"received_at": {t}') + "\n"
+                 for t in (1, 2)]
+        store, geo = tmp_path / "store.ndjson", tmp_path / "map.geojson"
+        store.write_text(lines[0])
+        assert run(["export", "--store", str(store), "--out", str(geo)]) == (0, "")
+        complete = geo.read_bytes()
+        for cut in (1, 40, len(lines[1]) - 2):
+            store.write_text(lines[0] + lines[1][:cut])
+            torn = store.read_bytes()
+            code, out = run(["export", "--store", str(store), "--out", str(geo)])
+            assert (code, out) == (1, "")
+            assert capsys.readouterr().err == (
+                f"error: detection store {str(store)!r} ends in an unfinished line of "
+                f"{cut} bytes, left out of the map\n"
+            )
+            assert geo.read_bytes() == complete
+            assert store.read_bytes() == torn
 
     @pytest.mark.parametrize("line,detail", [
         ('{"beacon_id": "B-0001", "bogus": 1}', "unexpected keyword argument 'bogus'"),
@@ -743,43 +765,30 @@ class TestProtocolPipeline:
         err = capsys.readouterr().err
         assert err == f"error: [Errno 21] Is a directory: {str(directory)!r}\n"
 
-    @pytest.mark.parametrize("existing", [STORE_LINE + "\n", None], ids=["store", "no-store"])
-    def test_unwritable_map_leaves_the_store_as_it_was(
-        self, registry_csv, tmp_path, capsys, existing
-    ):
-        segments = tmp_path / "segments.txt"
-        segments.write_text("T1|RX1|1/1|B-01:2:10;B-07:1:55\n")
-        store = tmp_path / "store.ndjson"
-        if existing is not None:
-            store.write_text(existing)
-        directory = tmp_path / "map"
+    @pytest.mark.parametrize("tail", ["", STORE_LINE[:40]], ids=["store", "torn-store"])
+    def test_unwritable_map_leaves_the_store_as_it_was(self, tmp_path, capsys, tail):
+        # export only reads the store: a map it cannot write is the one
+        # error, ahead of any torn tail, and the store keeps its bytes.
+        store, directory = tmp_path / "store.ndjson", tmp_path / "map"
+        store.write_text(STORE_LINE + "\n" + tail)
+        before = store.read_bytes()
         directory.mkdir()
-        code, out = run(["ingest", "--segments", str(segments), "--registry", str(registry_csv),
-                         "--store", str(store), "--received-at", "2",
-                         "--geojson", str(directory)])
+        code, out = run(["export", "--store", str(store), "--out", str(directory)])
         assert (code, out) == (2, "")
         err = capsys.readouterr().err
         assert err == f"error: [Errno 21] Is a directory: {str(directory)!r}\n"
-        assert (store.read_text() if store.exists() else None) == existing
+        assert store.read_bytes() == before
 
-    @pytest.mark.parametrize("earlier", [None, b'{"type": "FeatureCollection"}\n'],
-                             ids=["no-map", "earlier-map"])
-    def test_unwritable_store_leaves_the_map_as_it_was(
-        self, registry_csv, tmp_path, capsys, earlier
-    ):
+    def test_unsaveable_store_is_usage_error(self, registry_csv, tmp_path, capsys):
         segments = tmp_path / "segments.txt"
         segments.write_text("T1|RX1|1/1|B-01:2:10\n")
-        store, geo = tmp_path / "missing" / "store.ndjson", tmp_path / "map.geojson"
-        if earlier is not None:
-            geo.write_bytes(earlier)
+        store = tmp_path / "missing" / "store.ndjson"
         code, out = run(["ingest", "--segments", str(segments), "--registry", str(registry_csv),
-                         "--store", str(store), "--received-at", "2", "--geojson", str(geo)])
+                         "--store", str(store), "--received-at", "2"])
         assert (code, out) == (2, "")
         err = capsys.readouterr().err
         assert err == f"error: [Errno 2] No such file or directory: {str(store)!r}\n"
-        assert (geo.read_bytes() if geo.exists() else None) == earlier
-        assert sorted(tmp_path.iterdir()) == sorted({registry_csv, segments, geo}
-                                                    if earlier else {registry_csv, segments})
+        assert sorted(tmp_path.iterdir()) == sorted({registry_csv, segments})
 
     @pytest.mark.skipif(
         not hasattr(os, "geteuid") or os.geteuid() == 0,
@@ -832,9 +841,13 @@ class TestProtocolPipeline:
       "--targets-wheelarch", "w.csv"], "--targets-wheelarch"),
     (["calibrate", "--rssi", "rssi.csv", "--out", "preset.ini",
       "--targets-bonnet", "b.csv"], "--targets-bonnet"),
-], ids=["config", "plan-spacing", "calibrate-targets-wheelarch", "calibrate-targets-bonnet"])
+    (["ingest", "--segments", "s.txt", "--registry", "r.csv", "--store", "s.ndjson",
+      "--geojson", "map.geojson"], "--geojson"),
+], ids=["config", "plan-spacing", "calibrate-targets-wheelarch", "calibrate-targets-bonnet",
+        "ingest-geojson"])
 def test_removed_option_is_unknown(capsys, argv, option):
-    # Every setting is a flag or a constant; these took a second way in.
+    # Every setting is a flag or a constant, and export writes the map;
+    # these took a second way in.
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
@@ -931,6 +944,18 @@ def test_command_failure_is_one_error_line(tmp_path, capsys, command, text, code
     (["matrix", "--speeds", "inf"], "matrix: speed must be positive and finite"),
     (["matrix", "--speeds=-inf"], "matrix: speed must be positive and finite"),
     (["matrix", "--speeds", "10,inf"], "matrix: speed must be positive and finite"),
+    # The smallest positive mph is 0 m/s, the unit the chord divides by.
+    (["matrix", "--speeds", "5e-324"], "matrix: speed must be positive and finite"),
+    (["guide", "--reliability", "0.9", "--speeds", "5e-324"],
+     "--speeds: 5e-324 is not a positive, finite speed"),
+    (["guide", "--reliability", "0.9", "--speeds", "0"],
+     "--speeds: 0.0 is not a positive, finite speed"),
+    (["guide", "--reliability", "0.9", "--speeds", "nan"],
+     "--speeds: nan is not a positive, finite speed"),
+    (["guide", "--reliability", "0.9", "--speeds", "inf"],
+     "--speeds: inf is not a positive, finite speed"),
+    (["guide", "--reliability", "0.9", "--speeds=-inf"],
+     "--speeds: -inf is not a positive, finite speed"),
 ])
 def test_out_of_range_value_is_usage_error(capsys, argv, message):
     code, out = run(argv)

@@ -5,8 +5,9 @@ module only, no module uses dataclasses or runs generated code, values
 check their own finiteness and position, a value class writes
 ``__init__`` only to check or convert its arguments, the union measure of
 the arcs is summed in one function, the guide search only asks the
-scenario for probabilities, only ``main`` prints, and every function has
-a caller in the package."""
+scenario for probabilities, only ``main`` prints, every function has a
+caller in the package, and every defaulted parameter is passed by some
+call in it."""
 
 import ast
 from collections import Counter
@@ -20,6 +21,21 @@ UNCALLED = {
                               "name; it moves to the tests once the benchmark drops it",
     ("protocol", "receiver_step"): "the receiver device's model, run on the device",
     ("pathloss", "predict_rssi"): "the forward model that detection_range is tested against",
+}
+
+# Defaulted parameters that no call in the package passes, and why each
+# stays settable.  A value class's field is named after the class.
+UNSET = {
+    ("cli", "main", "argv"): "the entry point: the console script passes nothing",
+    ("cli", "main", "out"): "the entry point: the console script passes nothing",
+    ("pathloss", "detection_range", "threshold_dbm"):
+        "acceptance 2 and the inverse check against predict_rssi pass it",
+    ("sim", "calibrate", "targets"): "the search's unit tests pass small target matrices",
+    ("sim", "calibrate", "scan_window_grid_ms"): "the search's unit tests pass small grids",
+    ("sim", "calibrate", "bonnet_grid_db"): "the search's unit tests pass small grids",
+    ("sim", "calibrate", "refine"): "the search's unit tests score the coarse grid alone",
+    ("rendezvous", "AdvertiserConfig", "event_duration_ms"):
+        "acceptance 3 sweeps it over 1-10 ms",
 }
 
 
@@ -270,3 +286,108 @@ def test_caller_rule_sees_an_uncalled_function():
     )
     assert uncalled_functions({"m": tree}) == {("m", "unused"), ("m", "recursive"),
                                                ("m", "C.method")}
+
+
+def call_shapes(trees: dict[str, ast.Module]) -> dict[str, list[tuple[int, set[str], bool, bool]]]:
+    """Per name called, bare or as an attribute, in the package: for each
+    call, (positional arguments, keywords, whether it spreads ``*args``,
+    whether it spreads ``**kwargs``).  ``_checked(build, what, ...)``
+    counts as a call of ``build`` with the arguments after ``what``."""
+    shapes: dict[str, list] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            name, args = called(node), getattr(node, "args", [])
+            if name == "_checked" and args:
+                name = getattr(args[0], "id", None) or getattr(args[0], "attr", None)
+                args = args[2:]
+            if name is None:
+                continue
+            keywords = {k.arg for k in node.keywords if k.arg is not None}
+            shapes.setdefault(name, []).append((
+                sum(not isinstance(a, ast.Starred) for a in args),
+                keywords,
+                any(isinstance(a, ast.Starred) for a in args),
+                any(k.arg is None for k in node.keywords),
+            ))
+    return shapes
+
+
+def defaulted_parameters(trees: dict[str, ast.Module]):
+    """(module, callable, parameter, position) of every parameter a call
+    may leave out: a defaulted parameter of a top-level function or
+    method, and each ``_defaults`` key of a value class.  A method is
+    named ``Class.method``, and ``__init__`` and the fields by the class.
+    ``position`` counts the arguments a call passes, ``self`` and ``cls``
+    aside; it is None for a keyword-only parameter."""
+    found = []
+
+    def add(module, name, node, bound):
+        a = node.args
+        positional = (a.posonlyargs + a.args)[bound:]
+        first = len(positional) - len(a.defaults)
+        found.extend((module, name, arg.arg, first + i)
+                     for i, arg in enumerate(positional[first:]))
+        found.extend((module, name, arg.arg, None)
+                     for arg, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None)
+
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                add(module, node.name, node, 0)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            # The package has no static methods: each method binds self or cls.
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    name = node.name if item.name == "__init__" else f"{node.name}.{item.name}"
+                    add(module, name, item, 1)
+            values = {stmt.targets[0].id: ast.literal_eval(stmt.value) for stmt in node.body
+                      if isinstance(stmt, ast.Assign)
+                      and getattr(stmt.targets[0], "id", None) in ("__slots__", "_defaults")}
+            fields = [f for f in values.get("__slots__", ()) if not f.startswith("_")]
+            found.extend((module, node.name, key, fields.index(key))
+                         for key in values.get("_defaults", {}))
+    return found
+
+
+def unset_parameters(trees: dict[str, ast.Module]) -> set[tuple[str, str, str]]:
+    """(module, callable, parameter) of every parameter that
+    ``defaulted_parameters`` finds and no call in the package passes,
+    by position or keyword; functions in ``UNCALLED`` have no call to
+    look at."""
+    shapes = call_shapes(trees)
+    unset = set()
+    for module, name, parameter, position in defaulted_parameters(trees):
+        if (module, name) in UNCALLED:
+            continue
+        if not any(
+            parameter in keywords or spreads_keywords
+            or (position is not None and (passed > position or spreads_args))
+            for passed, keywords, spreads_args, spreads_keywords
+            in shapes.get(name.rsplit(".", 1)[-1], ())
+        ):
+            unset.add((module, name, parameter))
+    return unset
+
+
+def test_every_setting_is_set():
+    # Every setting is a flag or a constant: a default that no call
+    # overrides is a constant under a second name.
+    assert unset_parameters(module_trees()) == set(UNSET)
+
+
+def test_setting_rule_sees_an_unset_parameter():
+    tree = ast.parse(
+        "def f(a, b=1, c=2, *, d=3): return a\n"
+        "def g(x=0): return f(1, 2, d=4)\n"
+        "class P(Value):\n"
+        "    __slots__ = ('a', 'b', '_cache')\n"
+        "    _defaults = {'b': 0}\n"
+        "class Q(Value):\n"
+        "    __slots__ = ('a', 'b')\n"
+        "    def __init__(self, a, b=0): pass\n"
+        "    def m(self, k=1, j=2): return g()\n"
+        "built = [P(1), Q(1, 2), _checked(Q.m, 'what', k=2)]\n"
+    )
+    assert unset_parameters({"m": tree}) == {("m", "f", "c"), ("m", "g", "x"),
+                                             ("m", "P", "b"), ("m", "Q.m", "j")}

@@ -449,12 +449,14 @@ class TestStore:
         assert again == 0
         assert len(store.events) == 1
 
-    def test_store_built_with_events_dedups_them(self, registry):
+    def test_store_loaded_with_repeated_events_dedups_them(self, registry, tmp_path):
         decoded = DecodeResult("RX1", (DetectionRecord("B-01", 10, 2),))
         merged = DetectionStore()
         merge_detections(merged, decoded, registry, received_at=1000)
         event, = merged.events
-        store = DetectionStore(events=[event, event])
+        path = tmp_path / "store.ndjson"
+        path.write_text((event.to_json() + "\n") * 2)
+        store = DetectionStore.load(path)
         assert store.events == [event]
         assert merge_detections(store, decoded, registry, received_at=1000) == 0
         assert store.events == [event]
@@ -613,7 +615,8 @@ class TestMapText:
     @example(events=[DetectionEvent("B-01", "RX1", 1, 5, 1000, -90, 180.0, False)])
     @example(events=[DetectionEvent("B-01", "RX1", 2**70, 0, -1, 5, -0.0, False)])
     def test_map_is_json_dumps_of_reference(self, events):
-        store = DetectionStore(events=events)
+        store = DetectionStore()
+        store.events.extend(events)
         expected = json.dumps(reference_map(store), sort_keys=True, indent=2) + "\n"
         assert store_to_geojson(store) == expected
 

@@ -7,16 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trackside import montecarlo, rendezvous
+from trackside.presets import LATERAL_OFFSET_M, Mount, pass_speed_ms, scenario_for_mount
 from trackside.rendezvous import (
     AdvertiserConfig,
-    PassGeometry,
     ScannerConfig,
     _arc_length_ms,
     _coverage_exact,
     _expected_coverage,
     detection_probability,
     detection_probability_oracle,
-    in_range_time,
     mph_to_ms,
 )
 
@@ -51,32 +50,47 @@ def random_config(rnd):
 
 
 class TestInRangeTime:
-    def test_diameter_over_speed(self):
-        assert in_range_time(PassGeometry(10.0, 0.0, 10.0)) == 2.0
+    """``DriveScenario.in_range_time_s``: the chord of the detection disc
+    ``LATERAL_OFFSET_M`` from the beacon, over the speed in m/s."""
 
     def test_chord_at_45mph(self):
-        # oracle: 2*sqrt(R^2 - o^2)/v computed directly
-        g = PassGeometry(20.1, 2.0, 25.0)
-        expected = 2.0 * math.sqrt(25.0**2 - 2.0**2) / 20.1
-        assert in_range_time(g) == expected
-        assert in_range_time(g) == pytest.approx(2.48, abs=0.01)
+        # oracle: 2*sqrt(R^2 - o^2)/v computed directly; hm10-bt4 reaches 25 m
+        scenario = scenario_for_mount()
+        r = scenario.detection_range_m
+        assert r == pytest.approx(25.0)
+        expected = 2.0 * math.sqrt(r**2 - 2.0**2) / mph_to_ms(45.0)
+        assert LATERAL_OFFSET_M == 2.0
+        assert scenario.in_range_time_s(45.0) == expected
+        assert expected == pytest.approx(2.48, abs=0.01)
 
     def test_never_in_range(self):
-        assert in_range_time(PassGeometry(13.0, 30.0, 25.0)) == 0.0
+        # 24 dB of bonnet loss leaves a disc about 1.1 m across, inside the offset.
+        scenario = scenario_for_mount(Mount.BONNET, bonnet_attenuation_db=24.0)
+        assert 0.0 < scenario.detection_range_m < LATERAL_OFFSET_M
+        assert scenario.in_range_time_s(10.0) == 0.0
 
     def test_inverse_speed_scaling(self):
-        slow = in_range_time(PassGeometry(7.0, 1.0, 30.0))
-        fast = in_range_time(PassGeometry(14.0, 1.0, 30.0))
+        scenario = scenario_for_mount()
+        slow, fast = scenario.in_range_time_s(15.0), scenario.in_range_time_s(30.0)
         assert slow == pytest.approx(2.0 * fast, rel=1e-12)
 
     def test_nonpositive_speed_rejected(self):
-        with pytest.raises(ValueError):
-            PassGeometry(0.0, 1.0, 10.0)
+        for speed in (0.0, -1.0):
+            with pytest.raises(ValueError, match="positive and finite"):
+                scenario_for_mount().in_range_time_s(speed)
 
     @pytest.mark.parametrize("speed", [math.inf, -math.inf, math.nan])
     def test_nonfinite_speed_rejected(self, speed):
         with pytest.raises(ValueError, match="positive and finite"):
-            PassGeometry(speed, 1.0, 10.0)
+            scenario_for_mount().in_range_time_s(speed)
+
+    def test_speed_checked_in_ms(self):
+        # The smallest positive mph is 0 m/s, which the chord cannot be
+        # divided by.
+        assert mph_to_ms(5e-324) == 0.0
+        with pytest.raises(ValueError, match="positive and finite"):
+            pass_speed_ms(5e-324)
+        assert pass_speed_ms(1e-300) == mph_to_ms(1e-300) > 0.0
 
     def test_mph_conversion(self):
         assert mph_to_ms(45.0) == pytest.approx(20.1168)

@@ -115,7 +115,7 @@ class TestSpeedProfile:
         # oracle: v = sqrt(a_lat * radius) = sqrt(2 * 10) = 4.47 m/s ~ 10 mph
         pts = [(-10, 0), (0, 10), (10, 0)]
         road = road_from_meters(pts)
-        speeds = speed_profile(road, lateral_accel_ms2=2.0)
+        speeds = speed_profile(road)
         expected_mph = math.sqrt(2.0 * 10.0) / mph_to_ms(1.0)
         assert speeds[1] == pytest.approx(expected_mph, abs=0.1)
         assert speeds[1] == pytest.approx(10.0, abs=0.1)
@@ -124,15 +124,6 @@ class TestSpeedProfile:
         road = road_from_meters([(0, 0), (80, 1), (163, 0), (240, 4), (330, 0)], vmax=30.0)
         assert all(v <= 30.0 for v in speed_profile(road))
 
-    def test_lower_comfort_never_faster(self):
-        road = hairpin_road()
-        relaxed = speed_profile(road, lateral_accel_ms2=2.0)
-        cautious = speed_profile(road, lateral_accel_ms2=1.0)
-        assert all(c <= r + 1e-12 for c, r in zip(cautious, relaxed))
-
-    def test_bad_accel_rejected(self):
-        with pytest.raises(ValueError):
-            speed_profile(hairpin_road(), lateral_accel_ms2=0.0)
 
 
 class TestSelectSites:

@@ -59,7 +59,7 @@ def inputs(tmp_path_factory):
 @pytest.mark.parametrize("argv", [
     ["--help"],
     ["ingest", "--segments", "segments.txt", "--registry", "registry.csv",
-     "--store", "store.ndjson", "--received-at", "2", "--geojson", "map.geojson"],
+     "--store", "store.ndjson", "--received-at", "2"],
     ["export", "--store", "store.ndjson", "--out", "export.geojson"],
     ["encode", "--receiver", "RX1", "B-01:2:10"],
     ["decode", "--segments", "segments.txt"],

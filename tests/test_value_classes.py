@@ -2,9 +2,10 @@
 methods: it is built by keyword, and positionally in field order; equal
 fields compare (and, where the fields can be hashed, hash) equal; its
 fields cannot be assigned or deleted; its repr names the class and its
-fields; and copy and pickle rebuild an equal value.  ``DetectionStore``
-is the one mutable class: it compares by content and is never hashed.
-Every value class of the package is held to this.
+fields; and copy and pickle rebuild an equal value.  Every value class
+of the package is held to this.  ``DetectionStore`` is the one mutable
+class: it is built empty, compares by content, is never hashed, and
+copies and pickles to an equal store.
 
 ``Value.__init__`` binds arguments as a call binds parameters, with the
 class's ``_defaults`` for fields left out, and refuses a call that does
@@ -43,7 +44,7 @@ from trackside.protocol import (
     StepResult,
     Tick,
 )
-from trackside.rendezvous import AdvertiserConfig, PassGeometry, ScannerConfig
+from trackside.rendezvous import AdvertiserConfig, ScannerConfig
 from trackside.roadplan import BeaconSite, DeploymentPlan, Road
 from trackside.sim import (
     CalibrationResult,
@@ -86,8 +87,6 @@ CLASSES = {
                        dict(event_duration_ms=4.0)),
     ScannerConfig: (dict(scan_window_ms=1170.0, scan_cycle_ms=2500.0),
                     dict(scan_window_ms=1000.0)),
-    PassGeometry: (dict(speed_ms=10.0, lateral_offset_m=2.0, detection_range_m=25.0),
-                   dict(detection_range_m=41.0)),
     DriveScenario: (
         dict(path_loss=MODEL, scanner=default_scanner(), materials=frozenset({Material.BONNET})),
         dict(materials=frozenset()),
@@ -154,12 +153,9 @@ CLASSES = {
              lat=5.41, lon=118.03, quarantined=False),
         dict(received_at=2),
     ),
-    DetectionStore: (dict(events=[EVENT]), dict(events=[])),
 }
-# Classes with a field that cannot be hashed (a dict, or a value holding
-# one), and the mutable store, whose hash is refused.
-UNHASHABLE = {PathLossModel, FitResult, DriveScenario, TargetMatrix, DetectionStore}
-VALUES = [cls for cls in CLASSES if cls is not DetectionStore]
+# Classes with a field that cannot be hashed (a dict, or a value holding one).
+UNHASHABLE = {PathLossModel, FitResult, DriveScenario, TargetMatrix}
 ids = lambda cls: cls.__name__  # noqa: E731
 
 
@@ -196,7 +192,7 @@ def test_receiver_events_of_different_kinds_differ():
     assert GsmUp(5.0) != Tick(5.0)
 
 
-@pytest.mark.parametrize("cls", VALUES, ids=ids)
+@pytest.mark.parametrize("cls", CLASSES, ids=ids)
 def test_fields_cannot_change(cls):
     fields, changed = CLASSES[cls]
     value = cls(**fields)
@@ -251,7 +247,12 @@ def test_store_is_mutable_and_compares_by_content():
     store = DetectionStore()
     assert store == DetectionStore() and store.events == []
     store.events.append(EVENT)
-    assert store != DetectionStore()
+    assert store != DetectionStore() and store != object()
+    with pytest.raises(TypeError):
+        hash(store)
+    assert repr(store) == f"DetectionStore(events=[{EVENT!r}])"
+    for rebuilt in (copy.copy(store), copy.deepcopy(store), pickle.loads(pickle.dumps(store))):
+        assert type(rebuilt) is DetectionStore and rebuilt == store
 
 
 def test_cli_import_loads_no_code_generation():
@@ -291,7 +292,7 @@ def test_defaults_are_fields_and_immutable():
             hash(default)
 
 
-DEFAULTED = [cls for cls in VALUES if cls._defaults]
+DEFAULTED = [cls for cls in CLASSES if cls._defaults]
 
 
 @pytest.mark.parametrize("cls", DEFAULTED, ids=ids)

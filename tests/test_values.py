@@ -8,8 +8,9 @@ import pytest
 
 from trackside.pathloss import Material, PathLossModel, RssiSample
 from trackside.protocol import DetectionEvent, DetectionRecord, ReceiverState, RegistryEntry
-from trackside.rendezvous import AdvertiserConfig, PassGeometry, ScannerConfig
+from trackside.rendezvous import AdvertiserConfig, ScannerConfig
 from trackside.roadplan import Road
+from trackside.sim import TrialMatrixSpec
 
 # Per float field: a builder of the value with that field set to x and every
 # other field valid, and a valid x.
@@ -28,9 +29,6 @@ FIELDS = {
     "ReceiverState.dedup_window_s": (lambda x: ReceiverState(dedup_window_s=x), 0.0),
     "ScannerConfig.scan_window_ms": (lambda x: ScannerConfig(x), 1170.0),
     "ScannerConfig.scan_cycle_ms": (lambda x: ScannerConfig(1170.0, x), 2500.0),
-    "PassGeometry.speed_ms": (lambda x: PassGeometry(x), 10.0),
-    "PassGeometry.lateral_offset_m": (lambda x: PassGeometry(10.0, x), 0.0),
-    "PassGeometry.detection_range_m": (lambda x: PassGeometry(10.0, 2.0, x), 25.0),
     "PathLossModel.rssi_ref_dbm": (lambda x: PathLossModel(rssi_ref_dbm=x), -60.0),
     "PathLossModel.exponent": (lambda x: PathLossModel(exponent=x), 2.0),
     "PathLossModel.reliability_threshold_dbm":
@@ -40,6 +38,8 @@ FIELDS = {
     ),
     "RssiSample.distance_m": (lambda x: RssiSample(x, -70.0), 1.0),
     "RssiSample.rssi_dbm": (lambda x: RssiSample(1.0, x), -70.0),
+    "TrialMatrixSpec.speeds_mph": (lambda x: TrialMatrixSpec((30.0, x), (1000,)), 45.0),
+    "TrialMatrixSpec.intervals_ms": (lambda x: TrialMatrixSpec((45.0,), (500, x)), 1000),
 }
 
 
