@@ -18,7 +18,7 @@ from bisect import bisect_left
 from typing import Sequence
 
 from . import power
-from .presets import DEFAULT_PATH_LOSS_PRESET, DriveScenario
+from .presets import DEFAULT_PATH_LOSS_PRESET, DriveScenario, pass_speed_ms
 from .protocol import validate_position
 from .rendezvous import ms_to_mph
 from .value import Value
@@ -64,8 +64,10 @@ class Road(Value):
             if step == 0.0:
                 raise ValueError(f"vertex {index}: road has a zero-length segment")
             arcs.append(arcs[-1] + step)
-        if not 0 < surface_vmax_mph < math.inf:  # also rejects NaN
-            raise ValueError("surface speed cap must be positive and finite")
+        try:
+            pass_speed_ms(surface_vmax_mph)
+        except ValueError:
+            raise ValueError("surface speed cap must be positive and finite") from None
         object.__setattr__(self, "polyline", points)
         object.__setattr__(self, "surface_vmax_mph", surface_vmax_mph)
         object.__setattr__(self, "_arcs", tuple(arcs))

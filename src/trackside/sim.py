@@ -23,7 +23,6 @@ from __future__ import annotations
 import bisect
 import csv
 import enum
-import io
 import itertools
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -31,6 +30,7 @@ from typing import Iterable, Sequence
 from .pathloss import PathLossModel
 from .presets import DEFAULT_PATH_LOSS, DriveScenario, Mount, pass_speed_ms, scenario_for_mount
 from .rendezvous import (
+    MIN_INTERVAL_MS,
     AdvertiserConfig,
     ScannerConfig,
     _arc_gaps,
@@ -48,6 +48,11 @@ DEFAULT_SEED = 1729
 # [0.1, 0.4), N below 0.1.  Total and mutually exclusive over [0, 1].
 BAND_THRESHOLDS = (0.95, 0.4, 0.1)
 _RISING_THRESHOLDS = sorted(BAND_THRESHOLDS)
+
+# The calibration's coarse grid, ascending: scanner listening window and
+# bonnet loss.
+SCAN_WINDOW_GRID_MS = tuple(float(w) for w in range(100, 2501, 25))
+BONNET_GRID_DB = tuple(round(0.25 * i, 2) for i in range(41))
 
 
 class CellLabel(enum.Enum):
@@ -121,23 +126,13 @@ class MatrixResult(Value):
     __slots__ = ("spec", "cells")
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["speed_mph", "interval_ms", "detections", "trials", "label", "expected_p"]
-        )
+        lines = ["speed_mph,interval_ms,detections,trials,label,expected_p"]
         for c in self.cells:
-            writer.writerow(
-                [
-                    f"{c.speed_mph:g}",
-                    c.interval_ms,
-                    c.detections,
-                    c.trials,
-                    c.label.value,
-                    f"{c.expected_probability:.4f}",
-                ]
+            lines.append(
+                f"{c.speed_mph:g},{c.interval_ms},{c.detections},{c.trials},"
+                f"{c.label.value},{c.expected_probability:.4f}"
             )
-        return out.getvalue()
+        return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
         """Aligned table, rows by speed, columns by interval."""
@@ -258,18 +253,16 @@ def _mismatch_report(
     scan_window_ms: float,
     bonnet_attenuation_db: float,
     path_loss: PathLossModel,
-) -> tuple[int, tuple[CellReport, ...]]:
+) -> tuple[CellReport, ...]:
+    """Every target cell's band against the model's; the objective is the
+    sum of their ``off_by``."""
     scanner = ScannerConfig(scan_window_ms=scan_window_ms)
     reports = []
-    total = 0
     for target in targets:
         scenario = scenario_for_mount(target.mount, path_loss, scanner, bonnet_attenuation_db)
         for speed in target.speeds_mph:
             for interval in target.intervals_ms:
                 p = scenario.pass_probability(speed, interval)
-                band_e = band_of_probability(p)
-                band_t = band_of_label(target.label(speed, interval))
-                total += abs(band_e - band_t)
                 reports.append(
                     CellReport(
                         mount=target.mount,
@@ -277,11 +270,11 @@ def _mismatch_report(
                         interval_ms=interval,
                         target=target.label(speed, interval),
                         expected_probability=p,
-                        band_expected=band_e,
-                        band_target=band_t,
+                        band_expected=band_of_probability(p),
+                        band_target=band_of_label(target.label(speed, interval)),
                     )
                 )
-    return total, tuple(reports)
+    return tuple(reports)
 
 
 def _objective_grid(
@@ -290,21 +283,24 @@ def _objective_grid(
     bonnets: Sequence[float],
     path_loss: PathLossModel,
 ) -> list[list[int]]:
-    """The ``_mismatch_report`` objective at every grid point, for ascending
-    ``windows``: entry [i][j] is the objective at (windows[i], bonnets[j]).
+    """The objective of ``_mismatch_report`` at every grid point, for
+    ascending ``windows``: entry [i][j] is the objective at (windows[i],
+    bonnets[j]).
 
     Every scanner has one scan cycle and every beacon one event duration,
-    so the coverage of k events at one interval and window does not depend
-    on the target, bonnet loss or speed.  Each (k, interval) has one row:
-    its arc gaps, sorted once, and its coverage at each window, computed
-    the first time a probe reads it.  A cell's probability never decreases
-    along the windows, exactly in floating point (see ``_union_share``), so
-    its band steps up at most three times: the steps are found by bisection
-    and its mismatch added over whole runs of windows.  Cells that see the
-    same detection range under two bonnet losses, as every wheel-arch cell
-    does, are shared."""
+    so each window has one arc length, and the coverage of k events at one
+    interval and window does not depend on the target, bonnet loss or
+    speed.  Each (k, interval) has one row: its arc gaps, sorted once, and
+    its coverage at each window, computed the first time a probe reads it.
+    A cell's probability never decreases along the windows, exactly in
+    floating point (see ``_union_share``), so its band steps up at most
+    three times: the steps are found by bisection and its mismatch added
+    over whole runs of windows.  Cells that see the same detection range
+    under two bonnet losses, as every wheel-arch cell does, are shared."""
     scanners = [ScannerConfig(scan_window_ms=w) for w in windows]
     cycle = scanners[0].scan_cycle_ms
+    beacon = AdvertiserConfig(interval_ms=MIN_INTERVAL_MS)
+    arcs = [_arc_length_ms(beacon, scanner) for scanner in scanners]
     axis = range(len(windows))
     rows: dict[tuple[int, float], tuple[list[float], list[float | None]]] = {}
 
@@ -314,16 +310,12 @@ def _objective_grid(
             found = rows[(k, interval)] = (_arc_gaps(k, interval, cycle), [None] * len(axis))
         return found
 
-    def target_mismatch(
-        target: TargetMatrix, scenario: DriveScenario, arcs: dict[int, list[float]]
-    ) -> list[int]:
-        """The target's band mismatch under ``scenario``, one per window;
-        ``arcs[interval][i]`` is the arc length at window i."""
+    def target_mismatch(target: TargetMatrix, scenario: DriveScenario) -> list[int]:
+        """The target's band mismatch under ``scenario``, one per window."""
         steps = [0] * (len(axis) + 1)
         for speed in target.speeds_mph:
             span_ms = scenario.in_range_time_s(speed) * 1000.0
             for interval in target.intervals_ms:
-                arc = arcs[interval]
                 n, frac = _event_split(span_ms, interval)
                 gaps_n, cover_n = row(n, interval)
                 gaps_n1, cover_n1 = row(n + 1, interval) if frac != 0.0 else (gaps_n, cover_n)
@@ -332,12 +324,12 @@ def _objective_grid(
                 def p(i: int) -> float:
                     a = cover_n[i]
                     if a is None:
-                        a = cover_n[i] = _union_share(gaps_n, cycle, arc[i])
+                        a = cover_n[i] = _union_share(gaps_n, cycle, arcs[i])
                     if frac == 0.0:
                         return a
                     b = cover_n1[i]
                     if b is None:
-                        b = cover_n1[i] = _union_share(gaps_n1, cycle, arc[i])
+                        b = cover_n1[i] = _union_share(gaps_n1, cycle, arcs[i])
                     return (1.0 - frac) * a + frac * b
 
                 # In [0, 1] at both ends of the axis, so everywhere between.
@@ -356,65 +348,37 @@ def _objective_grid(
 
     total = [[0] * len(bonnets) for _ in windows]
     for target in targets:
-        arcs = {}
-        for interval in target.intervals_ms:
-            adv = AdvertiserConfig(interval_ms=interval)
-            arcs[interval] = [_arc_length_ms(adv, scanner) for scanner in scanners]
         by_range: dict[float, list[int]] = {}
         for j, bonnet in enumerate(bonnets):
             scenario = scenario_for_mount(target.mount, path_loss, bonnet_attenuation_db=bonnet)
             detection_range = scenario.detection_range_m
             if detection_range not in by_range:
-                by_range[detection_range] = target_mismatch(target, scenario, arcs)
+                by_range[detection_range] = target_mismatch(target, scenario)
             for i, mismatch in enumerate(by_range[detection_range]):
                 total[i][j] += mismatch
     return total
 
 
-def calibrate(
-    targets: Sequence[TargetMatrix] | None = None,
-    scan_window_grid_ms: Sequence[float] | None = None,
-    bonnet_grid_db: Sequence[float] | None = None,
-    path_loss: PathLossModel = DEFAULT_PATH_LOSS,
-    refine: bool = True,
-) -> CalibrationResult:
+def calibrate(path_loss: PathLossModel = DEFAULT_PATH_LOSS) -> CalibrationResult:
     """Grid-search (scan_window, bonnet_attenuation) minimising the total
-    band mismatch against the target matrices.  Ties break toward the
-    smaller scan window, then the smaller attenuation.  After the coarse
-    pass a local refinement at 5 ms / 0.05 dB resolution polishes the
-    argmin (disable with ``refine=False``)."""
-    if targets is None:
-        targets = (
-            load_target_matrix(Mount.WHEEL_ARCH),
-            load_target_matrix(Mount.BONNET),
-        )
-    if scan_window_grid_ms is None:
-        scan_window_grid_ms = [float(w) for w in range(100, 2501, 25)]
-    if bonnet_grid_db is None:
-        bonnet_grid_db = [round(0.25 * i, 2) for i in range(0, 41)]
-    if not scan_window_grid_ms or not bonnet_grid_db:
-        raise ValueError("calibration search grid must be nonempty")
+    band mismatch against the two packaged target matrices.  Ties break
+    toward the smaller scan window, then the smaller attenuation.  After
+    the coarse grid a 13 x 13 refinement at 5 ms / 0.05 dB resolution
+    polishes the argmin; it holds the coarse argmin, so it never does
+    worse."""
+    targets = (load_target_matrix(Mount.WHEEL_ARCH), load_target_matrix(Mount.BONNET))
 
-    def argmin(windows, bonnets, seed=None):
-        windows, bonnets = sorted(windows), sorted(bonnets)
+    def argmin(windows, bonnets):
         grid = _objective_grid(targets, windows, bonnets, path_loss)
-        best = min((obj, w, b) for w, row in zip(windows, grid) for b, obj in zip(bonnets, row))
-        return best if seed is None else min(seed, best)
+        return min((obj, w, b) for w, row in zip(windows, grid) for b, obj in zip(bonnets, row))
 
-    best = argmin(scan_window_grid_ms, bonnet_grid_db)
-    if refine:
-        _, w0, b0 = best
-        windows = [
-            round(min(max(w0 + 5.0 * i, 5.0), 2500.0), 1) for i in range(-6, 7)
-        ]
-        bonnets = [round(max(b0 + 0.05 * i, 0.0), 2) for i in range(-6, 7)]
-        best = argmin(sorted(set(windows)), sorted(set(bonnets)), seed=best)
-
-    objective, window, bonnet = best
-    _, reports = _mismatch_report(targets, window, bonnet, path_loss)
+    _, w0, b0 = argmin(SCAN_WINDOW_GRID_MS, BONNET_GRID_DB)
+    windows = sorted({round(min(w0 + 5.0 * i, 2500.0), 1) for i in range(-6, 7)})
+    bonnets = sorted({round(max(b0 + 0.05 * i, 0.0), 2) for i in range(-6, 7)})
+    objective, window, bonnet = argmin(windows, bonnets)
     return CalibrationResult(
         scan_window_ms=window,
         bonnet_attenuation_db=bonnet,
         objective=objective,
-        per_cell=reports,
+        per_cell=_mismatch_report(targets, window, bonnet, path_loss),
     )

@@ -1013,6 +1013,10 @@ def test_plan_value_out_of_range_is_usage_error(road_geojson, tmp_path, capsys,
     ('{"type": "Feature", "properties": {"surface_vmax_mph": NaN}, "geometry": '
      '{"type": "LineString", "coordinates": [[110.0, 1.0], [110.0, 1.1]]}}',
      "surface speed cap must be positive and finite"),
+    # A positive cap that is 0 m/s, the unit a pass divides by.
+    ('{"type": "Feature", "properties": {"surface_vmax_mph": 5e-324}, "geometry": '
+     '{"type": "LineString", "coordinates": [[110.0, 1.0], [110.0, 1.1]]}}',
+     "surface speed cap must be positive and finite"),
 ])
 def test_bad_road_file_is_config_error(tmp_path, capsys, text, detail):
     road = tmp_path / "road.geojson"

@@ -6,8 +6,8 @@ check their own finiteness and position, a value class writes
 ``__init__`` only to check or convert its arguments, the union measure of
 the arcs is summed in one function, the guide search only asks the
 scenario for probabilities, only ``main`` prints, every function has a
-caller in the package, and every defaulted parameter is passed by some
-call in it."""
+caller in the package, every defaulted parameter is passed by some call
+in it, and the README's module table lists every module."""
 
 import ast
 from collections import Counter
@@ -30,10 +30,6 @@ UNSET = {
     ("cli", "main", "out"): "the entry point: the console script passes nothing",
     ("pathloss", "detection_range", "threshold_dbm"):
         "acceptance 2 and the inverse check against predict_rssi pass it",
-    ("sim", "calibrate", "targets"): "the search's unit tests pass small target matrices",
-    ("sim", "calibrate", "scan_window_grid_ms"): "the search's unit tests pass small grids",
-    ("sim", "calibrate", "bonnet_grid_db"): "the search's unit tests pass small grids",
-    ("sim", "calibrate", "refine"): "the search's unit tests score the coarse grid alone",
     ("rendezvous", "AdvertiserConfig", "event_duration_ms"):
         "acceptance 3 sweeps it over 1-10 ms",
 }
@@ -104,6 +100,13 @@ def imported_modules() -> dict[str, set[str]]:
                 names.add(node.module.split(".")[0])
         found[module] = names
     return found
+
+
+def test_readme_lists_every_module():
+    # The README's module table has a row for each module of the package.
+    readme = (SRC.parents[1] / "README.md").read_text()
+    listed = {line.split("`")[1] for line in readme.splitlines() if line.startswith("| `trackside.")}
+    assert listed == {f"trackside.{module}" for module in module_trees() if module != "__init__"}
 
 
 def test_scenario_built_only_by_scenario_for_mount():

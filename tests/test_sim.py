@@ -328,47 +328,51 @@ def synthetic_targets(window_ms: float, bonnet_db: float):
     return tuple(out)
 
 
+def report_objective(targets, window_ms: float, bonnet_db: float) -> int:
+    """The calibration objective at one point, from the per-cell report."""
+    return sum(r.off_by for r in _mismatch_report(targets, window_ms, bonnet_db, DEFAULT_PATH_LOSS))
+
+
+def use_targets(monkeypatch, targets):
+    """Point ``calibrate``'s loader at ``targets``, one per mount."""
+    by_mount = {target.mount: target for target in targets}
+    monkeypatch.setattr(sim, "load_target_matrix", by_mount.__getitem__)
+
+
 class TestCalibrate:
-    def test_recovers_generating_parameters(self):
-        targets = synthetic_targets(800.0, 1.5)
-        result = calibrate(
-            targets=targets,
-            scan_window_grid_ms=[600.0, 800.0, 1000.0, 1200.0],
-            bonnet_grid_db=[0.5, 1.5, 2.5],
-        )
+    def test_recovers_generating_parameters(self, monkeypatch):
+        use_targets(monkeypatch, synthetic_targets(800.0, 1.5))
+        result = calibrate()
         assert result.objective == 0
         assert all(r.off_by == 0 for r in result.per_cell)
 
     def test_argmin_beats_other_grid_points(self):
         targets = (load_target_matrix(Mount.WHEEL_ARCH), load_target_matrix(Mount.BONNET))
-        grid_w = [900.0, 1175.0, 1400.0]
-        grid_b = [1.0, 2.75]
-        result = calibrate(targets, grid_w, grid_b)
-        from trackside.sim import _mismatch_report
+        result = calibrate()
+        for w in [900.0, 1175.0, 1400.0]:
+            for b in [1.0, 2.75]:
+                assert result.objective <= report_objective(targets, w, b)
 
-        for w in grid_w:
-            for b in grid_b:
-                other, _ = _mismatch_report(targets, w, b, DEFAULT_PATH_LOSS)
-                assert result.objective <= other
-
-    def test_tie_breaks_toward_smaller_window_then_bonnet(self):
+    def test_tie_breaks_toward_smaller_window_then_bonnet(self, monkeypatch):
         targets = synthetic_targets(800.0, 1.5)
-        windows = [850.0, 775.0, 800.0, 825.0, 750.0]
-        bonnets = [1.75, 1.25, 1.5, 1.0]
-        scalar = [
-            (_mismatch_report(targets, w, b, DEFAULT_PATH_LOSS)[0], w, b)
-            for w in windows
-            for b in bonnets
-        ]
+        windows = (750.0, 775.0, 800.0, 825.0, 850.0)
+        bonnets = (1.0, 1.25, 1.5, 1.75)
+        use_targets(monkeypatch, targets)
+        monkeypatch.setattr(sim, "SCAN_WINDOW_GRID_MS", windows)
+        monkeypatch.setattr(sim, "BONNET_GRID_DB", bonnets)
+        scalar = [(report_objective(targets, w, b), w, b) for w in windows for b in bonnets]
         assert sum(key[0] == 0 for key in scalar) >= 2
-        result = calibrate(targets, windows, bonnets, refine=False)
+        # The 13 x 13 refinement around the coarse argmin.
+        _, w0, b0 = min(scalar)
+        scalar += [
+            (report_objective(targets, w, b), w, b)
+            for w in {round(min(w0 + 5.0 * i, 2500.0), 1) for i in range(-6, 7)}
+            for b in {round(max(b0 + 0.05 * i, 0.0), 2) for i in range(-6, 7)}
+        ]
+        result = calibrate()
         assert (result.objective, result.scan_window_ms, result.bonnet_attenuation_db) == min(
             scalar
         )
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            calibrate(scan_window_grid_ms=[], bonnet_grid_db=[1.0])
 
     def test_shipped_preset_matches_full_search(self):
         # The frozen scanner preset is the argmin of the default search.
@@ -378,6 +382,7 @@ class TestCalibrate:
 
     def test_bad_probability_rejected(self, monkeypatch):
         # The grid range-checks each cell at both ends of its window axis.
+        targets = (load_target_matrix(Mount.WHEEL_ARCH), load_target_matrix(Mount.BONNET))
         windows = [500.0, 1000.0, 1500.0]
         for coverage in (
             lambda gaps, cycle, arc: -0.5 if arc < 600.0 else 0.5,  # smallest arc only
@@ -385,7 +390,7 @@ class TestCalibrate:
         ):
             monkeypatch.setattr(sim, "_union_share", coverage)
             with pytest.raises(ValueError, match="outside"):
-                calibrate(scan_window_grid_ms=windows, bonnet_grid_db=[1.0])
+                _objective_grid(targets, windows, [1.0], DEFAULT_PATH_LOSS)
 
     def test_bonnet_shift_at_45mph(self):
         # Concealing the receiver behaves like dialling the interval down
@@ -446,8 +451,7 @@ class TestObjectiveGrid:
         grid = np.array(_objective_grid(targets, windows, bonnets, DEFAULT_PATH_LOSS), dtype="<i8")
         assert grid.shape == (len(windows), len(bonnets))
         for i, j in points:
-            objective, _ = _mismatch_report(targets, windows[i], bonnets[j], DEFAULT_PATH_LOSS)
-            assert grid[i, j] == objective
+            assert grid[i, j] == report_objective(targets, windows[i], bonnets[j])
 
     def test_random_points_of_the_coarse_grid(self, targets):
         windows = [float(w) for w in range(100, 2501, 25)]
