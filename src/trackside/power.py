@@ -44,7 +44,6 @@ class SpeedEnvelopeError(ValueError):
 
 class GuideRow(Value):
     __slots__ = ("max_speed_mph", "interval_ms", "battery_days", "feasible")
-    _defaults = {"feasible": True}
 
 
 def battery_life(interval_ms: float) -> float:
@@ -71,7 +70,7 @@ def recommend_interval(max_speed_mph: float) -> tuple[int, float]:
 def published_guide() -> list[GuideRow]:
     """The shipped nine-row guide, verbatim."""
     return [
-        GuideRow(speed, interval, battery_life(interval))
+        GuideRow(speed, interval, battery_life(interval), True)
         for speed, interval in sorted(GUIDE_INTERVALS_MS.items())
     ]
 
@@ -104,8 +103,8 @@ def derive_guide(
                 best = interval
                 break
         if best is None:
-            rows.append(GuideRow(speed, 0, 0.0, feasible=False))
+            rows.append(GuideRow(speed, 0, 0.0, False))
         else:
-            rows.append(GuideRow(speed, best, battery_life(best)))
+            rows.append(GuideRow(speed, best, battery_life(best), True))
             ceiling = best
     return rows

@@ -75,27 +75,16 @@ class DriveScenario(Value):
 
     __slots__ = ("path_loss", "scanner", "materials", "_range_m")
 
-    def __init__(
-        self,
-        path_loss: PathLossModel,
-        scanner: ScannerConfig,
-        materials: frozenset[Material] = frozenset(),
-    ) -> None:
-        object.__setattr__(self, "path_loss", path_loss)
-        object.__setattr__(self, "scanner", scanner)
-        object.__setattr__(self, "materials", materials)
-        object.__setattr__(self, "_range_m", None)
-
     @property
     def detection_range_m(self) -> float:
         """Computed once per scenario, when first read: every speed and
         probe shares it."""
-        if self._range_m is None:
-            object.__setattr__(
-                self, "_range_m",
-                pathloss.detection_range(self.path_loss, materials=self.materials),
-            )
-        return self._range_m
+        try:
+            return self._range_m
+        except AttributeError:
+            r = pathloss.detection_range(self.path_loss, materials=self.materials)
+            object.__setattr__(self, "_range_m", r)
+            return r
 
     def in_range_time_s(self, speed_mph: float) -> float:
         """Seconds inside the detection disc on a straight pass: its chord

@@ -152,7 +152,6 @@ class ReceiverState(Value):
 
 class StepResult(Value):
     __slots__ = ("state", "payloads", "rejected")
-    _defaults = {"payloads": (), "rejected": None}
 
 
 def receiver_step(state: ReceiverState, event: ReceiverEvent) -> StepResult:
@@ -166,11 +165,10 @@ def receiver_step(state: ReceiverState, event: ReceiverEvent) -> StepResult:
     diagnostic, state unchanged.
     """
     if not math.isfinite(event.t_s):
-        return StepResult(state=state, rejected=f"event at t={event.t_s} is not a finite time")
+        return StepResult(state, (), f"event at t={event.t_s} is not a finite time")
     if event.t_s < state.clock_s:
         return StepResult(
-            state=state,
-            rejected=f"event at t={event.t_s} precedes receiver clock {state.clock_s}",
+            state, (), f"event at t={event.t_s} precedes receiver clock {state.clock_s}"
         )
 
     buffer, last_seen = state.buffer, state.last_seen
@@ -180,7 +178,7 @@ def receiver_step(state: ReceiverState, event: ReceiverEvent) -> StepResult:
         try:
             validate_beacon_id(event.beacon_id)
         except ValueError as exc:
-            return StepResult(state=state, rejected=str(exc))
+            return StepResult(state, (), str(exc))
         i = len(buffer) - 1
         while i >= 0 and buffer[i].beacon_id != event.beacon_id:
             i -= 1
@@ -206,7 +204,7 @@ def receiver_step(state: ReceiverState, event: ReceiverEvent) -> StepResult:
     new_state = ReceiverState(
         state.receiver_id, buffer, gsm, event.t_s, state.dedup_window_s, last_seen
     )
-    return StepResult(state=new_state, payloads=payloads)
+    return StepResult(new_state, payloads, None)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +339,6 @@ def group_segments(
 
 class DecodeResult(Value):
     __slots__ = ("receiver_id", "records", "missing_segments", "diagnostics")
-    _defaults = {"missing_segments": (), "diagnostics": ()}
 
     @property
     def complete(self) -> bool:

@@ -143,8 +143,6 @@ def detection_probability(
     """Probability the scanner hears at least one event during the pass."""
     if t_in_s < 0:
         raise ValueError("in-range time cannot be negative")
-    if t_in_s == 0:
-        return 0.0
     arc = _arc_length_ms(adv, scan)
     return _expected_coverage(
         t_in_s * 1000.0,

@@ -87,7 +87,7 @@ class Road(Value):
         arc_m = min(max(arc_m, 0.0), arcs[-1])
         i = max(bisect_left(arcs, arc_m), 1) - 1
         seg = arcs[i + 1] - arcs[i]
-        return i, (arc_m - arcs[i]) / seg if seg > 0 else 0.0
+        return i, (arc_m - arcs[i]) / seg
 
     def point_at(self, arc_m: float) -> tuple[float, float]:
         """Linear interpolation along the polyline at an arc position."""
@@ -116,13 +116,11 @@ def speed_profile(road: Road) -> tuple[float, ...]:
     with a_lat = ``LATERAL_ACCEL_MS2``.
 
     Curvature comes from the circumradius of consecutive vertex triples;
-    endpoint vertices copy their neighbour.  Two-vertex roads are flat at
-    the surface cap.
+    endpoint vertices copy their neighbour, so two-vertex roads are flat
+    at the surface cap.
     """
     points = road.polyline
     vmax = road.surface_vmax_mph
-    if len(points) == 2:
-        return (vmax, vmax)
     speeds = [vmax] * len(points)
     for i in range(1, len(points) - 1):
         radius = _circumradius_m(points[i - 1], points[i], points[i + 1])
@@ -143,7 +141,6 @@ class BeaconSite(Value):
 
 class DeploymentPlan(Value):
     __slots__ = ("road", "sites", "coverage_gaps")
-    _defaults = {"coverage_gaps": ()}
 
     @property
     def expected_detections_per_traverse(self) -> float:
@@ -173,9 +170,8 @@ def _local_minima(speeds: Sequence[float]) -> list[int]:
 def _coverage_gaps(
     length_m: float, site_arcs: Sequence[float]
 ) -> tuple[tuple[float, float], ...]:
-    """Road stretches farther than MAX_SPACING_M/2 from every site."""
-    if not site_arcs:
-        return ((0.0, length_m),) if length_m > MAX_SPACING_M else ()
+    """Road stretches farther than MAX_SPACING_M/2 from every site, of
+    which there is at least one."""
     reach = MAX_SPACING_M / 2.0
     gaps = []
     arcs = sorted(site_arcs)

@@ -158,8 +158,6 @@ def simulate_pass(
     """One simulated drive-by: detection range -> in-range time -> one
     phase-sampled trial.  Deterministic in the seed."""
     t_in = scenario.in_range_time_s(speed_mph)
-    if t_in == 0.0:
-        return False
     hit = detection_probability_oracle(
         AdvertiserConfig(interval_ms=interval_ms), scenario.scanner, t_in, trials=1, seed=seed
     )

@@ -2,9 +2,9 @@
 
 A value class lists its fields in ``__slots__``, in constructor order.
 ``Value.__init__`` binds them as a call binds parameters: positionally in
-field order, then by keyword, then from the class's ``_defaults``.  A
-class writes its own ``__init__`` only when it checks or converts its
-arguments; that one stores each field with ``object.__setattr__``.
+field order, then by keyword; a call gives every field.  A class writes
+its own ``__init__`` only when it checks or converts its arguments; that
+one stores each field with ``object.__setattr__``.
 ``Value`` supplies the rest from the slots, without generating code at
 import time, which ``dataclasses`` does for every class in every process.
 A slot whose name starts with ``_`` holds state derived from the fields,
@@ -19,8 +19,6 @@ class Value:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    # Field name -> the value a constructor call may leave out.
-    _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -37,8 +35,6 @@ class Value:
         for field in fields[len(args):]:
             if field in kwargs:
                 object.__setattr__(self, field, kwargs.pop(field))
-            elif field in self._defaults:
-                object.__setattr__(self, field, self._defaults[field])
             elif missing is None:
                 missing = field
         # As in a call, a wrong keyword is named before a missing field.

@@ -206,7 +206,8 @@ def uncalled_functions(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
 def field_copying_inits(trees: dict[str, ast.Module]) -> list[str]:
     """Value classes whose ``__init__`` does nothing but store each of its
     parameters, ``object.__setattr__(self, "x", x)``, which
-    ``Value.__init__`` already does."""
+    ``Value.__init__`` already does, and set ``_``-prefixed slots: derived
+    state, which neither checks nor converts an argument."""
 
     def copies_a_parameter(stmt) -> bool:
         call = stmt.value if isinstance(stmt, ast.Expr) else None
@@ -218,7 +219,8 @@ def field_copying_inits(trees: dict[str, ast.Module]) -> list[str]:
             and len(call.args) == 3
             and getattr(call.args[0], "id", None) == "self"
             and isinstance(call.args[1], ast.Constant)
-            and getattr(call.args[2], "id", None) == call.args[1].value
+            and (getattr(call.args[2], "id", None) == call.args[1].value
+                 or call.args[1].value.startswith("_"))
         )
 
     found = []
@@ -254,8 +256,13 @@ def test_field_copy_rule_sees_a_copying_init():
         "    __slots__ = ('a',)\n"
         "    def __init__(self, a):\n"
         "        object.__setattr__(self, 'a', tuple(a))\n"
+        "class Cached(Value):\n"
+        "    __slots__ = ('a', '_cache')\n"
+        "    def __init__(self, a):\n"
+        "        object.__setattr__(self, 'a', a)\n"
+        "        object.__setattr__(self, '_cache', None)\n"
     )
-    assert field_copying_inits({"m": tree}) == ["Pair"]
+    assert field_copying_inits({"m": tree}) == ["Pair", "Cached"]
 
 
 def test_no_generated_code():
@@ -318,8 +325,8 @@ def call_shapes(trees: dict[str, ast.Module]) -> dict[str, list[tuple[int, set[s
 def defaulted_parameters(trees: dict[str, ast.Module]):
     """(module, callable, parameter, position) of every parameter a call
     may leave out: a defaulted parameter of a top-level function or
-    method, and each ``_defaults`` key of a value class.  A method is
-    named ``Class.method``, and ``__init__`` and the fields by the class.
+    method.  A method is named ``Class.method``, and ``__init__`` by the
+    class; ``Value.__init__`` has no parameter a call may leave out.
     ``position`` counts the arguments a call passes, ``self`` and ``cls``
     aside; it is None for a keyword-only parameter."""
     found = []
@@ -344,12 +351,6 @@ def defaulted_parameters(trees: dict[str, ast.Module]):
                 if isinstance(item, ast.FunctionDef):
                     name = node.name if item.name == "__init__" else f"{node.name}.{item.name}"
                     add(module, name, item, 1)
-            values = {stmt.targets[0].id: ast.literal_eval(stmt.value) for stmt in node.body
-                      if isinstance(stmt, ast.Assign)
-                      and getattr(stmt.targets[0], "id", None) in ("__slots__", "_defaults")}
-            fields = [f for f in values.get("__slots__", ()) if not f.startswith("_")]
-            found.extend((module, node.name, key, fields.index(key))
-                         for key in values.get("_defaults", {}))
     return found
 
 
@@ -385,12 +386,11 @@ def test_setting_rule_sees_an_unset_parameter():
         "def g(x=0): return f(1, 2, d=4)\n"
         "class P(Value):\n"
         "    __slots__ = ('a', 'b', '_cache')\n"
-        "    _defaults = {'b': 0}\n"
         "class Q(Value):\n"
         "    __slots__ = ('a', 'b')\n"
         "    def __init__(self, a, b=0): pass\n"
         "    def m(self, k=1, j=2): return g()\n"
-        "built = [P(1), Q(1, 2), _checked(Q.m, 'what', k=2)]\n"
+        "built = [P(1, 2), Q(1, 2), _checked(Q.m, 'what', k=2)]\n"
     )
     assert unset_parameters({"m": tree}) == {("m", "f", "c"), ("m", "g", "x"),
-                                             ("m", "P", "b"), ("m", "Q.m", "j")}
+                                             ("m", "Q.m", "j")}

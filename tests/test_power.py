@@ -137,7 +137,7 @@ def brute_force_guide(target, speeds, scenario):
         if best is None:
             rows.append(GuideRow(speed, 0, 0.0, feasible=False))
         else:
-            rows.append(GuideRow(speed, best, battery_life(best)))
+            rows.append(GuideRow(speed, best, battery_life(best), True))
     return rows
 
 

@@ -434,7 +434,7 @@ dumps = st.tuples(
 class TestStore:
     def test_merge_resolves_coordinates(self, registry):
         store = DetectionStore()
-        decoded = DecodeResult("RX1", (DetectionRecord("B-01", 10, 2),))
+        decoded = DecodeResult("RX1", (DetectionRecord("B-01", 10, 2),), (), ())
         added = merge_detections(store, decoded, registry, received_at=1000)
         assert added == 1
         event = store.events[0]
@@ -443,14 +443,14 @@ class TestStore:
 
     def test_merge_idempotent(self, registry):
         store = DetectionStore()
-        decoded = DecodeResult("RX1", (DetectionRecord("B-01", 10, 2),))
+        decoded = DecodeResult("RX1", (DetectionRecord("B-01", 10, 2),), (), ())
         merge_detections(store, decoded, registry, received_at=1000)
         again = merge_detections(store, decoded, registry, received_at=1000)
         assert again == 0
         assert len(store.events) == 1
 
     def test_store_loaded_with_repeated_events_dedups_them(self, registry, tmp_path):
-        decoded = DecodeResult("RX1", (DetectionRecord("B-01", 10, 2),))
+        decoded = DecodeResult("RX1", (DetectionRecord("B-01", 10, 2),), (), ())
         merged = DetectionStore()
         merge_detections(merged, decoded, registry, received_at=1000)
         event, = merged.events
@@ -463,7 +463,7 @@ class TestStore:
 
     def test_unknown_beacon_quarantined(self, registry):
         store = DetectionStore()
-        decoded = DecodeResult("RX1", (DetectionRecord("B-99", 5, 1),))
+        decoded = DecodeResult("RX1", (DetectionRecord("B-99", 5, 1),), (), ())
         merge_detections(store, decoded, registry, received_at=1000)
         assert len(store.quarantined()) == 1
         assert store.events[0].count == 1
@@ -473,7 +473,7 @@ class TestStore:
         path = tmp_path / "store.ndjson"
         store = DetectionStore()
         decoded = DecodeResult(
-            "RX1", (DetectionRecord("B-01", 10, 2), DetectionRecord("B-99", 5, 1))
+            "RX1", (DetectionRecord("B-01", 10, 2), DetectionRecord("B-99", 5, 1)), (), ()
         )
         merge_detections(store, decoded, registry, received_at=1000)
         store.save(path)
@@ -495,7 +495,7 @@ class TestStore:
             for pick in picks:
                 receiver, records, received_at = pool[pick % len(pool)]
                 store = DetectionStore.load(path)
-                merge_detections(store, DecodeResult(receiver, tuple(records)), REGISTRY,
+                merge_detections(store, DecodeResult(receiver, tuple(records), (), ()), REGISTRY,
                                  received_at)
                 store.save(path)
                 after = path.read_bytes()
@@ -506,7 +506,7 @@ class TestStore:
     def test_geojson_excludes_quarantined(self, registry):
         store = DetectionStore()
         decoded = DecodeResult(
-            "RX1", (DetectionRecord("B-01", 10, 2), DetectionRecord("B-99", 5, 1))
+            "RX1", (DetectionRecord("B-01", 10, 2), DetectionRecord("B-99", 5, 1)), (), ()
         )
         merge_detections(store, decoded, registry, received_at=1234)
         geojson = json.loads(store_to_geojson(store))

@@ -101,6 +101,22 @@ class TestGeometry:
                 speeds, arc_m, lambda a, b, t: a + t * (b - a)
             )
 
+    def test_absorbed_step_is_never_located(self):
+        # Each step is a positive haversine, but the ones at the equator
+        # vanish in the running sum: two segments have zero length.
+        tiny = 1e-100
+        road = Road(((0.0, 0.0), (0.0, 0.5), (tiny, 0.5), (math.nextafter(tiny, 1.0), 0.5),
+                     (0.0, 1.0)), 30.0)
+        arcs = road.arc_lengths()
+        assert arcs[1] == arcs[2] == arcs[3]
+        for k in range(1001):
+            i, t = road._locate(arcs[-1] * k / 1000.0)
+            assert arcs[i + 1] > arcs[i] and 0.0 <= t <= 1.0
+        assert road.point_at(arcs[1] / 2.0) == (0.0, 0.25)
+        assert road.point_at(arcs[1]) == (0.0, 0.5)
+        assert road.point_at(arcs[-1]) == (0.0, 1.0)
+        assert speed_profile(road) == (30.0,) * 5
+
 
 class TestSpeedProfile:
     def test_straight_road_at_cap(self):
@@ -108,8 +124,9 @@ class TestSpeedProfile:
         assert speed_profile(road) == (45.0, 45.0, 45.0)
 
     def test_two_point_road_uniform(self):
-        road = road_from_meters([(0, 0), (100, 0)])
-        assert speed_profile(road) == (45.0, 45.0)
+        for vmax in (45.0, 12.0):
+            road = road_from_meters([(0, 0), (100, 0)], vmax)
+            assert speed_profile(road) == (vmax, vmax)
 
     def test_ten_meter_bend_apex_speed(self):
         # oracle: v = sqrt(a_lat * radius) = sqrt(2 * 10) = 4.47 m/s ~ 10 mph

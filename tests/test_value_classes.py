@@ -7,9 +7,9 @@ of the package is held to this.  ``DetectionStore`` is the one mutable
 class: it is built empty, compares by content, is never hashed, and
 copies and pickles to an equal store.
 
-``Value.__init__`` binds arguments as a call binds parameters, with the
-class's ``_defaults`` for fields left out, and refuses a call that does
-not bind each field once with ``TypeError``.
+``Value.__init__`` binds arguments as a call binds parameters, and
+refuses a call that does not bind each field once with ``TypeError``: a
+class that binds its fields that way has no field a call may leave out.
 
 A fresh interpreter also shows that importing the command line loads no
 code generation: value classes are plain classes."""
@@ -284,27 +284,20 @@ def test_every_value_class_is_checked_here():
     assert value_classes() - CLASSES.keys() == set()
 
 
-def test_defaults_are_fields_and_immutable():
-    # One default value serves every instance, so it must not change.
-    for cls in value_classes():
-        assert set(cls._defaults) <= set(cls._fields), cls
-        for default in cls._defaults.values():
-            hash(default)
+# Classes that bind their fields with Value.__init__ alone.
+PLAIN = [cls for cls in CLASSES if "__init__" not in vars(cls)]
 
 
-DEFAULTED = [cls for cls in CLASSES if cls._defaults]
-
-
-@pytest.mark.parametrize("cls", DEFAULTED, ids=ids)
-def test_fields_left_out_take_their_defaults(cls):
+@pytest.mark.parametrize("cls", PLAIN, ids=ids)
+def test_a_call_gives_every_field(cls):
     fields, _ = CLASSES[cls]
-    given = {name: value for name, value in fields.items() if name not in cls._defaults}
-    value = cls(**given)
-    assert {name: getattr(value, name) for name in cls._defaults} == cls._defaults
-    assert cls(*given.values()) == value
+    for name in fields:
+        given = {other: value for other, value in fields.items() if other != name}
+        with pytest.raises(TypeError, match=f"{cls.__name__} is missing field {name!r}"):
+            cls(**given)
 
 
-# A class with no defaults and one with some; each call binds a field
+# A class with two fields and one with four; each call binds a field
 # twice, names one the class lacks, or leaves one out.
 BAD_CALLS = [
     (Sighting, (12.5, "B-01", 3), {}, r"Sighting takes 2 fields \('t_s', 'beacon_id'\) "
