@@ -537,7 +537,7 @@ class DetectionStore:
     are never rewritten.  ``torn`` holds the bytes of the unfinished last
     line, if any, that a crash during an append left and ``load`` dropped."""
 
-    __slots__ = ("events", "torn", "_keys", "_saved", "_unterminated")
+    __slots__ = ("events", "torn", "_keys", "_saved", "_unterminated", "_torn_end")
 
     def __init__(self) -> None:
         self.events: list[DetectionEvent] = []
@@ -548,6 +548,8 @@ class DetectionStore:
         self._saved: int | None = None
         # Whether the file's last line lacks its line end.
         self._unterminated = False
+        # The file's size when ``load`` kept ``torn``.
+        self._torn_end = 0
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -584,6 +586,7 @@ class DetectionStore:
                         # Only the last line can lack its line end.
                         if not raw.endswith("\n"):
                             store.torn = raw.encode("utf-8", "surrogateescape")
+                            store._torn_end = os.fstat(fh.fileno()).st_size
                             break
                         raise ValueError(
                             f"detection store {str(path)!r} line {number} is not "
@@ -600,18 +603,26 @@ class DetectionStore:
         """Append the events added since ``load`` to ``path``, the file
         the store was loaded from, in one write, and fsync it; with none
         added and no torn line to cut the file is not opened.  A torn line
-        is cut back to the line end before it first.  A store with no file
-        behind it writes ``path`` whole."""
+        is cut back to the line end before it first, unless the file no
+        longer ends in it where ``load`` saw it: another writer has cut it
+        and appended since, so ``ValueError`` is raised and the file left
+        as it is.  A store with no file behind it writes ``path`` whole."""
         if self._saved is None:
             mode, new = "w", self.events
         else:
-            mode, new = "a", self.events[self._saved:]
+            mode, new = "a+", self.events[self._saved:]
             if not new and not self.torn:
                 return
         text = "".join(event.to_json() + "\n" for event in new)
         with open(path, mode) as fh:
             if self.torn:
-                fh.truncate(os.fstat(fh.fileno()).st_size - len(self.torn))
+                cut = self._torn_end - len(self.torn)
+                if (os.fstat(fh.fileno()).st_size != self._torn_end
+                        or os.pread(fh.fileno(), len(self.torn), cut) != self.torn):
+                    raise ValueError(
+                        f"detection store {str(path)!r} changed since loaded; not saved"
+                    )
+                fh.truncate(cut)
             elif self._unterminated:
                 text = "\n" + text
             fh.write(text)

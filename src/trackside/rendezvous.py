@@ -132,23 +132,14 @@ def _union_share(gaps: list[float], cycle: float, arc: float) -> float:
     return float(min(covered / cycle, 1.0))
 
 
-def _coverage_exact(k: int, interval: float, cycle: float, arc: float) -> float:
-    """Union measure of k same-length arcs spaced ``interval`` apart, / cycle."""
-    return _union_share(_arc_gaps(k, interval, cycle), cycle, arc)
-
-
 def detection_probability(
     adv: AdvertiserConfig, scan: ScannerConfig, t_in_s: float
 ) -> float:
     """Probability the scanner hears at least one event during the pass."""
     if t_in_s < 0:
         raise ValueError("in-range time cannot be negative")
-    arc = _arc_length_ms(adv, scan)
-    return _expected_coverage(
-        t_in_s * 1000.0,
-        adv.interval_ms,
-        lambda k: _coverage_exact(k, adv.interval_ms, scan.scan_cycle_ms, arc),
-    )
+    table = coverage_table(scan.scan_cycle_ms, [_arc_length_ms(adv, scan)])
+    return table(t_in_s * 1000.0, adv.interval_ms)(0)
 
 
 def _event_split(span_ms: float, interval: float) -> tuple[int, float]:
@@ -161,14 +152,43 @@ def _event_split(span_ms: float, interval: float) -> tuple[int, float]:
     return n, events - n
 
 
-def _expected_coverage(span_ms: float, interval: float, coverage):
-    """The ``_event_split`` mix of ``coverage(k)``, the chance k events are
-    heard.  Both weights are fixed and non-negative, so the mix never
-    decreases where both coverages grow."""
-    n, frac = _event_split(span_ms, interval)
-    if frac == 0.0:
-        return coverage(n)
-    return (1.0 - frac) * coverage(n) + frac * coverage(n + 1)
+def coverage_table(cycle: float, arcs: list[float]):
+    """``coverage_table(cycle, arcs)(span_ms, interval)`` is a pass's
+    ``p``: ``p(i)`` is its exact detection probability at ``arcs[i]``.
+
+    No coverage depends on how long a pass is in range, so the table keeps
+    one row per (k, interval) for every pass it scores: the arc gaps,
+    sorted once, and the coverage at each arc, computed the first time a
+    probe reads it.  ``p`` mixes the rows of n and n + 1 events with the
+    ``_event_split`` weights, which are fixed and non-negative, so ``p``
+    never decreases along ascending ``arcs`` (see ``_union_share``)."""
+    rows: dict[tuple[int, float], tuple[list[float], list[float | None]]] = {}
+
+    def row(k: int, interval: float) -> tuple[list[float], list[float | None]]:
+        found = rows.get((k, interval))
+        if found is None:
+            found = rows[(k, interval)] = (_arc_gaps(k, interval, cycle), [None] * len(arcs))
+        return found
+
+    def probability(span_ms: float, interval: float):
+        n, frac = _event_split(span_ms, interval)
+        gaps_n, cover_n = row(n, interval)
+        gaps_n1, cover_n1 = row(n + 1, interval) if frac != 0.0 else (gaps_n, cover_n)
+
+        def p(i: int) -> float:
+            a = cover_n[i]
+            if a is None:
+                a = cover_n[i] = _union_share(gaps_n, cycle, arcs[i])
+            if frac == 0.0:
+                return a
+            b = cover_n1[i]
+            if b is None:
+                b = cover_n1[i] = _union_share(gaps_n1, cycle, arcs[i])
+            return (1.0 - frac) * a + frac * b
+
+        return p
+
+    return probability
 
 
 def detection_probability_oracle(

@@ -220,9 +220,7 @@ def select_sites(road: Road, count_budget: int = 1) -> list[tuple[float, float]]
         if not gaps:
             break
         start, end = max(gaps, key=lambda g: g[1] - g[0])
-        arc = (start + end) / 2.0
-        if any(abs(arc - c) < MIN_SITE_SEPARATION_M for c in chosen):
-            break
+        arc = (start + end) / 2.0  # over MAX_SPACING_M / 2 from every site
         chosen.append(arc)
         chosen_speed.append(_speed_at(road, speeds, arc))
 

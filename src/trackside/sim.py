@@ -14,8 +14,8 @@ evaluates numpy's SeedSequence hash and PCG64 in uint64 arrays for a block
 of trials at once, bit for bit, and decides the block with the oracle's own
 arithmetic.  Seeds are non-negative integers, as SeedSequence requires.
 Only the trial paths import ``montecarlo``, and with it numpy, inside the
-function: the calibration grid runs on the scalar kernel behind
-``pass_probability``, bisecting for each cell's band edges.
+function: the calibration grid reads the ``rendezvous.coverage_table``
+behind ``pass_probability``, bisecting for each cell's band edges.
 """
 
 from __future__ import annotations
@@ -33,10 +33,8 @@ from .rendezvous import (
     MIN_INTERVAL_MS,
     AdvertiserConfig,
     ScannerConfig,
-    _arc_gaps,
     _arc_length_ms,
-    _event_split,
-    _union_share,
+    coverage_table,
     detection_probability,
     detection_probability_oracle,
 )
@@ -286,27 +284,18 @@ def _objective_grid(
     bonnets[j]).
 
     Every scanner has one scan cycle and every beacon one event duration,
-    so each window has one arc length, and the coverage of k events at one
-    interval and window does not depend on the target, bonnet loss or
-    speed.  Each (k, interval) has one row: its arc gaps, sorted once, and
-    its coverage at each window, computed the first time a probe reads it.
-    A cell's probability never decreases along the windows, exactly in
+    so each window has one arc length, and one ``coverage_table`` over
+    those arcs scores every cell of every target and bonnet loss.  A
+    cell's probability never decreases along the windows, exactly in
     floating point (see ``_union_share``), so its band steps up at most
     three times: the steps are found by bisection and its mismatch added
     over whole runs of windows.  Cells that see the same detection range
     under two bonnet losses, as every wheel-arch cell does, are shared."""
     scanners = [ScannerConfig(scan_window_ms=w) for w in windows]
-    cycle = scanners[0].scan_cycle_ms
     beacon = AdvertiserConfig(interval_ms=MIN_INTERVAL_MS)
     arcs = [_arc_length_ms(beacon, scanner) for scanner in scanners]
+    table = coverage_table(scanners[0].scan_cycle_ms, arcs)
     axis = range(len(windows))
-    rows: dict[tuple[int, float], tuple[list[float], list[float | None]]] = {}
-
-    def row(k: int, interval: float) -> tuple[list[float], list[float | None]]:
-        found = rows.get((k, interval))
-        if found is None:
-            found = rows[(k, interval)] = (_arc_gaps(k, interval, cycle), [None] * len(axis))
-        return found
 
     def target_mismatch(target: TargetMatrix, scenario: DriveScenario) -> list[int]:
         """The target's band mismatch under ``scenario``, one per window."""
@@ -314,22 +303,7 @@ def _objective_grid(
         for speed in target.speeds_mph:
             span_ms = scenario.in_range_time_s(speed) * 1000.0
             for interval in target.intervals_ms:
-                n, frac = _event_split(span_ms, interval)
-                gaps_n, cover_n = row(n, interval)
-                gaps_n1, cover_n1 = row(n + 1, interval) if frac != 0.0 else (gaps_n, cover_n)
-
-                # _expected_coverage's mix, read from the two rows.
-                def p(i: int) -> float:
-                    a = cover_n[i]
-                    if a is None:
-                        a = cover_n[i] = _union_share(gaps_n, cycle, arcs[i])
-                    if frac == 0.0:
-                        return a
-                    b = cover_n1[i]
-                    if b is None:
-                        b = cover_n1[i] = _union_share(gaps_n1, cycle, arcs[i])
-                    return (1.0 - frac) * a + frac * b
-
+                p = table(span_ms, interval)
                 # In [0, 1] at both ends of the axis, so everywhere between.
                 first = band_of_probability(p(axis[0]))
                 last = band_of_probability(p(axis[-1]))

@@ -993,6 +993,7 @@ def test_plan_value_out_of_range_is_usage_error(road_geojson, tmp_path, capsys,
      "properties must be a JSON object or null"),
     ('{"type": "LineString", "coordinates": [null, [0, 1]]}',
      "road coordinates must be positions of at least 2 numbers"),
+    ('{"type": "FeatureCollection", "features": 5}', "features must be a list"),
     ('{"type": "FeatureCollection", "features": [1]}', "each feature must be a JSON object"),
     ('{"type": "Feature", "properties": {"surface_vmax_mph": null}, "geometry": '
      '{"type": "LineString", "coordinates": [[110.0, 1.0], [110.0, 1.1]]}}',

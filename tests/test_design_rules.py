@@ -171,7 +171,13 @@ def test_union_measure_summed_in_one_place():
     # every analytic probability and the calibration grid; a second copy
     # could drift from it by one rounding.
     assert summed_minimums() == [("rendezvous", "_union_share")]
-    assert {module for module, _ in calls_to("_union_share")} == {"rendezvous", "sim"}
+    assert {module for module, _ in calls_to("_union_share")} == {"rendezvous"}
+    # The calibration grid reads rendezvous.coverage_table, not its rows.
+    tree = ast.parse((SRC / "sim.py").read_text())
+    imported = {alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                for alias in n.names}
+    assert "coverage_table" in imported
+    assert imported & {"_arc_gaps", "_union_share", "_event_split"} == set()
 
 
 def names_used(node) -> Counter:

@@ -838,3 +838,24 @@ class TestTornTail:
         path.write_bytes(f"{GOOD_LINE}\n{GOOD_LINE[:40]}{end}".encode())
         with pytest.raises(ValueError, match="line 2 is not a detection event"):
             DetectionStore.load(path)
+
+    def test_a_second_writer_does_not_cut_the_first_ones_append(self, tmp_path):
+        # Two ingests load one torn store, then both save.  The first cuts
+        # the torn line and appends; the second finds the file changed and
+        # refuses, rather than cutting as many bytes off the first's append.
+        path = tmp_path / "store.ndjson"
+        written = DetectionStore()
+        for t in range(3):
+            written._append(DetectionEvent(f"B-0{t}", "RX1", 1, t, 1000, 5.41, 118.03, False))
+        written.save(path)
+        path.write_bytes(path.read_bytes()[:-20])
+        a, b = DetectionStore.load(path), DetectionStore.load(path)
+        assert len(a.torn) > 20 and a == b
+        b._append(DetectionEvent("B-20", "RX2", 1, 0, 2000, 5.41, 118.03, False))
+        b.save(path)
+        after_b = path.read_bytes()
+        a._append(DetectionEvent("B-10", "RX3", 1, 0, 3000, 5.41, 118.03, False))
+        with pytest.raises(ValueError, match="changed since loaded; not saved"):
+            a.save(path)
+        assert path.read_bytes() == after_b
+        assert DetectionStore.load(path).events == b.events

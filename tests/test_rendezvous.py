@@ -12,8 +12,7 @@ from trackside.rendezvous import (
     AdvertiserConfig,
     ScannerConfig,
     _arc_length_ms,
-    _coverage_exact,
-    _expected_coverage,
+    coverage_table,
     detection_probability,
     detection_probability_oracle,
     mph_to_ms,
@@ -96,6 +95,11 @@ class TestInRangeTime:
         assert mph_to_ms(45.0) == pytest.approx(20.1168)
 
 
+def coverage_exact(k, interval, cycle, arc):
+    """The kernel's union measure of k arcs spaced ``interval`` apart, / cycle."""
+    return rendezvous._union_share(rendezvous._arc_gaps(k, interval, cycle), cycle, arc)
+
+
 def loop_coverage(k, interval, cycle, arc):
     """Reference union measure: one arc length, sorted starts, gaps summed
     left to right in plain Python floats."""
@@ -124,24 +128,23 @@ class TestCoverageKernel:
             # Arcs straddling a gap between two arc starts.
             arcs += [g + d for g in gaps[:3] for d in (-1e-9, 0.0, 1e-9) if g + d > 0]
             expected = [loop_coverage(k, interval, cycle, a) for a in arcs]
-            assert [_coverage_exact(k, interval, cycle, a) for a in arcs] == expected
+            assert [coverage_exact(k, interval, cycle, a) for a in arcs] == expected
 
     def test_scalar_arc_returns_float(self):
-        assert type(_coverage_exact(5, 700.0, 2500.0, 1173.0)) is float
-        assert type(_coverage_exact(0, 700.0, 2500.0, 1173.0)) is float
-        assert type(_coverage_exact(5, 700.0, 2500.0, np.float64(1173.0))) is float
+        assert type(coverage_exact(5, 700.0, 2500.0, 1173.0)) is float
+        assert type(coverage_exact(0, 700.0, 2500.0, 1173.0)) is float
+        assert type(coverage_exact(5, 700.0, 2500.0, np.float64(1173.0))) is float
 
     def test_window_axis_agrees_with_oracle(self):
-        # The calibration scores a cell along an axis of scan windows, one
-        # window at a time; each entry is the scalar probability and agrees
-        # with the oracle.
+        # The calibration scores a cell along an axis of scan windows, from
+        # one coverage table; each entry is the scalar probability and
+        # agrees with the oracle.
         windows = [150.0, 600.0, 1170.0, 1800.0, 2400.0]
+        table = coverage_table(2500.0, [window + 3.0 for window in windows])
         for i, (interval, t) in enumerate(((700.0, 2.5), (1200.0, 4.1), (1600.0, 9.0))):
+            probability = table(t * 1000.0, interval)
             for j, window in enumerate(windows):
-                p = _expected_coverage(
-                    t * 1000.0, interval,
-                    lambda k: _coverage_exact(k, interval, 2500.0, window + 3.0),
-                )
+                p = probability(j)
                 adv = AdvertiserConfig(interval_ms=interval)
                 scan = ScannerConfig(scan_window_ms=window)
                 assert p == detection_probability(adv, scan, t)
@@ -167,7 +170,7 @@ class TestMonotoneInWindow:
         gaps = rendezvous._arc_gaps(k, interval, cycle) if k > 0 else []
         arcs = arcs + [math.nextafter(cycle, 0.0), cycle]
         arcs += [g + d for g in gaps for d in (-1e-9, 0.0, 1e-9) if g + d > 0]
-        values = [_coverage_exact(k, interval, cycle, a) for a in sorted(arcs)]
+        values = [coverage_exact(k, interval, cycle, a) for a in sorted(arcs)]
         assert values == sorted(values)
 
     @settings(derandomize=True, max_examples=80, deadline=None)
@@ -207,7 +210,7 @@ class TestBoundedKernel:
         arcs += [g + d for g in gaps[:3] for d in (-1e-9, 0.0, 1e-9) if g + d > 0]
         for arc in arcs:
             # loop_coverage sorts all k starts, duplicates included.
-            assert _coverage_exact(k, interval, float(cycle), arc) == loop_coverage(
+            assert coverage_exact(k, interval, float(cycle), arc) == loop_coverage(
                 k, interval, float(cycle), arc
             )
 
@@ -215,7 +218,7 @@ class TestBoundedKernel:
         # Only 5 distinct starts at 1000 ms.  Far longer passes run in
         # tests/test_bounded_work.py, under a memory limit.
         k = 3 * rendezvous.MAX_ARC_STARTS
-        assert _coverage_exact(k, 1000, 2500.0, 1173.0) == _coverage_exact(5, 1000, 2500.0, 1173.0)
+        assert coverage_exact(k, 1000, 2500.0, 1173.0) == coverage_exact(5, 1000, 2500.0, 1173.0)
 
     @pytest.mark.parametrize("interval,cycle", [
         (1000.5, 2500.0),  # no exact period
@@ -224,9 +227,9 @@ class TestBoundedKernel:
     ])
     def test_too_many_starts_refused(self, interval, cycle):
         limit = rendezvous.MAX_ARC_STARTS
-        assert 0.0 < _coverage_exact(limit, interval, cycle, 1173.0) <= 1.0
+        assert 0.0 < coverage_exact(limit, interval, cycle, 1173.0) <= 1.0
         with pytest.raises(ValueError, match="can be scored"):
-            _coverage_exact(limit + 1, interval, cycle, 1173.0)
+            coverage_exact(limit + 1, interval, cycle, 1173.0)
 
     def test_uncountable_pass_refused(self):
         adv = AdvertiserConfig(interval_ms=1000)
@@ -259,8 +262,10 @@ class TestDetectionProbability:
     def test_negative_time_rejected(self):
         adv = AdvertiserConfig(interval_ms=500.0)
         scan = ScannerConfig(scan_window_ms=100.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot be negative"):
             detection_probability(adv, scan, -0.1)
+        with pytest.raises(ValueError, match="cannot be negative"):
+            detection_probability_oracle(adv, scan, -0.1, trials=10, seed=0)
 
     def test_monotone_in_time_window_duration(self):
         rnd = random.Random(11)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trackside import montecarlo, sim
+from trackside import montecarlo, rendezvous, sim
 from trackside.pathloss import PathLossModel
 from trackside.presets import (
     CALIBRATED_SCAN_WINDOW_MS,
@@ -388,7 +388,7 @@ class TestCalibrate:
             lambda gaps, cycle, arc: -0.5 if arc < 600.0 else 0.5,  # smallest arc only
             lambda gaps, cycle, arc: 1.5 if arc > 1400.0 else 0.5,  # largest arc only
         ):
-            monkeypatch.setattr(sim, "_union_share", coverage)
+            monkeypatch.setattr(rendezvous, "_union_share", coverage)
             with pytest.raises(ValueError, match="outside"):
                 _objective_grid(targets, windows, [1.0], DEFAULT_PATH_LOSS)
 
@@ -483,7 +483,7 @@ class TestObjectiveGrid:
     def test_each_coverage_computed_once(self, targets, monkeypatch):
         # The grid sorts the arc starts of each (k, interval) once, and
         # scores each of them at a window at most once.
-        real_gaps, real_share = sim._arc_gaps, sim._union_share
+        real_gaps, real_share = rendezvous._arc_gaps, rendezvous._union_share
         sorts, owner, shares = [], {}, []
 
         def gaps(k, interval, cycle):
@@ -496,8 +496,8 @@ class TestObjectiveGrid:
             shares.append((owner[id(found)], arc))
             return real_share(found, cycle, arc)
 
-        monkeypatch.setattr(sim, "_arc_gaps", gaps)
-        monkeypatch.setattr(sim, "_union_share", share)
+        monkeypatch.setattr(rendezvous, "_arc_gaps", gaps)
+        monkeypatch.setattr(rendezvous, "_union_share", share)
         windows = [float(w) for w in range(100, 2501, 25)]
         _objective_grid(targets, windows, [round(0.25 * i, 2) for i in range(41)], DEFAULT_PATH_LOSS)
         assert sorts and shares
