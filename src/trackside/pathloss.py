@@ -98,10 +98,7 @@ class PathLossModel(Value):
                 raise ValueError(f"attenuation for {material.value} must be finite and >= 0")
         if table.get(Material.NONE, 0.0) != 0.0:
             raise ValueError("Material.NONE must carry zero attenuation")
-        object.__setattr__(self, "rssi_ref_dbm", rssi_ref_dbm)
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "reliability_threshold_dbm", reliability_threshold_dbm)
-        object.__setattr__(self, "attenuation_db", table)
+        Value.__init__(self, rssi_ref_dbm, exponent, reliability_threshold_dbm, table)
 
     def total_attenuation_db(self, materials: Iterable[Material]) -> float:
         return sum(self.attenuation_db.get(m, 0.0) for m in set(materials))
@@ -119,9 +116,7 @@ class RssiSample(Value):
             raise ValueError("sample distance must be positive and finite")
         if not math.isfinite(rssi_dbm):
             raise ValueError("sample RSSI must be finite")
-        object.__setattr__(self, "distance_m", distance_m)
-        object.__setattr__(self, "rssi_dbm", rssi_dbm)
-        object.__setattr__(self, "materials", frozenset(materials))
+        Value.__init__(self, distance_m, rssi_dbm, frozenset(materials))
 
 
 class FitResult(Value):

@@ -87,9 +87,7 @@ class DetectionRecord(Value):
 
     def __init__(self, beacon_id: str, first_seen_s: int, count: int = 1) -> None:
         _validate_record(beacon_id, count, first_seen_s)
-        object.__setattr__(self, "beacon_id", beacon_id)
-        object.__setattr__(self, "first_seen_s", first_seen_s)
-        object.__setattr__(self, "count", count)
+        Value.__init__(self, beacon_id, first_seen_s, count)
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +140,7 @@ class ReceiverState(Value):
             raise ValueError(
                 f"{len(last_seen)} last-seen times for {len(buffer)} buffered records"
             )
-        object.__setattr__(self, "receiver_id", receiver_id)
-        object.__setattr__(self, "buffer", buffer)
-        object.__setattr__(self, "gsm_available", gsm_available)
-        object.__setattr__(self, "clock_s", clock_s)
-        object.__setattr__(self, "dedup_window_s", dedup_window_s)
-        object.__setattr__(self, "last_seen", last_seen)
+        Value.__init__(self, receiver_id, buffer, gsm_available, clock_s, dedup_window_s, last_seen)
 
 
 class StepResult(Value):
@@ -419,9 +412,7 @@ class RegistryEntry(Value):
     def __init__(self, beacon_id: str, lat: float, lon: float) -> None:
         validate_beacon_id(beacon_id)
         validate_position(lat, lon)
-        object.__setattr__(self, "beacon_id", beacon_id)
-        object.__setattr__(self, "lat", lat)
-        object.__setattr__(self, "lon", lon)
+        Value.__init__(self, beacon_id, lat, lon)
 
 
 def load_registry(path) -> dict[str, RegistryEntry]:
@@ -481,14 +472,8 @@ class DetectionEvent(Value):
             raise ValueError(f"lat {lat!r}, lon {lon!r}: an event not quarantined needs numbers")
         else:
             validate_position(lat, lon)
-        object.__setattr__(self, "beacon_id", beacon_id)
-        object.__setattr__(self, "receiver_id", receiver_id)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "first_seen_s", first_seen_s)
-        object.__setattr__(self, "received_at", received_at)
-        object.__setattr__(self, "lat", lat)
-        object.__setattr__(self, "lon", lon)
-        object.__setattr__(self, "quarantined", quarantined)
+        Value.__init__(self, beacon_id, receiver_id, count, first_seen_s, received_at,
+                       lat, lon, quarantined)
 
     def key(self) -> tuple:
         return (
@@ -537,7 +522,7 @@ class DetectionStore:
     are never rewritten.  ``torn`` holds the bytes of the unfinished last
     line, if any, that a crash during an append left and ``load`` dropped."""
 
-    __slots__ = ("events", "torn", "_keys", "_saved", "_unterminated", "_torn_end")
+    __slots__ = ("events", "torn", "_keys", "_saved", "_unterminated", "_size")
 
     def __init__(self) -> None:
         self.events: list[DetectionEvent] = []
@@ -548,8 +533,8 @@ class DetectionStore:
         self._saved: int | None = None
         # Whether the file's last line lacks its line end.
         self._unterminated = False
-        # The file's size when ``load`` kept ``torn``.
-        self._torn_end = 0
+        # The bytes ``load`` read: the file's size then.
+        self._size = 0
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -586,12 +571,14 @@ class DetectionStore:
                         # Only the last line can lack its line end.
                         if not raw.endswith("\n"):
                             store.torn = raw.encode("utf-8", "surrogateescape")
-                            store._torn_end = os.fstat(fh.fileno()).st_size
                             break
                         raise ValueError(
                             f"detection store {str(path)!r} line {number} is not "
                             f"a detection event: {exc}"
                         ) from None
+                # The read has reached the end of the file, so its offset is
+                # the size read, whatever another writer appends meanwhile.
+                store._size = os.lseek(fh.fileno(), 0, os.SEEK_CUR)
         except FileNotFoundError:
             return store
         store._saved = len(store.events)
@@ -602,32 +589,49 @@ class DetectionStore:
     def save(self, path) -> None:
         """Append the events added since ``load`` to ``path``, the file
         the store was loaded from, in one write, and fsync it; with none
-        added and no torn line to cut the file is not opened.  A torn line
-        is cut back to the line end before it first, unless the file no
-        longer ends in it where ``load`` saw it: another writer has cut it
-        and appended since, so ``ValueError`` is raised and the file left
-        as it is.  A store with no file behind it writes ``path`` whole."""
-        if self._saved is None:
-            mode, new = "w", self.events
-        else:
-            mode, new = "a+", self.events[self._saved:]
-            if not new and not self.torn:
-                return
+        added and no torn line to cut the file is not opened.  A store with
+        no file behind it creates ``path``, even with no events, and
+        fsyncs its directory too; a file another writer has created since
+        is appended to, not replaced.
+
+        A torn line is cut back to the line end before it first.  A last
+        line without its line end gets one first if it is the one ``load``
+        saw.  If instead the file no longer ends as ``load`` saw it,
+        another writer has cut the torn line, or left an append
+        unfinished, since: ``ValueError`` is raised and the file left as
+        it is."""
+        new = self.events[self._saved or 0:]
+        if self._saved is not None and not new and not self.torn:
+            return
         text = "".join(event.to_json() + "\n" for event in new)
-        with open(path, mode) as fh:
+        # "a+" never truncates, even where the file has appeared since load.
+        with open(path, "a+") as fh:
+            fd = fh.fileno()
+            size = os.fstat(fd).st_size
             if self.torn:
-                cut = self._torn_end - len(self.torn)
-                if (os.fstat(fh.fileno()).st_size != self._torn_end
-                        or os.pread(fh.fileno(), len(self.torn), cut) != self.torn):
+                cut = self._size - len(self.torn)
+                if size != self._size or os.pread(fd, len(self.torn), cut) != self.torn:
                     raise ValueError(
                         f"detection store {str(path)!r} changed since loaded; not saved"
                     )
                 fh.truncate(cut)
-            elif self._unterminated:
+            elif size and os.pread(fd, 1, size - 1) not in (b"\n", b"\r"):
+                if not (self._unterminated and size == self._size):
+                    raise ValueError(
+                        f"detection store {str(path)!r} changed since loaded; not saved"
+                    )
                 text = "\n" + text
             fh.write(text)
             fh.flush()
-            os.fsync(fh.fileno())
+            os.fsync(fd)
+            if self._saved is None:
+                # The new file's name survives a crash once its directory
+                # is synced too.
+                directory = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+                try:
+                    os.fsync(directory)
+                finally:
+                    os.close(directory)
         self._saved, self._unterminated, self.torn = len(self.events), False, b""
 
     def _append(self, event: DetectionEvent) -> bool:

@@ -64,8 +64,7 @@ class AdvertiserConfig(Value):
             raise ValueError("event duration must be positive and finite")
         if interval_ms < event_duration_ms:
             raise ValueError("interval must cover one advertising event")
-        object.__setattr__(self, "interval_ms", interval_ms)
-        object.__setattr__(self, "event_duration_ms", event_duration_ms)
+        Value.__init__(self, interval_ms, event_duration_ms)
 
 
 class ScannerConfig(Value):
@@ -78,8 +77,7 @@ class ScannerConfig(Value):
             raise ValueError("scan window must be positive and finite")
         if not scan_window_ms <= scan_cycle_ms < math.inf:
             raise ValueError("scan cycle must be finite and no shorter than the scan window")
-        object.__setattr__(self, "scan_window_ms", scan_window_ms)
-        object.__setattr__(self, "scan_cycle_ms", scan_cycle_ms)
+        Value.__init__(self, scan_window_ms, scan_cycle_ms)
 
 
 def _arc_length_ms(adv: AdvertiserConfig, scan: ScannerConfig) -> float:

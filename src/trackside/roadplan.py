@@ -68,8 +68,7 @@ class Road(Value):
             pass_speed_ms(surface_vmax_mph)
         except ValueError:
             raise ValueError("surface speed cap must be positive and finite") from None
-        object.__setattr__(self, "polyline", points)
-        object.__setattr__(self, "surface_vmax_mph", surface_vmax_mph)
+        Value.__init__(self, points, surface_vmax_mph)
         object.__setattr__(self, "_arcs", tuple(arcs))
 
     def arc_lengths(self) -> tuple[float, ...]:

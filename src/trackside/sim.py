@@ -108,10 +108,7 @@ class TrialMatrixSpec(Value):
             raise ValueError("need at least one trial per cell")
         if seed < 0:
             raise ValueError(f"seed {seed} is negative; seeds are non-negative integers")
-        object.__setattr__(self, "speeds_mph", speeds_mph)
-        object.__setattr__(self, "intervals_ms", tuple(int(i) for i in intervals_ms))
-        object.__setattr__(self, "trials_per_cell", trials_per_cell)
-        object.__setattr__(self, "seed", seed)
+        Value.__init__(self, speeds_mph, tuple(int(i) for i in intervals_ms), trials_per_cell, seed)
 
 
 class CellResult(Value):

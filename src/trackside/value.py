@@ -4,7 +4,8 @@ A value class lists its fields in ``__slots__``, in constructor order.
 ``Value.__init__`` binds them as a call binds parameters: positionally in
 field order, then by keyword; a call gives every field.  A class writes
 its own ``__init__`` only when it checks or converts its arguments; that
-one stores each field with ``object.__setattr__``.
+one ends by handing the checked values to ``Value.__init__`` in field
+order, so this module alone binds fields.
 ``Value`` supplies the rest from the slots, without generating code at
 import time, which ``dataclasses`` does for every class in every process.
 A slot whose name starts with ``_`` holds state derived from the fields,
@@ -19,31 +20,39 @@ class Value:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _setters: tuple = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        # Each field's slot setter, in field order: it stores past the
+        # refusing __setattr__ without looking the name up on each call.
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     def __init__(self, *args, **kwargs) -> None:
-        fields = self._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{self.__class__.__name__} takes {len(fields)} fields "
-                            f"{fields} but {len(args)} were given")
-        for field, value in zip(fields, args):
-            object.__setattr__(self, field, value)
-        missing = None
-        for field in fields[len(args):]:
-            if field in kwargs:
-                object.__setattr__(self, field, kwargs.pop(field))
-            elif missing is None:
-                missing = field
-        # As in a call, a wrong keyword is named before a missing field.
-        for field in kwargs:
-            if field in fields:
-                raise TypeError(f"{self.__class__.__name__} got field {field!r} twice")
-            raise TypeError(f"{self.__class__.__name__} has no field {field!r}")
-        if missing is not None:
-            raise TypeError(f"{self.__class__.__name__} is missing field {missing!r}")
+        setters = self._setters
+        # Each checking __init__ passes every field by position; any other
+        # call binds its keywords first.
+        if kwargs or len(args) != len(setters):
+            fields = self._fields
+            if len(args) > len(fields):
+                raise TypeError(f"{self.__class__.__name__} takes {len(fields)} fields "
+                                f"{fields} but {len(args)} were given")
+            missing = None
+            for field, store in zip(fields[len(args):], setters[len(args):]):
+                if field in kwargs:
+                    store(self, kwargs.pop(field))
+                elif missing is None:
+                    missing = field
+            # As in a call, a wrong keyword is named before a missing field.
+            for field in kwargs:
+                if field in fields:
+                    raise TypeError(f"{self.__class__.__name__} got field {field!r} twice")
+                raise TypeError(f"{self.__class__.__name__} has no field {field!r}")
+            if missing is not None:
+                raise TypeError(f"{self.__class__.__name__} is missing field {missing!r}")
+        for store, value in zip(setters, args):
+            store(self, value)
 
     def _astuple(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

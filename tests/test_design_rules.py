@@ -3,11 +3,12 @@ build a ``DriveScenario``, preset names are resolved only where the
 command line reads them, numpy is imported by plain imports in one
 module only, no module uses dataclasses or runs generated code, values
 check their own finiteness and position, a value class writes
-``__init__`` only to check or convert its arguments, the union measure of
-the arcs is summed in one function, the guide search only asks the
-scenario for probabilities, only ``main`` prints, every function has a
-caller in the package, every defaulted parameter is passed by some call
-in it, and the README's module table lists every module."""
+``__init__`` only to check or convert its arguments, only ``value``
+binds fields, the union measure of the arcs is summed in one function,
+the guide search only asks the scenario for probabilities, only ``main``
+prints, every function has a caller in the package, every defaulted
+parameter is passed by some call in it, and the README's module table
+lists every module."""
 
 import ast
 from collections import Counter
@@ -209,25 +210,45 @@ def uncalled_functions(trees: dict[str, ast.Module]) -> set[tuple[str, str]]:
     return found
 
 
+def is_object_setattr(node) -> bool:
+    """Whether ``node`` is a call of ``object.__setattr__``."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__setattr__"
+        and getattr(node.func.value, "id", None) == "object"
+    )
+
+
 def field_copying_inits(trees: dict[str, ast.Module]) -> list[str]:
-    """Value classes whose ``__init__`` does nothing but store each of its
-    parameters, ``object.__setattr__(self, "x", x)``, which
+    """Value classes whose ``__init__`` does nothing but hand its
+    parameters unchanged to ``Value.__init__`` or ``super().__init__``, or
+    store each one, ``object.__setattr__(self, "x", x)``, which
     ``Value.__init__`` already does, and set ``_``-prefixed slots: derived
     state, which neither checks nor converts an argument."""
 
-    def copies_a_parameter(stmt) -> bool:
+    def copies_parameters(stmt, parameters) -> bool:
         call = stmt.value if isinstance(stmt, ast.Expr) else None
-        return (
-            isinstance(call, ast.Call)
-            and isinstance(call.func, ast.Attribute)
-            and call.func.attr == "__setattr__"
-            and getattr(call.func.value, "id", None) == "object"
-            and len(call.args) == 3
-            and getattr(call.args[0], "id", None) == "self"
-            and isinstance(call.args[1], ast.Constant)
-            and (getattr(call.args[2], "id", None) == call.args[1].value
-                 or call.args[1].value.startswith("_"))
-        )
+        if is_object_setattr(call):
+            return (
+                len(call.args) == 3
+                and getattr(call.args[0], "id", None) == "self"
+                and isinstance(call.args[1], ast.Constant)
+                and (getattr(call.args[2], "id", None) == call.args[1].value
+                     or call.args[1].value.startswith("_"))
+            )
+        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "__init__"):
+            return False
+        owner, args = call.func.value, call.args
+        if getattr(owner, "id", None) == "Value" and args:
+            if getattr(args[0], "id", None) != "self":
+                return False
+            args = args[1:]
+        elif called(owner) != "super":
+            return False
+        return all(getattr(value, "id", None) in parameters
+                   for value in args + [k.value for k in call.keywords])
 
     found = []
     for tree in trees.values():
@@ -240,7 +261,8 @@ def field_copying_inits(trees: dict[str, ast.Module]) -> list[str]:
                     body = node.body
                     if ast.get_docstring(node) is not None:
                         body = body[1:]
-                    if all(copies_a_parameter(stmt) for stmt in body):
+                    parameters = {a.arg for a in node.args.args[1:] + node.args.kwonlyargs}
+                    if all(copies_parameters(stmt, parameters) for stmt in body):
                         found.append(cls.name)
     return found
 
@@ -267,8 +289,65 @@ def test_field_copy_rule_sees_a_copying_init():
         "    def __init__(self, a):\n"
         "        object.__setattr__(self, 'a', a)\n"
         "        object.__setattr__(self, '_cache', None)\n"
+        "class Forwards(Value):\n"
+        "    __slots__ = ('a', 'b', '_cache')\n"
+        "    def __init__(self, a, b=1):\n"
+        "        Value.__init__(self, a, b=b)\n"
+        "        object.__setattr__(self, '_cache', None)\n"
+        "class Supers(Value):\n"
+        "    __slots__ = ('a', 'b')\n"
+        "    def __init__(self, a, *, b):\n"
+        "        super().__init__(a, b)\n"
+        "class Converts(Value):\n"
+        "    __slots__ = ('a', 'b')\n"
+        "    def __init__(self, a, b):\n"
+        "        Value.__init__(self, a, tuple(b))\n"
+        "class Checks(Value):\n"
+        "    __slots__ = ('a',)\n"
+        "    def __init__(self, a):\n"
+        "        if a < 0:\n"
+        "            raise ValueError('negative')\n"
+        "        super().__init__(a)\n"
     )
-    assert field_copying_inits({"m": tree}) == ["Pair", "Cached"]
+    assert field_copying_inits({"m": tree}) == ["Pair", "Cached", "Forwards", "Supers"]
+
+
+def field_stores(trees: dict[str, ast.Module]) -> list[tuple[str, str | None]]:
+    """(module, slot name) of every ``object.__setattr__`` outside
+    ``value`` that may store a field: one whose slot name does not start
+    with ``_``, or is not a literal, which is named None."""
+    found = []
+    for module, tree in trees.items():
+        if module == "value":
+            continue
+        for node in ast.walk(tree):
+            if is_object_setattr(node):
+                name = node.args[1] if len(node.args) == 3 else None
+                name = name.value if isinstance(name, ast.Constant) else None
+                if not (isinstance(name, str) and name.startswith("_")):
+                    found.append((module, name))
+    return found
+
+
+def test_only_value_binds_fields():
+    # A value's fields are bound by Value.__init__, which a checking
+    # __init__ ends by calling; elsewhere object.__setattr__ stores only
+    # derived state, in a ``_`` slot.
+    assert field_stores(module_trees()) == []
+
+
+def test_field_store_rule_sees_a_field_store():
+    planted = (
+        "class C(Value):\n"
+        "    __slots__ = ('a', '_cache')\n"
+        "    def __init__(self, a):\n"
+        "        object.__setattr__(self, 'a', a)\n"
+        "        object.__setattr__(self, '_cache', None)\n"
+        "    def put(self, name, value):\n"
+        "        object.__setattr__(self, name, value)\n"
+    )
+    trees = {"m": ast.parse(planted), "value": ast.parse(planted)}
+    assert field_stores(trees) == [("m", "a"), ("m", None)]
 
 
 def test_no_generated_code():

@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import random
+import stat
 import tempfile
 from pathlib import Path
 
@@ -859,3 +861,82 @@ class TestTornTail:
             a.save(path)
         assert path.read_bytes() == after_b
         assert DetectionStore.load(path).events == b.events
+
+
+class TestWriters:
+    """Two ingests that overlap, and a crash: each replay fixes the order
+    of the loads, saves and stray writes."""
+
+    @staticmethod
+    def event(beacon_id, receiver_id, received_at):
+        return DetectionEvent(beacon_id, receiver_id, 1, 0, received_at, 5.41, 118.03, False)
+
+    def test_two_ingests_that_create_the_store_keep_both_dumps(self, tmp_path):
+        path = tmp_path / "store.ndjson"
+        a, b = DetectionStore.load(path), DetectionStore.load(path)
+        a._append(self.event("B-10", "RX1", 1000))
+        b._append(self.event("B-20", "RX2", 2000))
+        b.save(path)
+        a.save(path)
+        assert DetectionStore.load(path).events == b.events + a.events
+
+    def test_an_ingest_with_nothing_new_still_creates_the_store(self, tmp_path):
+        path = tmp_path / "store.ndjson"
+        DetectionStore.load(path).save(path)
+        assert path.read_bytes() == b""
+
+    def test_creating_the_store_syncs_its_directory(self, tmp_path, monkeypatch):
+        synced = []
+        fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        path = tmp_path / "store.ndjson"
+        store = DetectionStore.load(path)
+        store._append(self.event("B-10", "RX1", 1000))
+        store.save(path)
+        assert synced == [False, True]
+        # A plain append syncs the file alone: its name is already durable.
+        synced.clear()
+        store = DetectionStore.load(path)
+        store._append(self.event("B-20", "RX1", 2000))
+        store.save(path)
+        assert synced == [False]
+
+    def test_an_append_does_not_continue_another_writers_unfinished_line(self, tmp_path):
+        path = tmp_path / "store.ndjson"
+        written = DetectionStore()
+        written._append(self.event("B-01", "RX1", 1000))
+        written.save(path)
+        a = DetectionStore.load(path)
+        # Another writer crashes partway through its append.
+        with open(path, "ab") as fh:
+            fh.write(b'{"beacon_id": "B-9", "count": 1, "first')
+        before = path.read_bytes()
+        a._append(self.event("B-02", "RX1", 2000))
+        with pytest.raises(ValueError, match="changed since loaded; not saved"):
+            a.save(path)
+        assert path.read_bytes() == before
+        # The next load keeps the unfinished line aside as torn, and its
+        # save cuts it and appends.
+        c = DetectionStore.load(path)
+        c._append(self.event("B-02", "RX1", 2000))
+        c.save(path)
+        assert DetectionStore.load(path).events == c.events
+
+    def test_an_append_follows_another_writers_complete_append(self, tmp_path):
+        # Load saw the last line unterminated; another writer has ended it
+        # and appended since, so the file's own last byte, a line end,
+        # decides that no line end goes first.
+        path = tmp_path / "store.ndjson"
+        path.write_bytes(GOOD_LINE.encode())
+        a, b = DetectionStore.load(path), DetectionStore.load(path)
+        b._append(self.event("B-20", "RX2", 2000))
+        b.save(path)
+        a._append(self.event("B-10", "RX3", 3000))
+        a.save(path)
+        assert path.read_bytes() == (GOOD_LINE + "\n" + b.events[-1].to_json() + "\n"
+                                     + a.events[-1].to_json() + "\n").encode()
